@@ -1,24 +1,23 @@
-"""Cold-start and memory probe: eager v1 vs eager v2 vs lazy v2 snapshots.
+"""Cold-start and memory probe: eager vs lazy snapshot loads.
 
 Run with ``PYTHONPATH=src python benchmarks/memory_probe.py``; not collected
 by pytest (no ``test_`` prefix).  Fills the cold-start/RSS table in
 ``docs/benchmarks.md``.
 
-The parent process generates one IMDB corpus, saves it in every snapshot
-layout, then measures each load scenario in a **fresh subprocess**: peak RSS
-(``resource.getrusage(RUSAGE_SELF).ru_maxrss``) is monotonic per process, so
-eager and lazy loads can only be compared across process boundaries.  Each
-child reports, as JSON on stdout:
+The parent process generates one IMDB corpus, saves it plain and with
+per-record compression, then measures each load scenario in a **fresh
+subprocess**: peak RSS (``resource.getrusage(RUSAGE_SELF).ru_maxrss``) is
+monotonic per process, so eager and lazy loads can only be compared across
+process boundaries.  Each child reports, as JSON on stdout:
 
-* ``load_ms`` — ``Corpus.load`` wall time (the head-only read for lazy v2),
+* ``load_ms`` — ``Corpus.load`` wall time (the head-only read for lazy loads),
 * ``first_query_ms`` — one cold ``SearchEngine.search("drama war")``,
 * ``peak_rss_kb`` — process peak resident set after load + first query,
 * ``store`` — the store's ``stats()`` (backend and, for lazy, the
   decode/eviction/materialisation counters).
 
-The tentpole acceptance criterion reads straight off the table: the lazy v2
-``load_ms + first_query_ms`` must be at most half of the v1 eager
-``load_ms``.
+The verdict line reads straight off the table: the lazy
+``load_ms + first_query_ms`` must be at most half of the eager ``load_ms``.
 """
 
 import argparse
@@ -41,11 +40,7 @@ def child(snapshot: str, eager: bool, max_materialised) -> None:
     from repro.storage.corpus import Corpus
 
     start = time.perf_counter()
-    corpus = Corpus.load(
-        snapshot,
-        eager=eager or None,  # None lets the format pick its default
-        max_materialised=max_materialised,
-    )
+    corpus = Corpus.load(snapshot, eager=eager, max_materialised=max_materialised)
     load_ms = (time.perf_counter() - start) * 1000
 
     start = time.perf_counter()
@@ -103,21 +98,18 @@ def main() -> None:
     corpus = generate_imdb_corpus(ImdbConfig(num_movies=arguments.movies))
 
     with tempfile.TemporaryDirectory() as scratch:
-        v1 = Path(scratch) / "imdb_v1.snap"
-        v2 = Path(scratch) / "imdb_v2.snap"
-        v2z = Path(scratch) / "imdb_v2z.snap"
-        corpus.save(v1, format=1)
-        corpus.save(v2, format=2)
-        corpus.save(v2z, format=2, compress=True)
-        for path in (v1, v2, v2z):
+        plain = Path(scratch) / "imdb.snap"
+        compressed = Path(scratch) / "imdb_z.snap"
+        corpus.save(plain)
+        corpus.save(compressed, compress=True)
+        for path in (plain, compressed):
             print(f"  {path.name}: {path.stat().st_size / 1e6:.2f} MB")
 
         rows = [
-            run_scenario("v1 eager", v1, eager=True),
-            run_scenario("v2 eager", v2, eager=True),
-            run_scenario("v2 lazy (default LRU)", v2),
-            run_scenario("v2 lazy (LRU=32)", v2, max_materialised=32),
-            run_scenario("v2 lazy compressed", v2z),
+            run_scenario("eager", plain, eager=True),
+            run_scenario("lazy (default LRU)", plain),
+            run_scenario("lazy (LRU=32)", plain, max_materialised=32),
+            run_scenario("lazy compressed", compressed),
         ]
 
     header = f"{'scenario':<22} {'load ms':>9} {'query ms':>9} {'ready ms':>9} {'peak RSS MB':>12}  store"
@@ -139,13 +131,13 @@ def main() -> None:
             f"{ready:>9.1f} {report['peak_rss_kb'] / 1024:>12.1f}  {detail}"
         )
 
-    eager_load = dict(rows)["v1 eager"]["load_ms"]
-    lazy = dict(rows)["v2 lazy (default LRU)"]
+    eager_load = dict(rows)["eager"]["load_ms"]
+    lazy = dict(rows)["lazy (default LRU)"]
     ready = lazy["load_ms"] + lazy["first_query_ms"]
     verdict = "PASS" if ready <= eager_load * 0.5 else "FAIL"
     print()
     print(
-        f"first-query-ready (v2 lazy) {ready:.1f} ms vs v1 eager load {eager_load:.1f} ms "
+        f"first-query-ready (lazy) {ready:.1f} ms vs eager load {eager_load:.1f} ms "
         f"-> {ready / eager_load * 100:.0f}% ({verdict}: target <= 50%)"
     )
 

@@ -4,14 +4,11 @@ Run with ``PYTHONPATH=src python benchmarks/shard_probe.py``; not collected by
 pytest (no ``test_`` prefix).  Measures, on the same 1000-movie IMDB corpus as
 ``perf_probe.py``:
 
-* sharded build time — serial vs thread pool vs process pool, at 2/4 shards,
-  against the monolithic :class:`Corpus` build baseline.  The pools only help
-  on multi-core machines (document batches are CPU-bound tokenise+index work);
-  the probe prints ``os.cpu_count()`` so single-core CI numbers are read in
-  context.
-* query fan-out latency — cold SLCA/ELCA queries through
-  :class:`ShardedSearchEngine` (parallel and serial fan-out) vs a single
-  :class:`SearchEngine`, plus the paginated first-page path.
+* sharded build time at 2/4 shards against the monolithic :class:`Corpus`
+  build baseline;
+* query fan-out latency — cold SLCA/ELCA queries through a 4-shard
+  :class:`ShardedSearchEngine` vs a single :class:`SearchEngine`, plus the
+  paginated first-page path.
 """
 
 import os
@@ -21,7 +18,7 @@ from repro.datasets.imdb import ImdbConfig, generate_imdb_corpus
 from repro.search.engine import SearchEngine
 from repro.search.sharded_engine import ShardedSearchEngine
 from repro.storage.corpus import Corpus
-from repro.storage.sharded import ShardedCorpus, process_pool_available
+from repro.storage.sharded import ShardedCorpus
 
 QUERIES = ("drama war", "comedy actor", "thriller director actress")
 
@@ -37,7 +34,6 @@ def best_of(call, rounds=5):
 
 def main() -> None:
     print(f"cpu_count: {os.cpu_count()}")
-    print(f"process pool available: {process_pool_available()}")
 
     source = generate_imdb_corpus(ImdbConfig(num_movies=1000))
     documents = [
@@ -47,60 +43,29 @@ def main() -> None:
 
     print(f"monolithic build 1000: {best_of(lambda: Corpus(source.store), 3):.1f} ms")
     for shard_count in (2, 4):
-        for mode in ("serial", "thread", "process"):
-            if mode == "process" and not process_pool_available():
-                print(f"sharded build 1000, {shard_count} shards, {mode}: skipped (no pool)")
-                continue
-            built = {}
+        elapsed = best_of(lambda: ShardedCorpus.build(documents, shard_count), 3)
+        print(f"sharded build 1000, {shard_count} shards: {elapsed:.1f} ms")
 
-            def build():
-                built["corpus"] = ShardedCorpus.build(
-                    documents, shard_count, parallel=mode, pool_timeout=120
-                )
-
-            elapsed = best_of(build, 3)
-            backend = built["corpus"].build_backend
-            print(
-                f"sharded build 1000, {shard_count} shards, {mode}: "
-                f"{elapsed:.1f} ms (backend used: {backend})"
-            )
-
-    single_engine_factory = lambda semantics: SearchEngine(
-        source, semantics=semantics, cache_size=0
-    )
     sharded_corpus = ShardedCorpus.build(documents, 4)
-
     for semantics in ("slca", "elca"):
+        single = SearchEngine(source, semantics=semantics, cache_size=0)
+        fanout = ShardedSearchEngine(sharded_corpus, semantics=semantics, cache_size=0)
         for query in QUERIES:
-            single = best_of(lambda: single_engine_factory(semantics).search(query))
-            fanout = ShardedSearchEngine(
-                sharded_corpus, semantics=semantics, cache_size=0, parallel=True
-            )
-            serial = ShardedSearchEngine(
-                sharded_corpus, semantics=semantics, cache_size=0, parallel=False
-            )
-            try:
-                parallel_ms = best_of(lambda: fanout.search(query))
-                serial_ms = best_of(lambda: serial.search(query))
-            finally:
-                fanout.close()
-                serial.close()
+            single_ms = best_of(lambda: single.search(query))
+            fanout_ms = best_of(lambda: fanout.search(query))
             print(
-                f"cold {semantics} {query!r}: single {single:.1f} ms | "
-                f"4-shard fan-out {parallel_ms:.1f} ms | 4-shard serial {serial_ms:.1f} ms"
+                f"cold {semantics} {query!r}: single {single_ms:.1f} ms | "
+                f"4-shard {fanout_ms:.1f} ms"
             )
 
     # First-page pagination through the fan-out (the serve hot path).
     engine = ShardedSearchEngine(sharded_corpus, cache_size=0)
     reference = SearchEngine(source, cache_size=0)
-    try:
-        print(
-            f"page(0, 10) 'drama war': single "
-            f"{best_of(lambda: reference.search_page('drama war', 0, 10)):.1f} ms | "
-            f"4-shard {best_of(lambda: engine.search_page('drama war', 0, 10)):.1f} ms"
-        )
-    finally:
-        engine.close()
+    print(
+        f"page(0, 10) 'drama war': single "
+        f"{best_of(lambda: reference.search_page('drama war', 0, 10)):.1f} ms | "
+        f"4-shard {best_of(lambda: engine.search_page('drama war', 0, 10)):.1f} ms"
+    )
 
 
 if __name__ == "__main__":

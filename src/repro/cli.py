@@ -212,15 +212,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--output", required=True, help="path of the snapshot file to write"
     )
     save_snapshot.add_argument(
-        "--format",
-        default="v2",
-        choices=["v1", "v2"],
-        help="snapshot layout: v2 (default) loads lazily via mmap, v1 is the legacy eager layout",
-    )
-    save_snapshot.add_argument(
         "--compress",
         action="store_true",
-        help="zlib-compress individual document records (v2 only)",
+        help="zlib-compress individual document records",
     )
     _add_shards_argument(save_snapshot)
 
@@ -237,9 +231,9 @@ def _add_shards_argument(parser: argparse.ArgumentParser) -> None:
         "--shards",
         type=_positive_int,
         default=None,
-        help="partition the corpus across N shards (parallel shard build, "
-        "fan-out query engine; save-snapshot writes a manifest plus one v2 "
-        "file per shard — a manifest loaded via --snapshot is already sharded)",
+        help="partition the corpus across N shards (fan-out query engine; "
+        "save-snapshot writes a manifest plus one snapshot file per shard — "
+        "a manifest loaded via --snapshot is already sharded)",
     )
 
 
@@ -264,8 +258,8 @@ def _add_corpus_arguments(parser: argparse.ArgumentParser) -> None:
     source.add_argument(
         "--snapshot",
         default=None,
-        help="load a corpus from a binary snapshot file (see the save-snapshot command); "
-        "the format (v1 eager / v2 lazy) is auto-detected",
+        help="load a corpus from a binary snapshot file or shard manifest (see the "
+        "save-snapshot command); documents are decoded lazily on first access",
     )
     # Outside the exclusive group: it tunes --snapshot rather than competing
     # with it, and is simply ignored for the other (always-eager) sources.
@@ -273,7 +267,7 @@ def _add_corpus_arguments(parser: argparse.ArgumentParser) -> None:
         "--max-materialised",
         type=_non_negative_int,
         default=None,
-        help="with a v2 --snapshot: LRU bound on concurrently decoded documents "
+        help="with --snapshot: LRU bound on concurrently decoded documents "
         "(0 disables eviction; default 1024)",
     )
 
@@ -295,9 +289,7 @@ def _load_corpus(arguments: argparse.Namespace):
                 "--shards cannot reshard it (rebuild from a dataset or corpus "
                 "directory instead)"
             )
-        # Process-pool build with automatic thread fallback — the CLI paths
-        # are where corpora get big enough for the parallel build to matter.
-        corpus = ShardedCorpus.from_corpus(corpus, shards, parallel="process")
+        corpus = ShardedCorpus.from_corpus(corpus, shards)
     return corpus
 
 
@@ -426,23 +418,20 @@ def _command_figure4(arguments: argparse.Namespace, out) -> int:
 
 def _command_save_snapshot(arguments: argparse.Namespace, out) -> int:
     corpus = _load_corpus(arguments)
-    format_version = 1 if arguments.format == "v1" else 2
-    written = corpus.save(
-        arguments.output, format=format_version, compress=arguments.compress
-    )
+    written = corpus.save(arguments.output, compress=arguments.compress)
     size = written.stat().st_size
-    layout = f"format {arguments.format}"
+    layout = ""
     if isinstance(corpus, ShardedCorpus):
         # The manifest is tiny; report the full footprint including the
-        # per-shard v2 files written next to it.
+        # per-shard snapshot files written next to it.
         size += sum(
             (written.parent / f"{written.name}.shard{index}").stat().st_size
             for index in range(corpus.shard_count)
         )
-        layout = f"{corpus.shard_count}-shard manifest, {layout}"
+        layout = f", {corpus.shard_count}-shard manifest"
     print(
         f"snapshot of corpus {corpus.name!r} ({len(corpus.store)} documents, "
-        f"{size} bytes, {layout}) written to {written}",
+        f"{size} bytes{layout}) written to {written}",
         file=out,
     )
     return 0

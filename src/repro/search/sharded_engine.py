@@ -1,4 +1,4 @@
-"""Parallel query fan-out over a :class:`~repro.storage.sharded.ShardedCorpus`.
+"""Query fan-out over a :class:`~repro.storage.sharded.ShardedCorpus`.
 
 The query half of ROADMAP item 1.  A :class:`ShardedSearchEngine` subclasses
 :class:`~repro.search.engine.SearchEngine` and replaces exactly one pipeline
@@ -6,11 +6,8 @@ stage — ``_evaluate`` — with a scatter/gather:
 
 1. **scatter** — every shard gets its own plain ``SearchEngine`` over a
    :class:`_ShardView`: the shard's store and inverted index paired with the
-   *global* statistics and version of the owning sharded corpus.  Fan-out
-   runs the sub-engines concurrently on a thread pool (posting-list walks
-   and subtree copies release the GIL rarely, but shard evaluation also does
-   lazy-store decoding and the pool keeps tail latency at the slowest shard
-   rather than the sum);
+   *global* statistics and version of the owning sharded corpus.  The
+   sub-engines are evaluated in turn on the calling thread;
 2. **gather** — each shard returns its results already ranked by
    :func:`~repro.search.ranking.rank_results`; the shard lists are k-way
    merged with :func:`heapq.merge` under the same sort key ranking uses.
@@ -37,8 +34,6 @@ cannot tell the engines apart.
 from __future__ import annotations
 
 import heapq
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional, Tuple
 
 from repro.search.engine import SearchEngine
@@ -105,8 +100,6 @@ class ShardedSearchEngine(SearchEngine):
     Parameters match :class:`SearchEngine` (the cache bounds apply to the
     top-level merged-result cache; sub-engines are uncached — the merged
     list is what repeats, per-shard lists would just duplicate it N ways).
-    ``parallel=False`` evaluates shards in-line, which the differential
-    tests use to compare against the threaded path.
     """
 
     def __init__(
@@ -115,7 +108,6 @@ class ShardedSearchEngine(SearchEngine):
         semantics: str = "slca",
         cache_size: int = 128,
         cache_max_results: Optional[int] = 4096,
-        parallel: bool = True,
     ):
         super().__init__(
             corpus,
@@ -127,49 +119,16 @@ class ShardedSearchEngine(SearchEngine):
             SearchEngine(_ShardView(shard, corpus), semantics=semantics, cache_size=0)
             for shard in corpus.shards
         ]
-        self._parallel = bool(parallel) and len(self._shard_engines) > 1
-        self._executor: Optional[ThreadPoolExecutor] = None
-        # Lazy pool creation: an engine built only to answer from its cache
-        # (or a single-shard corpus) never spawns threads.
-        self._executor_lock = threading.Lock()
 
     @property
     def shard_count(self) -> int:
         return len(self._shard_engines)
 
-    def close(self) -> None:
-        """Shut down the fan-out pool (idempotent; the engine stays usable —
-        the next parallel query lazily recreates the pool)."""
-        with self._executor_lock:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=False)
-
-    def _ensure_executor(self) -> ThreadPoolExecutor:
-        with self._executor_lock:
-            if self._executor is None:
-                self._executor = ThreadPoolExecutor(
-                    max_workers=len(self._shard_engines),
-                    thread_name_prefix="shard-fanout",
-                )
-            return self._executor
-
     # ------------------------------------------------------------------ #
     # The one overridden pipeline stage
     # ------------------------------------------------------------------ #
     def _evaluate(self, query: KeywordQuery) -> List[SearchResult]:
-        if self._parallel:
-            executor = self._ensure_executor()
-            futures = [
-                executor.submit(engine._evaluate, query)
-                for engine in self._shard_engines
-            ]
-            # Sub-engine evaluation never submits back into this pool, so N
-            # concurrent callers at most queue behind each other — no
-            # deadlock by construction.
-            shard_lists = [future.result() for future in futures]
-        else:
-            shard_lists = [engine._evaluate(query) for engine in self._shard_engines]
+        shard_lists = [engine._evaluate(query) for engine in self._shard_engines]
         shard_lists = [ranked for ranked in shard_lists if ranked]
         if not shard_lists:
             return []

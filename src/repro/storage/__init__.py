@@ -28,14 +28,7 @@ from repro.storage.lazy_store import (
     DocumentRecord,
     LazyDocumentStore,
 )
-from repro.storage.snapshot import (
-    DEFAULT_FORMAT,
-    FORMAT_VERSION,
-    FORMAT_VERSION_V1,
-    FORMAT_VERSION_V2,
-    SnapshotHeader,
-    read_snapshot_header,
-)
+from repro.storage.snapshot import FORMAT_VERSION, SnapshotHeader, read_snapshot_header
 from repro.storage.statistics import CorpusStatistics, PathSummary
 from repro.storage.term_dictionary import TermDictionary
 from repro.storage.tokenizer import STOPWORDS, tokenize, tokenize_many
@@ -46,7 +39,6 @@ from repro.storage.sharded import (
     ShardedStoreView,
     crc32_assignment,
     is_shard_manifest,
-    process_pool_available,
 )
 
 __all__ = [
@@ -66,13 +58,9 @@ __all__ = [
     "ShardedStoreView",
     "crc32_assignment",
     "is_shard_manifest",
-    "process_pool_available",
     "SnapshotHeader",
     "read_snapshot_header",
     "FORMAT_VERSION",
-    "FORMAT_VERSION_V1",
-    "FORMAT_VERSION_V2",
-    "DEFAULT_FORMAT",
     "tokenize",
     "tokenize_many",
     "STOPWORDS",

@@ -79,16 +79,14 @@ class Corpus:
         statistics: CorpusStatistics,
         name: str,
         version: int,
-        structure: Optional[StructuralTable] = None,
+        structure: StructuralTable,
     ) -> "Corpus":
         """Assemble a corpus from already-built parts (snapshot loading).
 
         Bypasses ``__init__`` — the whole point of a snapshot is that index
         and statistics arrive ready-made instead of being rebuilt from the
         store.  The parts must share ``dictionary``, as a normal construction
-        would guarantee.  ``structure`` carries a snapshot's persisted
-        structural table; ``None`` (older files, v1 files) attaches an empty
-        lazy table that recomputes per document on first structural access.
+        would guarantee, and ``structure`` must load roots from ``store``.
         """
         corpus = cls.__new__(cls)
         corpus.name = name
@@ -96,35 +94,25 @@ class Corpus:
         corpus.dictionary = dictionary
         corpus.index = index
         corpus.statistics = statistics
-        corpus.structure = structure if structure is not None else StructuralTable(
-            corpus._document_root
-        )
+        corpus.structure = structure
         corpus.version = version
         return corpus
 
     # ------------------------------------------------------------------ #
     # Snapshot persistence
     # ------------------------------------------------------------------ #
-    def save(
-        self,
-        path: Union[str, Path],
-        *,
-        format: Optional[int] = None,
-        compress: bool = False,
-    ) -> Path:
+    def save(self, path: Union[str, Path], *, compress: bool = False) -> Path:
         """Write this corpus as one compact binary snapshot file.
 
-        See :mod:`repro.storage.snapshot` for the formats.  ``format``
-        selects the layout (``2`` — the default — writes the eager-head +
-        lazy-record layout, ``1`` the legacy single payload) and ``compress``
-        zlib-deflates individual v2 document records.  The snapshot records
+        See :mod:`repro.storage.snapshot` for the layout.  ``compress``
+        zlib-deflates individual document records.  The snapshot records
         :attr:`version`, so a later :meth:`load` can reject the file when the
         corpus was mutated after the save.  Saving a lazily-loaded corpus
         streams documents record-by-record without materialising them all.
         """
         from repro.storage.snapshot import save_corpus
 
-        return save_corpus(self, path, format=format, compress=compress)
+        return save_corpus(self, path, compress=compress)
 
     @classmethod
     def load(
@@ -132,20 +120,18 @@ class Corpus:
         path: Union[str, Path],
         *,
         expected_version: Optional[int] = None,
-        eager: Optional[bool] = None,
+        eager: bool = False,
         max_materialised: Optional[int] = None,
     ) -> "Corpus":
         """Reconstruct a corpus from a snapshot without re-tokenising anything.
 
         The loaded corpus is equivalent to a fresh build over the same
         documents (same postings, document frequencies, path summaries and
-        ranked query results).  The snapshot format decides residency: a v1
-        file materialises every tree up front, a v2 file by default attaches
-        a :class:`~repro.storage.lazy_store.LazyDocumentStore` that keeps
+        ranked query results).  By default it attaches a
+        :class:`~repro.storage.lazy_store.LazyDocumentStore` that keeps
         trees in the ``mmap``-ed record section until first access (bounded
-        by ``max_materialised``; ``0`` disables eviction).  ``eager=True``
-        forces full materialisation of a v2 file; ``eager=False`` demands
-        laziness and rejects v1 files.
+        by ``max_materialised``; ``0`` disables eviction); ``eager=True``
+        materialises every tree up front.
 
         A shard-manifest path (written by
         :meth:`~repro.storage.sharded.ShardedCorpus.save`) is detected
@@ -163,7 +149,7 @@ class Corpus:
         Raises
         ------
         SnapshotFormatError
-            If the file is missing sections, truncated (a v2 file cut inside
+            If the file is missing sections, truncated (a file cut inside
             the record section is rejected naming the damaged record),
             corrupt, from an unsupported format version, or built under a
             different tokenizer configuration.
@@ -235,16 +221,16 @@ class Corpus:
         content — no tree, posting or record is duplicated.
         """
         dictionary = self.dictionary.clone()
-        clone = Corpus._restore(
-            store=self.store.clone(),
+        store = self.store.clone()
+        return Corpus._restore(
+            store=store,
             dictionary=dictionary,
             index=self.index.clone(dictionary),
             statistics=self.statistics.clone(dictionary),
             name=self.name,
             version=self.version,
+            structure=self.structure.clone(lambda doc_id: store.get(doc_id).root),
         )
-        clone.structure = self.structure.clone(clone._document_root)
-        return clone
 
     def finalize(self) -> None:
         """Finalize derived structures so concurrent reads are mutation-free.

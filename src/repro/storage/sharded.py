@@ -1,7 +1,7 @@
 """Sharded corpora: one logical corpus partitioned across N shard corpora.
 
 This is the storage half of ROADMAP item 1 ("sharded multi-corpus engine
-with parallel query fan-out").  A :class:`ShardedCorpus` owns N independent
+with query fan-out").  A :class:`ShardedCorpus` owns N independent
 :class:`~repro.storage.corpus.Corpus` shards — each with its own document
 store, inverted index and term dictionary — plus the *global* pieces a
 fan-out search engine needs to behave exactly like a single corpus:
@@ -11,8 +11,7 @@ fan-out search engine needs to behave exactly like a single corpus:
   :func:`crc32_assignment`: CRC-32 of the id, modulo the shard count.
   Python's builtin ``hash()`` is deliberately *not* used — string hashing is
   salted per process (PYTHONHASHSEED), so it would assign the same document
-  to different shards in different processes and break manifest reloads and
-  process-pool builds.
+  to different shards in different processes and break manifest reloads.
 * **global statistics exchange** — ranking and XSeek return-node inference
   both read :class:`~repro.storage.statistics.CorpusStatistics` (document
   frequencies for idf, path summaries for entity detection).  Per-shard
@@ -25,20 +24,13 @@ fan-out search engine needs to behave exactly like a single corpus:
   merge is exact except above the per-path ``distinct_values`` tracking cap
   (``CorpusStatistics._MAX_TRACKED_VALUES``), where first-seen insertion
   order differs between a sharded and a monolithic build.
-* **parallel build** — :meth:`ShardedCorpus.build` indexes shards
-  concurrently: ``parallel="process"`` ships pickled document batches to a
-  ``ProcessPoolExecutor`` (real CPU parallelism for the pure-Python
-  tokenise/index work), falling back to a thread pool when process pools are
-  unavailable (no ``sem_open``, sandboxed fork, …); ``parallel="thread"``
-  uses threads directly and ``"serial"`` builds in-line.  ``pool_timeout``
-  bounds each shard build so constrained runners never hang.
-* **manifest persistence** — :meth:`ShardedCorpus.save` writes one v2
-  snapshot per shard plus a small JSON manifest naming them;
+* **manifest persistence** — :meth:`ShardedCorpus.save` writes one snapshot
+  per shard plus a small JSON manifest naming them;
   :meth:`ShardedCorpus.load` (also reachable through ``Corpus.load`` on a
   manifest path) reloads each shard with its own mmap-backed
   :class:`~repro.storage.lazy_store.LazyDocumentStore` and re-derives the
-  global statistics.  Stale or truncated shard files are rejected with
-  errors naming the offending shard file.
+  global statistics.  Stale or truncated shard files and malformed
+  manifests are rejected with errors naming the offending file.
 
 The query half lives in :mod:`repro.search.sharded_engine`, which fans a
 query out to per-shard engines and k-way-merges the ranked lists; because
@@ -52,8 +44,6 @@ import json
 import os
 import tempfile
 import zlib
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -76,7 +66,6 @@ __all__ = [
     "ShardedStoreView",
     "crc32_assignment",
     "is_shard_manifest",
-    "process_pool_available",
 ]
 
 MANIFEST_MAGIC = "xsact-shard-manifest"
@@ -86,85 +75,10 @@ MANIFEST_VERSION = 1
 #: processes (see module docstring on why builtin ``hash`` is unsuitable).
 ShardAssignment = Callable[[str, int], int]
 
-_BUILD_MODES = ("serial", "thread", "process")
-
 
 def crc32_assignment(doc_id: str, shard_count: int) -> int:
     """Default shard assignment: CRC-32 of the UTF-8 id, modulo shards."""
     return zlib.crc32(doc_id.encode("utf-8")) % shard_count
-
-
-# --------------------------------------------------------------------------- #
-# Build helpers (module-level so the process pool can pickle them by name)
-# --------------------------------------------------------------------------- #
-def _build_shard(payload: Tuple[str, List[Tuple[str, XMLNode, Dict[str, str]]]]) -> Corpus:
-    """Build one shard corpus from a batch of ``(doc_id, root, metadata)``."""
-    name, documents = payload
-    store = DocumentStore()
-    for doc_id, root, metadata in documents:
-        store.add(doc_id, root, metadata=metadata)
-    return Corpus(store, name=name)
-
-
-def _pool_probe_task() -> int:
-    return 42
-
-
-_pool_probe_result: Optional[bool] = None
-
-
-def process_pool_available(timeout: float = 30.0) -> bool:
-    """Whether a working ``ProcessPoolExecutor`` exists on this platform.
-
-    Sandboxed and minimal environments may lack ``sem_open`` or forbid
-    spawning workers; tests that exercise the process-pool build path skip
-    on ``False`` instead of erroring.  The probe runs one trivial task
-    round-trip and caches the verdict for the process lifetime.
-    """
-    global _pool_probe_result
-    if _pool_probe_result is None:
-        try:
-            with ProcessPoolExecutor(max_workers=1) as pool:
-                _pool_probe_result = pool.submit(_pool_probe_task).result(timeout=timeout) == 42
-        except Exception:
-            _pool_probe_result = False
-    return _pool_probe_result
-
-
-def _pool_build(executor_cls, payloads, pool_timeout: Optional[float]) -> List[Corpus]:
-    workers = max(1, min(len(payloads), os.cpu_count() or 1))
-    pool = executor_cls(max_workers=workers)
-    wait_on_exit = True
-    try:
-        futures = [pool.submit(_build_shard, payload) for payload in payloads]
-        try:
-            return [future.result(timeout=pool_timeout) for future in futures]
-        except FutureTimeoutError:
-            # Don't block shutdown on the stuck worker — tier-1 must never
-            # hang on a constrained runner.
-            wait_on_exit = False
-            raise StorageError(
-                f"shard build timed out after {pool_timeout:g}s"
-            ) from None
-    finally:
-        pool.shutdown(wait=wait_on_exit, cancel_futures=True)
-
-
-def _build_shards(payloads, parallel: str, pool_timeout: Optional[float]) -> Tuple[List[Corpus], str]:
-    """Build every shard, returning the corpora and the backend actually used."""
-    if parallel == "serial" or len(payloads) <= 1:
-        return [_build_shard(payload) for payload in payloads], "serial"
-    if parallel == "process":
-        try:
-            return _pool_build(ProcessPoolExecutor, payloads, pool_timeout), "process"
-        except StorageError:
-            raise  # the timeout above — a fallback would just hang again
-        except Exception:
-            # Pool machinery unavailable (no sem_open, fork refused, broken
-            # worker); threads produce the identical result, just without
-            # interpreter-level parallelism.
-            pass
-    return _pool_build(ThreadPoolExecutor, payloads, pool_timeout), "thread"
 
 
 def _normalise_documents(
@@ -375,9 +289,6 @@ class ShardedCorpus:
         self.shards: List[Corpus] = list(shards)
         self.assignment: ShardAssignment = assignment or crc32_assignment
         self.version = version
-        #: Which build backend produced the shards ("serial" until a
-        #: parallel :meth:`build` says otherwise) — benchmark introspection.
-        self.build_backend = "serial"
         # doc_id -> shard index; dict insertion order is the corpus-global
         # document order, so this one table is both the routing map and the
         # order the store view iterates in.
@@ -415,44 +326,31 @@ class ShardedCorpus:
         *,
         name: str = "sharded",
         assignment: Optional[ShardAssignment] = None,
-        parallel: str = "serial",
-        pool_timeout: Optional[float] = None,
     ) -> "ShardedCorpus":
         """Partition ``documents`` across ``shard_count`` shards and index them.
 
         ``documents`` is any iterable of :class:`StoredDocument` or
-        ``(doc_id, root[, metadata])`` tuples.  ``parallel`` picks the build
-        backend (``"serial"`` / ``"thread"`` / ``"process"``; the process
-        pool falls back to threads when unavailable) and ``pool_timeout``
-        bounds each shard build in seconds.
+        ``(doc_id, root[, metadata])`` tuples.  Shards are indexed one after
+        another on the calling thread.
         """
         if shard_count < 1:
             raise StorageError(f"shard_count must be at least 1, got {shard_count}")
-        if parallel not in _BUILD_MODES:
-            raise StorageError(
-                f"unknown parallel mode {parallel!r}; expected one of {_BUILD_MODES}"
-            )
         assignment = assignment or crc32_assignment
-        batches: List[List[Tuple[str, XMLNode, Dict[str, str]]]] = [
-            [] for _ in range(shard_count)
-        ]
+        stores = [DocumentStore() for _ in range(shard_count)]
         order: List[str] = []
         seen = set()
         for doc_id, root, metadata in _normalise_documents(documents):
             if doc_id in seen:
                 raise StorageError(f"duplicate document id: {doc_id!r}")
             seen.add(doc_id)
-            batches[_checked_assignment(assignment, doc_id, shard_count)].append(
-                (doc_id, root, metadata)
+            stores[_checked_assignment(assignment, doc_id, shard_count)].add(
+                doc_id, root, metadata=metadata
             )
             order.append(doc_id)
-        payloads = [
-            (f"{name}/shard{index}", batch) for index, batch in enumerate(batches)
+        shards = [
+            Corpus(store, name=f"{name}/shard{index}") for index, store in enumerate(stores)
         ]
-        shards, backend = _build_shards(payloads, parallel, pool_timeout)
-        corpus = cls(shards, name=name, assignment=assignment, document_order=order)
-        corpus.build_backend = backend
-        return corpus
+        return cls(shards, name=name, assignment=assignment, document_order=order)
 
     @classmethod
     def from_corpus(
@@ -462,8 +360,6 @@ class ShardedCorpus:
         *,
         name: Optional[str] = None,
         assignment: Optional[ShardAssignment] = None,
-        parallel: str = "serial",
-        pool_timeout: Optional[float] = None,
     ) -> "ShardedCorpus":
         """Reshard an existing corpus (takes ownership of its trees).
 
@@ -475,8 +371,6 @@ class ShardedCorpus:
             shard_count,
             name=name or corpus.name,
             assignment=assignment,
-            parallel=parallel,
-            pool_timeout=pool_timeout,
         )
 
     # ------------------------------------------------------------------ #
@@ -591,7 +485,6 @@ class ShardedCorpus:
         clone.shards = [shard.begin_generation() for shard in self.shards]
         clone.assignment = self.assignment
         clone.version = self.version
-        clone.build_backend = self.build_backend
         clone._shard_of = dict(self._shard_of)
         clone.dictionary = self.dictionary.clone()
         clone.statistics = self.statistics.clone(clone.dictionary)
@@ -626,34 +519,22 @@ class ShardedCorpus:
     # ------------------------------------------------------------------ #
     # Manifest persistence
     # ------------------------------------------------------------------ #
-    def save(
-        self,
-        path: Union[str, Path],
-        *,
-        format: Optional[int] = None,
-        compress: bool = False,
-    ) -> Path:
-        """Write a JSON manifest plus one v2 snapshot file per shard.
+    def save(self, path: Union[str, Path], *, compress: bool = False) -> Path:
+        """Write a JSON manifest plus one snapshot file per shard.
 
         ``<path>`` receives the manifest; shard ``i`` is written next to it
-        as ``<path.name>.shard<i>``.  Only the v2 layout is supported for
-        shard files (``format=1`` raises :class:`SnapshotError`) — per-shard
-        laziness is the point of sharded snapshots.  The manifest records
-        the corpus version, the per-shard versions and document counts, the
-        assignment name and the global document order, so :meth:`load` can
-        verify it is reassembling exactly the saved corpus.
+        as ``<path.name>.shard<i>``.  The manifest records the corpus
+        version, the per-shard versions and document counts, the assignment
+        name and the global document order, so :meth:`load` can verify it is
+        reassembling exactly the saved corpus.
         """
-        if format is not None and format != 2:
-            raise SnapshotError(
-                f"sharded snapshots only support the v2 shard layout, got format={format!r}"
-            )
         target = Path(path)
         if target.parent and not target.parent.exists():
             target.parent.mkdir(parents=True, exist_ok=True)
         entries = []
         for index, shard in enumerate(self.shards):
             shard_file = f"{target.name}.shard{index}"
-            shard.save(target.parent / shard_file, format=2, compress=compress)
+            shard.save(target.parent / shard_file, compress=compress)
             entries.append(
                 {
                     "file": shard_file,
@@ -696,7 +577,7 @@ class ShardedCorpus:
         path: Union[str, Path],
         *,
         expected_version: Optional[int] = None,
-        eager: Optional[bool] = None,
+        eager: bool = False,
         max_materialised: Optional[int] = None,
     ) -> "ShardedCorpus":
         """Reassemble a sharded corpus from a manifest written by :meth:`save`.
@@ -704,11 +585,12 @@ class ShardedCorpus:
         Each shard loads through :meth:`Corpus.load` pinned to the shard
         version the manifest recorded — by default that attaches one
         mmap-backed lazy store per shard (``eager`` / ``max_materialised``
-        pass through).  Every validation failure names the offending shard
-        file: a shard mutated and re-saved after the manifest was written
-        raises :class:`SnapshotVersionError`, a truncated or corrupt shard
-        file raises :class:`SnapshotFormatError`, a missing one
-        :class:`SnapshotError`.
+        pass through).  Every validation failure names the offending file: a
+        shard mutated and re-saved after the manifest was written raises
+        :class:`SnapshotVersionError`, a truncated or corrupt shard file or a
+        malformed manifest raises :class:`SnapshotFormatError`, a missing
+        shard file :class:`SnapshotError`.  Shard entries must name bare
+        files beside the manifest, as :meth:`save` writes them.
 
         Custom assignment functions do not persist (a manifest stores only
         the assignment *name*); a reloaded corpus routes existing documents
@@ -745,14 +627,35 @@ class ShardedCorpus:
                 f"manifest records {corpus_version}"
             )
         entries = manifest["shards"]
-        declared = manifest.get("shard_count", len(entries))
-        if not isinstance(entries, list) or not entries or declared != len(entries):
+        if not isinstance(entries, list) or not entries:
             raise SnapshotFormatError(
-                f"shard manifest declares {declared} shard(s) but lists {len(entries)}"
+                f"shard manifest {target.name}: 'shards' must be a non-empty list, "
+                f"got {entries!r}"
+            )
+        declared = manifest.get("shard_count", len(entries))
+        if declared != len(entries):
+            raise SnapshotFormatError(
+                f"shard manifest {target.name} declares {declared} shard(s) but lists "
+                f"{len(entries)}"
+            )
+        if not isinstance(manifest["order"], list):
+            raise SnapshotFormatError(
+                f"shard manifest {target.name}: 'order' must be a list of document ids"
             )
         shards: List[Corpus] = []
         for entry in entries:
-            shard_file = entry["file"]
+            shard_file = entry.get("file") if isinstance(entry, dict) else None
+            # save() writes bare sibling names; anything else (a path, a
+            # non-string) would reach outside the manifest's directory.
+            if (
+                not isinstance(shard_file, str)
+                or shard_file in ("", "..")
+                or Path(shard_file).name != shard_file
+            ):
+                raise SnapshotFormatError(
+                    f"shard manifest {target.name}: shard entry {entry!r} must name a "
+                    "shard file beside the manifest"
+                )
             shard_path = target.parent / shard_file
             if not shard_path.exists():
                 raise SnapshotError(

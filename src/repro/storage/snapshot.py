@@ -13,22 +13,8 @@ per-document offset maps, and
 versioned binary file, reconstructed with *zero* tokenisation, regex work or
 posting sorts.
 
-Two formats are readable; saves default to v2.
-
-Format v1 — one eager payload
------------------------------
-::
-
-    magic "XSACTSNAP\\0" | format=1 u16 | corpus version u64 | payload crc32
-    u32 | payload length u64 | name length u16 | name utf-8 | header crc32 u32
-    | payload
-
-The payload holds four sections — term dictionary, document trees, inverted
-index, statistics — and :func:`load_corpus` materialises every document tree
-up front.  Cold start and resident memory both scale with corpus size.
-
-Format v2 — eager head + lazy record section
---------------------------------------------
+Layout (format 2) — eager head + lazy record section
+----------------------------------------------------
 ::
 
     magic "XSACTSNAP\\0" | format=2 u16 | corpus version u64 | head crc32 u32
@@ -39,10 +25,11 @@ The *head* is everything queries need before touching a document tree: the
 term dictionary, a **document directory** (per document: id, metadata, record
 offset/length/checksum/compression flag, element count), per-document **label
 tables** (each element's Dewey label, delta-encoded against pre-order), the
-inverted-index run tables resolved against those labels, and the statistics.
-The *record section* is the bulk: one varint-encoded tree record per
-document, offset-addressed, optionally zlib-deflated per record.  v2 loads
-``mmap`` the file, decode only the head, and hand the record section to a
+inverted-index run tables resolved against those labels, the statistics, and
+the structural section (per-element tags for the pre/post encoding).  The
+*record section* is the bulk: one varint-encoded tree record per document,
+offset-addressed, optionally zlib-deflated per record.  Loads ``mmap`` the
+file, decode only the head, and hand the record section to a
 :class:`~repro.storage.lazy_store.LazyDocumentStore` that decodes trees on
 first access into a bounded LRU — cold start is near-constant in the number
 of *touched* documents and a host can serve corpora larger than RAM.
@@ -56,11 +43,12 @@ Integrity and staleness are rejected with typed errors, never a half-loaded
 corpus:
 
 * :class:`~repro.errors.SnapshotFormatError` — bad magic, unsupported format
-  version, truncation (for v2, truncation inside the record section names the
-  first document whose record is cut), CRC mismatch, trailing bytes, or a
-  tokenizer configuration different from the one the snapshot was built with
-  (postings bake in the tokenisation rules, so loading across a tokenizer
-  change would silently disagree with query-side tokenisation).
+  version, truncation (truncation inside the record section names the first
+  document whose record is cut), CRC mismatch, trailing bytes, a head without
+  its structural section, or a tokenizer configuration different from the one
+  the snapshot was built with (postings bake in the tokenisation rules, so
+  loading across a tokenizer change would silently disagree with query-side
+  tokenisation).
 * :class:`~repro.errors.SnapshotVersionError` — the snapshot's recorded
   :attr:`Corpus.version` differs from the version the caller expects, i.e.
   the corpus was mutated after the snapshot was taken.
@@ -115,29 +103,20 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 __all__ = [
     "FORMAT_VERSION",
-    "FORMAT_VERSION_V1",
-    "FORMAT_VERSION_V2",
-    "DEFAULT_FORMAT",
     "SnapshotHeader",
     "read_snapshot_header",
     "save_corpus",
     "load_corpus",
 ]
 
-FORMAT_VERSION_V1 = 1
-FORMAT_VERSION_V2 = 2
-#: The format new saves produce unless told otherwise.
-DEFAULT_FORMAT = FORMAT_VERSION_V2
-#: The current (default) format version.
-FORMAT_VERSION = DEFAULT_FORMAT
+#: The one format version this build writes and reads.
+FORMAT_VERSION = 2
 
 _MAGIC = b"XSACTSNAP\x00"
-# v1: format version u16, corpus version u64, payload crc32 u32, payload
-# length u64, corpus name length u16; the variable-length name follows.
-_HEADER_V1 = struct.Struct("<HQIQH")
-# v2 inserts the record-section length (u64) before the name length; the
-# checksum/length pair covers the eager head only.
-_HEADER_V2 = struct.Struct("<HQIQQH")
+# Format version u16, corpus version u64, head crc32 u32, head length u64,
+# record-section length u64, corpus name length u16; the variable-length name
+# follows.  The checksum/length pair covers the eager head only.
+_HEADER = struct.Struct("<HQIQQH")
 
 # Node records open with one varint header.  Bit 0 is the node kind; for text
 # nodes the remaining bits carry the UTF-8 byte length (the whole record is
@@ -149,15 +128,12 @@ _HEADER_V2 = struct.Struct("<HQIQQH")
 _TEXT_BIT = 1
 _ATTRS_BIT = 2
 
-# Directory-entry flag bits (v2).
+# Directory-entry flag bits.
 _RECORD_ZLIB = 1
 
-# Marker varint opening the optional structural section at the tail of a v2
-# head ("ST" as a little integer).  The section is strictly additive: a head
-# that ends right after the statistics (every file written before the section
-# existed) simply has no marker, and the loader falls back to an empty lazy
-# structural table.  Readers predating the section reject new files with
-# their trailing-bytes check instead of misreading them.
+# Marker varint opening the structural section at the tail of the head ("ST"
+# as a little integer).  Every save writes the section; a head that ends
+# before it is rejected.
 _STRUCTURE_MARKER = 0x5354
 
 
@@ -167,10 +143,8 @@ class SnapshotHeader:
 
     :func:`read_snapshot_header` returns this without touching the payload,
     so callers can check staleness (``corpus_version``) or identity (``name``)
-    before paying for a full load.  For v1 files ``payload_length`` covers the
-    single eager payload and ``record_length`` is zero; for v2 files
-    ``payload_length`` is the eager head and ``record_length`` the lazy
-    record section that follows it.
+    before paying for a full load.  ``payload_length`` is the eager head and
+    ``record_length`` the lazy record section that follows it.
     """
 
     format_version: int
@@ -178,7 +152,7 @@ class SnapshotHeader:
     checksum: int
     payload_length: int
     name: str
-    record_length: int = 0
+    record_length: int
 
 
 # --------------------------------------------------------------------------- #
@@ -279,17 +253,14 @@ class _Reader:
 # --------------------------------------------------------------------------- #
 # Document trees
 # --------------------------------------------------------------------------- #
-def _encode_tree(
-    writer: _Writer, root: XMLNode, tag_names: Optional[List[str]] = None
-) -> Dict[DeweyLabel, int]:
+def _encode_tree(writer: _Writer, root: XMLNode, tag_names: List[str]) -> Dict[DeweyLabel, int]:
     """Serialise one document tree in pre-order; return label → element index.
 
     The mapping numbers the *element* nodes in document order — the index
     section refers to posting nodes by this dense per-document index, which is
-    both smaller than a Dewey label and free to resolve at load time (v1
-    rebuilds the same list while materialising the tree; v2 stores it as the
-    directory's label table).  When ``tag_names`` is given, the element tags
-    are appended to it in the same pre-order — the v2 structural section
+    both smaller than a Dewey label and free to resolve at load time (the
+    directory stores the same list as its label table).  The element tags are
+    appended to ``tag_names`` in the same pre-order — the structural section
     persists them so loads can rebuild each
     :class:`~repro.structure.encoding.DocumentStructure` from the label table
     without touching the record section.
@@ -300,8 +271,7 @@ def _encode_tree(
         node = stack.pop()
         if node.is_element:
             label_index[node.label] = len(label_index)
-            if tag_names is not None:
-                tag_names.append(node.tag or "")
+            tag_names.append(node.tag or "")
             attributes = node.attributes
             writer.varint(len(node.children) << 2 | (_ATTRS_BIT if attributes else 0))
             writer.string(node.tag or "")
@@ -328,9 +298,9 @@ def _decode_tree(reader: _Reader) -> Tuple[XMLNode, List[XMLNode]]:
     ``__new__`` with every slot assigned in place.  The constructor's
     validation is a per-node cost the decoder does not need: the writer only
     ever emits trees that satisfy the :class:`XMLNode` invariants, and any
-    byte-level damage is caught by a checksum (payload for v1, per-record for
-    v2) before decoding starts.  Bounds overruns surface as
-    :class:`IndexError`/short slices and are converted to typed errors here.
+    byte-level damage is caught by the per-record checksum before decoding
+    starts.  Bounds overruns surface as :class:`IndexError`/short slices and
+    are converted to typed errors here.
     """
     data = reader.data
     limit = len(data)
@@ -457,7 +427,7 @@ def _decode_tree(reader: _Reader) -> Tuple[XMLNode, List[XMLNode]]:
 
 
 def _decode_record(data, record: DocumentRecord, base: int = 0) -> Tuple[XMLNode, List[XMLNode]]:
-    """Decode one v2 record from ``data`` (bytes or mmap) at ``base`` offset.
+    """Decode one record from ``data`` (bytes or mmap) at ``base`` offset.
 
     Verifies the record's own crc32 before decoding — on lazy loads this is
     the only integrity check the record ever gets, and it runs on the exact
@@ -701,7 +671,7 @@ def _read_statistics(reader: _Reader, dictionary: TermDictionary) -> CorpusStati
 
 
 # --------------------------------------------------------------------------- #
-# v2 structural section (pre/post encoding tag tables)
+# Structural section (pre/post encoding tag tables)
 # --------------------------------------------------------------------------- #
 def _write_structure(
     writer: _Writer,
@@ -737,11 +707,15 @@ def _read_structure_section(
     :class:`~repro.structure.table.StructuralTable`.
 
     Every error names the structural table section so a damaged file is
-    attributable: truncation inside the section, a per-document tag array
-    whose length disagrees with the directory's label table, and tag ids
-    pointing past the stored dictionary (a stale tag dictionary) are all
-    :class:`SnapshotFormatError`.
+    attributable: a head that ends before the section, truncation inside
+    the section, a per-document tag array whose length disagrees with the
+    directory's label table, and tag ids pointing past the stored dictionary
+    (a stale tag dictionary) are all :class:`SnapshotFormatError`.
     """
+    if reader.at_end():
+        raise SnapshotFormatError(
+            "malformed snapshot: head ends without the structural table section"
+        )
     try:
         marker = reader.varint()
         if marker != _STRUCTURE_MARKER:
@@ -786,10 +760,10 @@ def _read_structure_section(
 
 
 # --------------------------------------------------------------------------- #
-# v2 document directory
+# Document directory
 # --------------------------------------------------------------------------- #
 def _read_directory_entry(reader: _Reader) -> Tuple[DocumentRecord, List[DeweyLabel]]:
-    """Decode one v2 directory entry plus its label table.
+    """Decode one directory entry plus its label table.
 
     The label table stores each element's Dewey label delta-encoded against
     pre-order: a varint depth plus the label's last component.  Pre-order
@@ -876,13 +850,7 @@ def _record_truncation_error(head: bytes, header: SnapshotHeader, available: int
 # --------------------------------------------------------------------------- #
 # Save
 # --------------------------------------------------------------------------- #
-def save_corpus(
-    corpus: "Corpus",
-    path: Union[str, Path],
-    *,
-    format: Optional[int] = None,
-    compress: bool = False,
-) -> Path:
+def save_corpus(corpus: "Corpus", path: Union[str, Path], *, compress: bool = False) -> Path:
     """Write ``corpus`` as one binary snapshot file at ``path``.
 
     The index is finalized first (snapshots always store ordered posting
@@ -891,41 +859,23 @@ def save_corpus(
 
     Parameters
     ----------
-    format:
-        Snapshot format version: ``2`` (default) writes the eager-head +
-        lazy-record layout, ``1`` the legacy single-payload layout.
     compress:
-        v2 only — zlib-deflate each document record individually, keeping a
-        record uncompressed when deflation does not shrink it.  Per-record
+        zlib-deflate each document record individually, keeping a record
+        uncompressed when deflation does not shrink it.  Per-record
         compression preserves random access, trading decode CPU for file
         size.
     """
-    chosen = DEFAULT_FORMAT if format is None else format
-    if chosen not in (FORMAT_VERSION_V1, FORMAT_VERSION_V2):
-        raise SnapshotError(
-            f"unsupported snapshot format version {chosen} (this build writes versions "
-            f"{FORMAT_VERSION_V1} and {FORMAT_VERSION_V2})"
-        )
-    if compress and chosen == FORMAT_VERSION_V1:
-        raise SnapshotError("per-record compression requires snapshot format v2")
     corpus.index.finalize()
     name_bytes = corpus.name.encode("utf-8")
-    if chosen == FORMAT_VERSION_V1:
-        payload = _build_payload_v1(corpus)
-        records = b""
-        header = _MAGIC + _HEADER_V1.pack(
-            FORMAT_VERSION_V1, corpus.version, zlib.crc32(payload), len(payload), len(name_bytes)
-        ) + name_bytes
-    else:
-        payload, records = _build_payload_v2(corpus, compress=compress)
-        header = _MAGIC + _HEADER_V2.pack(
-            FORMAT_VERSION_V2,
-            corpus.version,
-            zlib.crc32(payload),
-            len(payload),
-            len(records),
-            len(name_bytes),
-        ) + name_bytes
+    payload, records = _build_payload(corpus, compress=compress)
+    header = _MAGIC + _HEADER.pack(
+        FORMAT_VERSION,
+        corpus.version,
+        zlib.crc32(payload),
+        len(payload),
+        len(records),
+        len(name_bytes),
+    ) + name_bytes
     header += struct.pack("<I", zlib.crc32(header))
 
     # Atomic, concurrency-safe write: a uniquely named temporary in the target
@@ -956,31 +906,8 @@ def save_corpus(
     return target
 
 
-def _build_payload_v1(corpus: "Corpus") -> bytes:
-    """The legacy single payload: trees inline with the rest of the sections."""
-    writer = _Writer()
-    writer.varint(_tokenizer_fingerprint())
-    _write_dictionary(writer, corpus.dictionary)
-
-    doc_ids = corpus.store.document_ids()
-    doc_refs = {doc_id: position for position, doc_id in enumerate(doc_ids)}
-    label_indices: Dict[str, Dict[DeweyLabel, int]] = {}
-    writer.varint(len(doc_ids))
-    for document in corpus.store:
-        writer.string(document.doc_id)
-        writer.varint(len(document.metadata))
-        for key, value in document.metadata.items():
-            writer.string(key)
-            writer.string(value)
-        label_indices[document.doc_id] = _encode_tree(writer, document.root)
-
-    _write_index(writer, corpus.index, doc_refs, label_indices)
-    _write_statistics(writer, corpus.statistics)
-    return writer.getvalue()
-
-
-def _build_payload_v2(corpus: "Corpus", *, compress: bool) -> Tuple[bytes, bytes]:
-    """The v2 eager head plus the offset-addressed record section.
+def _build_payload(corpus: "Corpus", *, compress: bool) -> Tuple[bytes, bytes]:
+    """The eager head plus the offset-addressed record section.
 
     Iterating the store decodes lazily-backed documents transiently, so
     re-saving a lazy corpus streams record-by-record instead of materialising
@@ -1050,34 +977,24 @@ def _parse_header(data: bytes) -> Tuple[SnapshotHeader, int]:
     if data[:magic_size] != _MAGIC:
         raise SnapshotFormatError("not a corpus snapshot (bad magic bytes)")
     (format_version,) = struct.unpack_from("<H", data, magic_size)
-    if format_version == FORMAT_VERSION_V1:
-        header_struct = _HEADER_V1
-    elif format_version == FORMAT_VERSION_V2:
-        header_struct = _HEADER_V2
-    else:
+    if format_version != FORMAT_VERSION:
         raise SnapshotFormatError(
-            f"unsupported snapshot format version {format_version} (this build reads versions "
-            f"{FORMAT_VERSION_V1} and {FORMAT_VERSION_V2})"
+            f"unsupported snapshot format version {format_version} (this build reads "
+            f"version {FORMAT_VERSION})"
         )
-    fixed_size = magic_size + header_struct.size
+    fixed_size = magic_size + _HEADER.size
     if len(data) < fixed_size:
         raise SnapshotFormatError(
             f"truncated snapshot: {len(data)} bytes is shorter than the {fixed_size}-byte header"
         )
-    if format_version == FORMAT_VERSION_V1:
-        _, corpus_version, checksum, payload_length, name_length = header_struct.unpack_from(
-            data, magic_size
-        )
-        record_length = 0
-    else:
-        (
-            _,
-            corpus_version,
-            checksum,
-            payload_length,
-            record_length,
-            name_length,
-        ) = header_struct.unpack_from(data, magic_size)
+    (
+        _,
+        corpus_version,
+        checksum,
+        payload_length,
+        record_length,
+        name_length,
+    ) = _HEADER.unpack_from(data, magic_size)
     checksum_offset = fixed_size + name_length
     payload_offset = checksum_offset + 4
     if len(data) < payload_offset:
@@ -1100,34 +1017,33 @@ def _parse_header(data: bytes) -> Tuple[SnapshotHeader, int]:
     return header, payload_offset
 
 
-# Longest possible header: v2 fixed part + 0xFFFF name bytes + trailing crc.
-_HEADER_PEEK = len(_MAGIC) + _HEADER_V2.size + 0xFFFF + 4
+# Longest possible header: fixed part + 0xFFFF name bytes + trailing crc.
+_HEADER_PEEK = len(_MAGIC) + _HEADER.size + 0xFFFF + 4
 
 
 def read_snapshot_header(path: Union[str, Path]) -> SnapshotHeader:
     """Read and validate only the snapshot header (cheap staleness checks).
 
-    For v2 files the promised extents are additionally checked against the
-    file size — a file truncated inside the record section is rejected here,
-    naming the first document whose record is cut, instead of surfacing as a
-    decode failure on some later lazy access.
+    The promised extents are additionally checked against the file size — a
+    file truncated inside the record section is rejected here, naming the
+    first document whose record is cut, instead of surfacing as a decode
+    failure on some later lazy access.
     """
     try:
         with open(Path(path), "rb") as handle:
             data = handle.read(_HEADER_PEEK)
             file_size = os.fstat(handle.fileno()).st_size
             header, payload_offset = _parse_header(data)
-            if header.format_version == FORMAT_VERSION_V2:
-                _check_extents_v2(handle, header, payload_offset, file_size)
+            _check_extents(handle, header, payload_offset, file_size)
     except OSError as exc:
         raise SnapshotError(f"cannot read snapshot {path}: {exc}") from exc
     return header
 
 
-def _check_extents_v2(
+def _check_extents(
     handle: BinaryIO, header: SnapshotHeader, payload_offset: int, file_size: int
 ) -> None:
-    """Reject a v2 file whose size disagrees with the header's extents."""
+    """Reject a file whose size disagrees with the header's extents."""
     head_end = payload_offset + header.payload_length
     expected = head_end + header.record_length
     if file_size < head_end:
@@ -1146,7 +1062,7 @@ def load_corpus(
     path: Union[str, Path],
     *,
     expected_version: Optional[int] = None,
-    eager: Optional[bool] = None,
+    eager: bool = False,
     max_materialised: Optional[int] = None,
 ) -> "Corpus":
     """Reconstruct a :class:`Corpus` from a snapshot file.
@@ -1154,11 +1070,11 @@ def load_corpus(
     The loaded corpus answers every query exactly like a fresh build over the
     same documents — same postings, frequencies, path summaries and ranked
     results — and carries the saved :attr:`Corpus.version`.  What differs is
-    *residency*: a v1 snapshot (or ``eager=True``) materialises every document
-    tree up front, while a v2 snapshot by default keeps trees in the
-    ``mmap``-ed record section and decodes them on first access into a bounded
-    LRU (:class:`~repro.storage.lazy_store.LazyDocumentStore`), so cold start
-    reads only the eager head.
+    *residency*: by default trees stay in the ``mmap``-ed record section and
+    are decoded on first access into a bounded LRU
+    (:class:`~repro.storage.lazy_store.LazyDocumentStore`), so cold start
+    reads only the eager head; ``eager=True`` materialises every tree up
+    front.
 
     Parameters
     ----------
@@ -1169,11 +1085,8 @@ def load_corpus(
         a mismatch raises :class:`~repro.errors.SnapshotVersionError` before
         any decoding work.
     eager:
-        ``None`` (default) — eager for v1, lazy for v2.  ``True`` forces full
-        materialisation of a v2 snapshot (the v1 memory profile with the v2
-        file layout).  ``False`` demands lazy loading and is a
-        :class:`~repro.errors.SnapshotFormatError` on a v1 file, which has no
-        record section to defer to.
+        Decode every document tree at load time into an in-memory
+        :class:`~repro.storage.document_store.DocumentStore`.
     max_materialised:
         LRU bound for lazy loads (ignored otherwise): ``None`` picks the
         default (:data:`~repro.storage.lazy_store.DEFAULT_MAX_MATERIALISED`),
@@ -1183,7 +1096,7 @@ def load_corpus(
     ------
     SnapshotFormatError
         If the file is not a snapshot, has an unsupported format version, is
-        truncated (naming the cut record when the cut lands in a v2 record
+        truncated (naming the cut record when the cut lands in the record
         section) or corrupt, or was built under a different tokenizer
         configuration.
     SnapshotVersionError
@@ -1215,24 +1128,12 @@ def load_corpus(
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
-            if header.format_version == FORMAT_VERSION_V1:
-                if eager is False:
-                    raise SnapshotFormatError(
-                        "format v1 snapshots have no record section: lazy loading "
-                        "requires a v2 snapshot (re-save with format=2)"
-                    )
-                handle.seek(0)
-                try:
-                    data = handle.read()
-                except OSError as exc:
-                    raise SnapshotError(f"cannot read snapshot {path}: {exc}") from exc
-                return _load_v1(data, header, payload_offset)
-            return _load_v2(
+            return _load(
                 handle,
                 header,
                 payload_offset,
                 file_size,
-                eager=bool(eager),
+                eager=eager,
                 max_materialised=max_materialised,
             )
         finally:
@@ -1242,53 +1143,7 @@ def load_corpus(
         handle.close()
 
 
-def _load_v1(data: bytes, header: SnapshotHeader, payload_offset: int) -> "Corpus":
-    """Decode a legacy single-payload snapshot into a fully eager corpus."""
-    from repro.storage.corpus import Corpus
-
-    payload = data[payload_offset:payload_offset + header.payload_length]
-    if len(payload) < header.payload_length:
-        raise SnapshotFormatError(
-            f"truncated snapshot: payload is {len(payload)} bytes, header promises {header.payload_length}"
-        )
-    if len(data) > payload_offset + header.payload_length:
-        raise SnapshotFormatError("malformed snapshot: trailing bytes after payload")
-    if zlib.crc32(payload) != header.checksum:
-        raise SnapshotFormatError("corrupt snapshot: payload checksum mismatch")
-
-    reader = _Reader(payload)
-    _check_fingerprint(reader)
-    dictionary = _read_dictionary(reader)
-
-    store = DocumentStore()
-    doc_ids: List[str] = []
-    doc_labels: Dict[str, List[DeweyLabel]] = {}
-    for _ in range(reader.varint()):
-        doc_id = reader.string()
-        metadata: Dict[str, str] = {}
-        for _ in range(reader.varint()):
-            key = reader.string()
-            metadata[key] = reader.string()
-        root, elements = _decode_tree(reader)
-        store.add(doc_id, root, metadata=metadata)
-        doc_ids.append(doc_id)
-        doc_labels[doc_id] = [element.label for element in elements]
-
-    index = _read_index(reader, dictionary, doc_ids, doc_labels)
-    statistics = _read_statistics(reader, dictionary)
-    if not reader.at_end():
-        raise SnapshotFormatError("malformed snapshot: trailing bytes inside payload")
-    return Corpus._restore(
-        store=store,
-        dictionary=dictionary,
-        index=index,
-        statistics=statistics,
-        name=header.name,
-        version=header.corpus_version,
-    )
-
-
-def _load_v2(
+def _load(
     handle: BinaryIO,
     header: SnapshotHeader,
     payload_offset: int,
@@ -1297,24 +1152,15 @@ def _load_v2(
     eager: bool,
     max_materialised: Optional[int],
 ) -> "Corpus":
-    """Decode a v2 head and wire the record section to the chosen backend."""
+    """Decode the head and wire the record section to the chosen backend."""
     from repro.storage.corpus import Corpus
 
-    head_end = payload_offset + header.payload_length
-    expected = head_end + header.record_length
-    if file_size < head_end:
-        raise SnapshotFormatError(
-            f"truncated snapshot: eager head ends at byte {head_end}, file has {file_size}"
-        )
-    if file_size > expected:
-        raise SnapshotFormatError("malformed snapshot: trailing bytes after record section")
     try:
+        _check_extents(handle, header, payload_offset, file_size)
         handle.seek(payload_offset)
         head = handle.read(header.payload_length)
     except OSError as exc:
         raise SnapshotError(f"cannot read snapshot: {exc}") from exc
-    if file_size < expected:
-        raise _record_truncation_error(head, header, available=file_size - head_end)
     if zlib.crc32(head) != header.checksum:
         raise SnapshotFormatError("corrupt snapshot: head checksum mismatch")
 
@@ -1335,6 +1181,7 @@ def _load_v2(
         doc_ids.append(record.doc_id)
         doc_labels[record.doc_id] = labels
 
+    head_end = payload_offset + header.payload_length
     if eager:
         try:
             handle.seek(head_end)
@@ -1357,14 +1204,9 @@ def _load_v2(
     def document_root(doc_id: str) -> XMLNode:
         return store.get(doc_id).root
 
-    # The structural section is the optional tail of the head: files written
-    # before it existed end right here, and fall back to an empty lazy table
-    # (recompute on demand — same behaviour as a fresh build).
-    structure: Optional[StructuralTable] = None
+    structure = _read_structure_section(reader, doc_ids, doc_labels, document_root)
     if not reader.at_end():
-        structure = _read_structure_section(reader, doc_ids, doc_labels, document_root)
-        if not reader.at_end():
-            raise SnapshotFormatError("malformed snapshot: trailing bytes inside payload")
+        raise SnapshotFormatError("malformed snapshot: trailing bytes inside payload")
     return Corpus._restore(
         store=store,
         dictionary=dictionary,

@@ -158,23 +158,6 @@ class TestBoundedMaterialisation:
 
 
 # --------------------------------------------------------------------------- #
-# v1 compatibility
-# --------------------------------------------------------------------------- #
-class TestV1Compatibility:
-    def test_v1_snapshot_still_loads(self, tmp_path):
-        corpus = small_corpus()
-        path = saved_path(corpus, tmp_path, format=1)
-        loaded = Corpus.load(path)
-        assert loaded.store.stats()["backend"] == "eager"
-        assert_equivalent(corpus, loaded, QUERIES)
-
-    def test_v1_rejects_lazy_request(self, tmp_path):
-        path = saved_path(small_corpus(), tmp_path, format=1)
-        with pytest.raises(SnapshotFormatError, match="v2"):
-            Corpus.load(path, eager=False)
-
-
-# --------------------------------------------------------------------------- #
 # Mutation after a lazy load
 # --------------------------------------------------------------------------- #
 class TestMutationAfterLazyLoad:

@@ -17,7 +17,6 @@ build-then-remove ≡ fresh-build property.
 
 import json
 import threading
-import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,7 +39,6 @@ from repro.storage.sharded import (
     ShardedCorpus,
     crc32_assignment,
     is_shard_manifest,
-    process_pool_available,
 )
 from repro.xmlmodel.builder import TreeBuilder
 from repro.xmlmodel.parser import parse_xml
@@ -50,9 +48,6 @@ SHARD_COUNTS = (1, 2, 3, 7)
 # Queries over the strategy's tag vocabulary: every generated corpus can
 # match these, and multi-keyword queries exercise the SLCA/ELCA machinery.
 QUERIES = ("product", "review name", "item movie", "rating pros product")
-# The process-pool flaky-guard budget: generous enough for a cold pool on a
-# loaded CI runner, finite so tier-1 can never hang.
-POOL_TIMEOUT = 60.0
 
 
 # --------------------------------------------------------------------------- #
@@ -117,17 +112,14 @@ def fingerprint(results):
 def assert_engines_identical(single_corpus, sharded_corpus, semantics="slca"):
     reference = SearchEngine(single_corpus, semantics=semantics, cache_size=0)
     fanout = ShardedSearchEngine(sharded_corpus, semantics=semantics, cache_size=0)
-    try:
-        for query in QUERIES:
-            assert fingerprint(fanout.search(query)) == fingerprint(reference.search(query))
-            # Pagination windows agree too: same totals, same slices.
-            for offset in (0, 1, 3):
-                expected_total, expected_page = reference.search_page(query, offset, 2)
-                actual_total, actual_page = fanout.search_page(query, offset, 2)
-                assert actual_total == expected_total
-                assert fingerprint(actual_page) == fingerprint(expected_page)
-    finally:
-        fanout.close()
+    for query in QUERIES:
+        assert fingerprint(fanout.search(query)) == fingerprint(reference.search(query))
+        # Pagination windows agree too: same totals, same slices.
+        for offset in (0, 1, 3):
+            expected_total, expected_page = reference.search_page(query, offset, 2)
+            actual_total, actual_page = fanout.search_page(query, offset, 2)
+            assert actual_total == expected_total
+            assert fingerprint(actual_page) == fingerprint(expected_page)
 
 
 def assert_statistics_identical(single_corpus, sharded_corpus):
@@ -207,8 +199,6 @@ class TestAssignment:
     def test_build_validations(self):
         with pytest.raises(StorageError, match="at least 1"):
             ShardedCorpus.build(fixed_documents(), 0)
-        with pytest.raises(StorageError, match="parallel mode"):
-            ShardedCorpus.build(fixed_documents(), 2, parallel="greenlets")
         with pytest.raises(StorageError, match="duplicate"):
             ShardedCorpus.build(fixed_documents() + fixed_documents()[:1], 2)
 
@@ -277,14 +267,11 @@ class TestMergeBattery:
         assignment = lambda doc_id, n: 2 if doc_id in ("doc-2", "doc-5") else crc32_assignment(doc_id, n)
         sharded = ShardedCorpus.build(fixed_documents(), 3, assignment=assignment)
         engine = ShardedSearchEngine(sharded, cache_size=0)
-        try:
-            results = engine.search("widget")
-            assert {result.doc_id for result in results} == {"doc-2", "doc-5"}
-            assert {sharded.shard_of(result.doc_id) for result in results} == {2}
-            reference = SearchEngine(build_single(fixed_documents()), cache_size=0)
-            assert fingerprint(results) == fingerprint(reference.search("widget"))
-        finally:
-            engine.close()
+        results = engine.search("widget")
+        assert {result.doc_id for result in results} == {"doc-2", "doc-5"}
+        assert {sharded.shard_of(result.doc_id) for result in results} == {2}
+        reference = SearchEngine(build_single(fixed_documents()), cache_size=0)
+        assert fingerprint(results) == fingerprint(reference.search("widget"))
 
     def test_ties_across_shards_merge_in_doc_id_order(self):
         # Structurally identical documents in different shards tie exactly on
@@ -296,15 +283,12 @@ class TestMergeBattery:
         sharded = ShardedCorpus.build(documents, 3, assignment=round_robin)
         assert {sharded.shard_of(doc_id) for doc_id, _ in documents} == {0, 1, 2}
         engine = ShardedSearchEngine(sharded, cache_size=0)
-        try:
-            results = engine.search("omega")
-            assert len(results) == 6
-            assert len({result.score for result in results}) == 1  # a true tie
-            assert [result.doc_id for result in results] == sorted(d for d, _ in documents)
-            reference = SearchEngine(build_single(documents), cache_size=0)
-            assert fingerprint(results) == fingerprint(reference.search("omega"))
-        finally:
-            engine.close()
+        results = engine.search("omega")
+        assert len(results) == 6
+        assert len({result.score for result in results}) == 1  # a true tie
+        assert [result.doc_id for result in results] == sorted(d for d, _ in documents)
+        reference = SearchEngine(build_single(documents), cache_size=0)
+        assert fingerprint(results) == fingerprint(reference.search("omega"))
 
     def test_limit_smaller_than_per_shard_top_k(self):
         # Every shard returns multiple results; a limit of 1 must keep the
@@ -314,17 +298,14 @@ class TestMergeBattery:
         sharded = ShardedCorpus.build(documents, 3)
         reference = SearchEngine(single, cache_size=0)
         fanout = ShardedSearchEngine(sharded, cache_size=0)
-        try:
-            for query in ("gadget", "rating", "name story"):
-                for limit in (1, 2):
-                    assert fingerprint(fanout.search(query, limit=limit)) == fingerprint(
-                        reference.search(query, limit=limit)
-                    )
-                total, page = fanout.search_page(query, 0, 1)
-                expected_total, expected_page = reference.search_page(query, 0, 1)
-                assert (total, fingerprint(page)) == (expected_total, fingerprint(expected_page))
-        finally:
-            fanout.close()
+        for query in ("gadget", "rating", "name story"):
+            for limit in (1, 2):
+                assert fingerprint(fanout.search(query, limit=limit)) == fingerprint(
+                    reference.search(query, limit=limit)
+                )
+            total, page = fanout.search_page(query, 0, 1)
+            expected_total, expected_page = reference.search_page(query, 0, 1)
+            assert (total, fingerprint(page)) == (expected_total, fingerprint(expected_page))
 
     def test_single_shard_is_the_degenerate_case(self):
         sharded = ShardedCorpus.build(fixed_documents(), 1)
@@ -369,57 +350,10 @@ class TestConcurrentFanout:
             thread.start()
         for thread in threads:
             thread.join(timeout=60)
-        try:
-            assert not failures, failures[:5]
-            assert not any(thread.is_alive() for thread in threads)
-            stats = engine.cache_stats()
-            assert stats["hits"] + stats["misses"] == self.THREADS * self.ROUNDS * len(queries)
-        finally:
-            engine.close()
-
-
-# --------------------------------------------------------------------------- #
-# Parallel builds (flaky-guarded)
-# --------------------------------------------------------------------------- #
-class TestParallelBuild:
-    def test_thread_build_equals_serial_build(self):
-        documents = fixed_documents()
-        serial = ShardedCorpus.build(documents, 3, parallel="serial")
-        threaded = ShardedCorpus.build(documents, 3, parallel="thread", pool_timeout=POOL_TIMEOUT)
-        assert threaded.build_backend == "thread"
-        for left, right in zip(serial.shards, threaded.shards):
-            assert index_snapshot(left.index) == index_snapshot(right.index)
-            assert left.store.document_ids() == right.store.document_ids()
-        assert_engines_identical(build_single(documents), threaded)
-
-    @pytest.mark.skipif(
-        not process_pool_available(),
-        reason="no working ProcessPoolExecutor on this platform (sandbox/sem_open)",
-    )
-    def test_process_build_equals_serial_build(self):
-        documents = fixed_documents()
-        built = ShardedCorpus.build(documents, 3, parallel="process", pool_timeout=POOL_TIMEOUT)
-        # "process" may legitimately have fallen back to threads on a
-        # constrained runner; either backend must produce identical corpora.
-        assert built.build_backend in ("process", "thread")
-        serial = ShardedCorpus.build(documents, 3, parallel="serial")
-        for left, right in zip(serial.shards, built.shards):
-            assert index_snapshot(left.index) == index_snapshot(right.index)
-        assert_statistics_identical(build_single(documents), built)
-        assert_engines_identical(build_single(documents), built)
-
-    def test_pool_timeout_raises_instead_of_hanging(self, monkeypatch):
-        import repro.storage.sharded as sharded_module
-
-        def stuck_build(payload):
-            time.sleep(0.5)
-            return sharded_module.Corpus(sharded_module.DocumentStore())
-
-        monkeypatch.setattr(sharded_module, "_build_shard", stuck_build)
-        start = time.monotonic()
-        with pytest.raises(StorageError, match="timed out"):
-            ShardedCorpus.build(fixed_documents(), 3, parallel="thread", pool_timeout=0.05)
-        assert time.monotonic() - start < 10  # returned promptly, no hang
+        assert not failures, failures[:5]
+        assert not any(thread.is_alive() for thread in threads)
+        stats = engine.cache_stats()
+        assert stats["hits"] + stats["misses"] == self.THREADS * self.ROUNDS * len(queries)
 
 
 # --------------------------------------------------------------------------- #
@@ -448,11 +382,7 @@ class TestManifest:
     def test_round_trip_honours_max_materialised(self, tmp_path):
         _, manifest = self._saved(tmp_path)
         loaded = Corpus.load(manifest, max_materialised=1)
-        engine = ShardedSearchEngine(loaded, cache_size=0)
-        try:
-            engine.search("gadget")
-        finally:
-            engine.close()
+        ShardedSearchEngine(loaded, cache_size=0).search("gadget")
         stats = loaded.store.stats()
         assert stats["decodes"] >= 1
         for shard_stats in stats["shards"]:
@@ -487,7 +417,7 @@ class TestManifest:
         # now records a newer shard version than the manifest pinned.
         shard = original.shards[1]
         shard.add_document("stowaway", tree("<item><name>late arrival</name></item>"))
-        shard.save(tmp_path / "fixed.manifest.shard1", format=2)
+        shard.save(tmp_path / "fixed.manifest.shard1")
         with pytest.raises(SnapshotVersionError, match="shard1"):
             Corpus.load(manifest)
 
@@ -519,10 +449,33 @@ class TestManifest:
         with pytest.raises(SnapshotFormatError, match="must match"):
             ShardedCorpus.load(manifest)
 
-    def test_v1_shard_layout_refused(self, tmp_path):
-        sharded = ShardedCorpus.build(fixed_documents(), 2)
-        with pytest.raises(SnapshotError, match="v2"):
-            sharded.save(tmp_path / "x.manifest", format=1)
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            {"shards": 5},
+            {"shards": []},
+            {"shards": ["a"]},
+            {"shards": [{}]},
+            {"shards": [{"file": 3}]},
+            {"shards": [{"file": ""}]},
+            {"shards": [{"file": ".."}]},
+            {"shards": [{"file": "/fixed.manifest.shard0"}]},
+            {"shards": [{"file": "sub/fixed.manifest.shard0"}]},
+            # Would load a real shard file through the parent directory.
+            {"shards": [{"file": "../{dir}/fixed.manifest.shard0"}]},
+            {"order": 5},
+        ],
+    )
+    def test_malformed_manifest_fields_rejected_naming_the_manifest(self, tmp_path, damage):
+        _, manifest = self._saved(tmp_path, shard_count=1)
+        payload = json.loads(manifest.read_text())
+        payload.update(
+            json.loads(json.dumps(damage).replace("{dir}", tmp_path.name))
+        )
+        payload.pop("shard_count")
+        manifest.write_text(json.dumps(payload))
+        with pytest.raises(SnapshotFormatError, match="fixed.manifest"):
+            ShardedCorpus.load(manifest)
 
 
 # --------------------------------------------------------------------------- #

@@ -208,16 +208,6 @@ class TestFailureModes:
         with pytest.raises(SnapshotFormatError, match="format version"):
             read_snapshot_header(path)
 
-    def test_corrupted_v1_payload_rejected_by_checksum(self, tmp_path):
-        corpus = small_corpus()
-        path = tmp_path / "c.snap"
-        corpus.save(path, format=1)
-        data = bytearray(path.read_bytes())
-        data[-20] ^= 0xFF
-        path.write_bytes(bytes(data))
-        with pytest.raises(SnapshotFormatError, match="checksum"):
-            Corpus.load(path)
-
     def test_corrupted_v2_head_rejected_by_checksum_at_load(self, tmp_path):
         corpus = small_corpus()
         path = tmp_path / "c2.snap"

@@ -43,8 +43,8 @@ from repro.storage.document_store import DocumentStore
 from repro.storage.inverted_index import Posting
 from repro.storage.sharded import ShardedCorpus
 from repro.storage.snapshot import (
-    FORMAT_VERSION_V2,
-    _HEADER_V2,
+    FORMAT_VERSION,
+    _HEADER,
     _MAGIC,
     _Writer,
     _write_structure,
@@ -320,11 +320,8 @@ class TestSemanticsDifferential:
         fanout = ShardedSearchEngine(
             ShardedCorpus.build(documents, shard_count), semantics="slca_struct", cache_size=0
         )
-        try:
-            for query in QUERIES:
-                assert fingerprint(fanout.search(query)) == fingerprint(reference.search(query))
-        finally:
-            fanout.close()
+        for query in QUERIES:
+            assert fingerprint(fanout.search(query)) == fingerprint(reference.search(query))
 
     def test_axis_self_equals_unconstrained(self):
         corpus = struct_corpus()
@@ -496,10 +493,7 @@ class TestServiceStructured:
         query = StructuredQuery.from_parts(
             "gps", within=("product",), axis="descendant", axis_tag="review"
         )
-        try:
-            assert fingerprint(fanout.search(query)) == fingerprint(reference.search(query))
-        finally:
-            fanout.close()
+        assert fingerprint(fanout.search(query)) == fingerprint(reference.search(query))
 
     def test_cursor_round_trip_with_constraints(self):
         token = encode_cursor(
@@ -550,8 +544,8 @@ class TestServiceStructured:
 def carve_v2(data):
     """Split a v2 snapshot into (corpus_version, name_bytes, head, records)."""
     magic = len(_MAGIC)
-    fields = _HEADER_V2.unpack_from(data, magic)
-    name_start = magic + _HEADER_V2.size
+    fields = _HEADER.unpack_from(data, magic)
+    name_start = magic + _HEADER.size
     name_bytes = data[name_start : name_start + fields[5]]
     body_start = name_start + fields[5] + 4  # + header crc32
     head = data[body_start : body_start + fields[3]]
@@ -562,8 +556,8 @@ def carve_v2(data):
 
 def forge_v2(corpus_version, name_bytes, head, records):
     """Reassemble a v2 snapshot with recomputed checksums."""
-    header = _MAGIC + _HEADER_V2.pack(
-        FORMAT_VERSION_V2,
+    header = _MAGIC + _HEADER.pack(
+        FORMAT_VERSION,
         corpus_version,
         zlib.crc32(head),
         len(head),
@@ -634,17 +628,6 @@ class TestSnapshotStructure:
         loaded = Corpus.load(path)
         assert loaded.structure.stats()["restored"] == len(corpus.store)
 
-    def test_v1_files_fall_back_to_lazy_computation(self, tmp_path):
-        corpus = struct_corpus()
-        path = tmp_path / "v1.snap"
-        save_corpus(corpus, path, format=1)
-        loaded = Corpus.load(path)
-        assert loaded.structure.stats() == {"documents": 0, "computed": 0, "restored": 0, "tags": 0}
-        assert fingerprint(struct_search(loaded, STRUCT_QUERY)) == fingerprint(
-            struct_search(corpus, STRUCT_QUERY)
-        )
-        assert loaded.structure.stats()["computed"] > 0
-
     def test_head_ends_with_the_structural_section(self, tmp_path):
         corpus = struct_corpus()
         path = tmp_path / "s.snap"
@@ -653,9 +636,9 @@ class TestSnapshotStructure:
         section, _, _, _ = structure_section(corpus)
         assert head.endswith(section)
 
-    def test_pre_section_files_load_with_lazy_fallback(self, tmp_path):
-        # A head that stops right after the statistics — byte-identical to a
-        # file written before the structural section existed.
+    def test_head_without_structural_section_is_rejected(self, tmp_path):
+        # A head that stops right after the statistics, checksums intact:
+        # the structural section is mandatory, so the load names it.
         corpus = struct_corpus()
         path = tmp_path / "old.snap"
         save_corpus(corpus, path)
@@ -663,11 +646,9 @@ class TestSnapshotStructure:
         section, _, _, _ = structure_section(corpus)
         stripped = tmp_path / "stripped.snap"
         stripped.write_bytes(forge_v2(version, name_bytes, head[: -len(section)], records))
-        loaded = Corpus.load(stripped)
-        assert loaded.structure.stats()["restored"] == 0
-        assert fingerprint(struct_search(loaded, STRUCT_QUERY)) == fingerprint(
-            struct_search(corpus, STRUCT_QUERY)
-        )
+        for eager in (False, True):
+            with pytest.raises(SnapshotFormatError, match="without the structural table section"):
+                Corpus.load(stripped, eager=eager)
 
     def test_truncated_structural_section_names_the_section(self, tmp_path):
         corpus = struct_corpus()
