@@ -1,12 +1,12 @@
 """Snapshot-determinism rule: the snapshot codec is a pure function.
 
 A corpus snapshot must be byte-identical for identical corpus state:
-differential tests compare files, shard manifests checksum their members,
-and CI caches depend on stable bytes.  Wall-clock timestamps, random values
-or fresh UUIDs anywhere in :mod:`repro.storage.snapshot` would silently
-break that — so the module may not even import the tempting modules
-(``time``, ``random``, ``uuid``, ``datetime``), nor call through to them
-via an attribute reference someone smuggles in.
+differential tests compare files and CI caches depend on stable bytes.
+Wall-clock timestamps, random values or fresh UUIDs anywhere in
+:mod:`repro.storage.snapshot` would silently break that — so the module may
+not even import the tempting modules (``time``, ``random``, ``uuid``,
+``datetime``), nor call through to them via an attribute reference someone
+smuggles in.
 """
 
 from __future__ import annotations

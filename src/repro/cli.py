@@ -59,7 +59,6 @@ from repro.experiments.report import format_measurements
 from repro.service.http import create_server
 from repro.service.service import DEFAULT_MAX_PAGE_SIZE, SearchService
 from repro.storage.corpus import Corpus
-from repro.storage.sharded import ShardedCorpus
 
 __all__ = ["build_parser", "main"]
 
@@ -198,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="file the background re-snapshot writes to "
         "(default: the --snapshot file the corpus was loaded from)",
     )
-    _add_shards_argument(serve)
 
     figure4 = subparsers.add_parser("figure4", help="regenerate the Figure 4 experiment")
     figure4.add_argument("--size-limit", type=int, default=5, help="DFS size bound L")
@@ -216,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="zlib-compress individual document records",
     )
-    _add_shards_argument(save_snapshot)
 
     lint = subparsers.add_parser(
         "lint",
@@ -224,17 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_lint_arguments(lint)
     return parser
-
-
-def _add_shards_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--shards",
-        type=_positive_int,
-        default=None,
-        help="partition the corpus across N shards (fan-out query engine; "
-        "save-snapshot writes a manifest plus one snapshot file per shard — "
-        "a manifest loaded via --snapshot is already sharded)",
-    )
 
 
 def _add_corpus_arguments(parser: argparse.ArgumentParser) -> None:
@@ -258,8 +244,8 @@ def _add_corpus_arguments(parser: argparse.ArgumentParser) -> None:
     source.add_argument(
         "--snapshot",
         default=None,
-        help="load a corpus from a binary snapshot file or shard manifest (see the "
-        "save-snapshot command); documents are decoded lazily on first access",
+        help="load a corpus from a binary snapshot file (see the save-snapshot "
+        "command); documents are decoded lazily on first access",
     )
     # Outside the exclusive group: it tunes --snapshot rather than competing
     # with it, and is simply ignored for the other (always-eager) sources.
@@ -272,25 +258,12 @@ def _add_corpus_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _load_corpus(arguments: argparse.Namespace):
+def _load_corpus(arguments: argparse.Namespace) -> Corpus:
     if arguments.snapshot:
-        corpus = Corpus.load(
-            arguments.snapshot, max_materialised=arguments.max_materialised
-        )
-    elif arguments.corpus_dir:
-        corpus = Corpus.from_directory(arguments.corpus_dir)
-    else:
-        corpus = _DATASETS[arguments.dataset]()
-    shards = getattr(arguments, "shards", None)
-    if shards:
-        if isinstance(corpus, ShardedCorpus):
-            raise ReproError(
-                f"snapshot {arguments.snapshot} is already a shard manifest; "
-                "--shards cannot reshard it (rebuild from a dataset or corpus "
-                "directory instead)"
-            )
-        corpus = ShardedCorpus.from_corpus(corpus, shards)
-    return corpus
+        return Corpus.load(arguments.snapshot, max_materialised=arguments.max_materialised)
+    if arguments.corpus_dir:
+        return Corpus.from_directory(arguments.corpus_dir)
+    return _DATASETS[arguments.dataset]()
 
 
 def _command_search(arguments: argparse.Namespace, out) -> int:
@@ -379,10 +352,7 @@ def _command_serve(arguments: argparse.Namespace, out) -> int:
     )
     server = create_server(service, host=arguments.host, port=arguments.port, out=out)
     host, port = server.server_address[:2]
-    store_stats = corpus.store.stats()
-    backend = store_stats["backend"]
-    if backend == "sharded":
-        backend = f"sharded[{store_stats['shard_count']}]"
+    backend = corpus.store.stats()["backend"]
     mode = "writable" if arguments.writable else "read-only"
     print(
         f"serving corpus {corpus.name!r} ({len(corpus.store)} documents, {backend} store, "
@@ -419,19 +389,9 @@ def _command_figure4(arguments: argparse.Namespace, out) -> int:
 def _command_save_snapshot(arguments: argparse.Namespace, out) -> int:
     corpus = _load_corpus(arguments)
     written = corpus.save(arguments.output, compress=arguments.compress)
-    size = written.stat().st_size
-    layout = ""
-    if isinstance(corpus, ShardedCorpus):
-        # The manifest is tiny; report the full footprint including the
-        # per-shard snapshot files written next to it.
-        size += sum(
-            (written.parent / f"{written.name}.shard{index}").stat().st_size
-            for index in range(corpus.shard_count)
-        )
-        layout = f", {corpus.shard_count}-shard manifest"
     print(
         f"snapshot of corpus {corpus.name!r} ({len(corpus.store)} documents, "
-        f"{size} bytes{layout}) written to {written}",
+        f"{written.stat().st_size} bytes) written to {written}",
         file=out,
     )
     return 0

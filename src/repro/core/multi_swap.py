@@ -111,8 +111,11 @@ def optimal_rewrite(
             prefix_scores.append(running)
         score_curves.append(prefix_scores)
 
-    # Step 3: DP over entities x budget.
-    budget = config.size_limit
+    # Step 3: DP over entities x budget.  The best score never falls as the
+    # budget grows and is flat once every row fits, so capping the budget at
+    # the row count changes no choice while bounding the tables by the
+    # result's size rather than by a client-chosen size_limit.
+    budget = min(config.size_limit, sum(len(ordered) for ordered in entity_orderings))
     best = [0] * (budget + 1)          # best score for each spent budget so far
     choices: List[List[int]] = []      # chosen prefix length per entity per budget
     for prefix_scores in score_curves:

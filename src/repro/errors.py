@@ -92,9 +92,9 @@ class DocumentNotFoundError(StorageError):
 class DuplicateDocumentError(StorageError):
     """Raised when adding a document whose id is already present.
 
-    Every writable backend (eager store, lazy store, sharded membership)
-    raises this subclass so the service layer can map duplicates to a single
-    HTTP 409 regardless of which corpus flavour backs the service.  Remains a
+    Every writable backend (eager store, lazy store) raises this subclass so
+    the service layer can map duplicates to a single HTTP 409 regardless of
+    which store backs the service.  Remains a
     :class:`StorageError` for callers that catch the broad class.
     """
 

@@ -38,12 +38,13 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.errors import SearchError
 from repro.search.elca import compute_elca
 from repro.search.query import KeywordQuery
 from repro.search.slca import compute_slca
+from repro.storage.corpus import Corpus
 from repro.storage.inverted_index import Posting
 
 __all__ = [
@@ -69,10 +70,8 @@ class MatchContext:
     Attributes
     ----------
     corpus:
-        The corpus under evaluation — duck-typed, because sharded fan-out
-        hands each sub-engine a per-shard view, not a full
-        :class:`~repro.storage.corpus.Corpus`.  Context-aware semantics may
-        rely on ``corpus.structure`` (the
+        The corpus under evaluation.  Context-aware semantics may rely on
+        ``corpus.structure`` (the
         :class:`~repro.structure.table.StructuralTable`), ``corpus.index``
         and ``corpus.statistics``.
     query:
@@ -81,7 +80,7 @@ class MatchContext:
         constraints and tag-path filters on top of the keywords.
     """
 
-    corpus: Any
+    corpus: Corpus
     query: KeywordQuery
 
 

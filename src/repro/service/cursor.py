@@ -125,7 +125,8 @@ def decode_cursor(token: str) -> Cursor:
     try:
         payload = base64.urlsafe_b64decode(token.encode("ascii"))
         data = json.loads(payload.decode("utf-8"))
-    except (ValueError, binascii.Error, UnicodeError) as exc:
+    except (ValueError, binascii.Error, UnicodeError, RecursionError) as exc:
+        # RecursionError: JSON nested deeper than the decoder can recurse.
         raise InvalidCursorError(f"undecodable cursor: {token!r}") from exc
     if not isinstance(data, dict) or data.get("v") != _CURSOR_VERSION:
         raise InvalidCursorError(f"unsupported cursor format: {token!r}")

@@ -262,7 +262,7 @@ class _Handler(BaseHTTPRequestHandler):
                 continue
             try:
                 requests.append(IngestRequest.from_dict(json.loads(line)))
-            except (ValueError, ProtocolError) as exc:
+            except (ValueError, RecursionError, ProtocolError) as exc:
                 raise ProtocolError(f"NDJSON line {number}: {exc}") from exc
             line_numbers.append(number)
         if not requests:
@@ -396,7 +396,8 @@ class _Handler(BaseHTTPRequestHandler):
             raise ProtocolError("request body is empty; expected a JSON object")
         try:
             return json.loads(body.decode("utf-8"))
-        except (ValueError, UnicodeError) as exc:
+        except (ValueError, UnicodeError, RecursionError) as exc:
+            # RecursionError: JSON nested deeper than the decoder can recurse.
             raise ProtocolError(f"request body is not valid JSON: {exc}") from exc
 
     @staticmethod

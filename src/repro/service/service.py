@@ -3,9 +3,9 @@
 The paper's demo is a web application: users issue keyword queries, page
 through ranked results, tick checkboxes and request comparison tables.  This
 module is the serving surface behind that interaction, designed so every
-front-end — the HTTP JSON API (:mod:`repro.service.http`), the CLI, the
-:class:`~repro.comparison.pipeline.Xsact` Python facade, and eventually a
-shard router — goes through the same object:
+front-end — the HTTP JSON API (:mod:`repro.service.http`), the CLI and the
+:class:`~repro.comparison.pipeline.Xsact` Python facade — goes through the
+same object:
 
 * one shared **read-only corpus**, one lazily-created
   :class:`~repro.search.engine.SearchEngine` per *semantics* (engines pin
@@ -24,10 +24,6 @@ shard router — goes through the same object:
 * thread safety throughout: the engine guards its cache internally, the
   service guards engine creation and its request counters, and everything
   else is read-only.
-
-A future sharded deployment only has to implement this class's method
-surface over many corpora; the protocol types and front-ends carry over
-unchanged.
 """
 
 from __future__ import annotations
@@ -42,6 +38,7 @@ from repro.core.generator import DFSGenerator
 from repro.errors import (
     ComparisonError,
     InvalidCursorError,
+    ProtocolError,
     QueryError,
     ReadOnlyServiceError,
     ReproError,
@@ -111,24 +108,12 @@ class _Generation:
         with self._lock:
             engine = self._engines.get(semantics)
             if engine is None:
-                # Polymorphic dispatch: the corpus knows which engine serves
-                # it (a ShardedCorpus yields a fan-out ShardedSearchEngine).
-                # The getattr fallback keeps duck-typed corpus stand-ins in
-                # tests working without the full Corpus surface.
-                factory = getattr(self.corpus, "create_engine", None)
-                if factory is not None:
-                    engine = factory(
-                        semantics=semantics,
-                        cache_size=self._cache_size,
-                        cache_max_results=self._cache_max_results,
-                    )
-                else:
-                    engine = SearchEngine(
-                        self.corpus,
-                        semantics=semantics,
-                        cache_size=self._cache_size,
-                        cache_max_results=self._cache_max_results,
-                    )
+                engine = SearchEngine(
+                    self.corpus,
+                    semantics=semantics,
+                    cache_size=self._cache_size,
+                    cache_max_results=self._cache_max_results,
+                )
                 self._engines[semantics] = engine
             return engine
 
@@ -423,7 +408,7 @@ class SearchService:
         return [result.result_id for result in result_set.top(top)]
 
     # ------------------------------------------------------------------ #
-    # Protocol API (wire callers: HTTP front-end, shard routers)
+    # Protocol API (wire callers: the HTTP front-end)
     # ------------------------------------------------------------------ #
     def search(self, request: SearchRequest) -> SearchResponse:
         """Serve one paginated search request."""
@@ -736,11 +721,13 @@ class SearchService:
             If the service was not started writable.
         DuplicateDocumentError
             If ``doc_id`` is already in the corpus.  Nothing is changed.
-        ParseError
+        ProtocolError
+            If ``doc_id`` is empty.  Nothing is changed.
+        XMLParseError
             If the XML payload does not parse.  Nothing is changed.
         """
         self._require_writable()
-        root = parse_xml(request.xml)
+        root = self._parse_ingest(request)
         with self._write_lock:
             corpus = self._generation.corpus.begin_generation()
             corpus.add_document(request.doc_id, root, metadata=request.metadata)
@@ -759,11 +746,12 @@ class SearchService:
     def ingest_many(self, requests: Sequence[IngestRequest]) -> BulkIngestResponse:
         """Apply a batch of ingests as one generation swap.
 
-        Per-item errors (parse failures, duplicate ids — including ids that
-        duplicate an earlier line of the same batch) are collected instead of
-        failing the batch: the response reports each failed line with its
-        error, and every successful line is part of the single published
-        generation.  A batch whose every line fails publishes nothing.
+        Per-item errors (empty ids, parse failures, duplicate ids — including
+        ids that duplicate an earlier line of the same batch) are collected
+        instead of failing the batch: the response reports each failed line
+        with its error, and every successful line is part of the single
+        published generation.  A batch whose every line fails publishes
+        nothing.
 
         Raises
         ------
@@ -775,7 +763,7 @@ class SearchService:
         parsed: List[Tuple[int, IngestRequest, XMLNode]] = []
         for line, request in enumerate(requests, start=1):
             try:
-                parsed.append((line, request, parse_xml(request.xml)))
+                parsed.append((line, request, self._parse_ingest(request)))
             except ReproError as exc:
                 errors.append(BulkIngestError(line=line, error=str(exc), doc_id=request.doc_id))
         with self._write_lock:
@@ -805,6 +793,14 @@ class SearchService:
                 documents=len(current.store),
                 errors=tuple(errors),
             )
+
+    @staticmethod
+    def _parse_ingest(request: IngestRequest) -> XMLNode:
+        """Validate one ingest request and parse its XML (outside the write lock)."""
+        if not request.doc_id:
+            # DELETE /documents/{id} cannot address an empty id.
+            raise ProtocolError("doc_id must be a non-empty string")
+        return parse_xml(request.xml)
 
     def delete_document(self, doc_id: str) -> IngestResponse:
         """Remove one document, publishing a new corpus generation.
@@ -987,20 +983,13 @@ class SearchService:
             for key in aggregate:
                 aggregate[key] += snapshot[key]
         corpus = generation.corpus
-        corpus_stats: Dict[str, object] = {
-            "name": corpus.name,
-            "documents": len(corpus.store),
-            "version": corpus.version,
-            "store": corpus.store.stats(),
-        }
-        # Additive, never renaming (the wire schema is pinned by golden
-        # fixtures): a sharded backend reports its shard count here and its
-        # per-shard backend counters inside store["shards"].
-        shards = getattr(corpus, "shards", None)
-        if shards is not None:
-            corpus_stats["shard_count"] = len(shards)
         return {
-            "corpus": corpus_stats,
+            "corpus": {
+                "name": corpus.name,
+                "documents": len(corpus.store),
+                "version": corpus.version,
+                "store": corpus.store.stats(),
+            },
             "requests": {
                 "search": search_count,
                 "compare": compare_count,

@@ -34,12 +34,6 @@ from repro.storage.term_dictionary import TermDictionary
 from repro.storage.tokenizer import STOPWORDS, tokenize, tokenize_many
 
 from repro.storage.corpus import Corpus
-from repro.storage.sharded import (
-    ShardedCorpus,
-    ShardedStoreView,
-    crc32_assignment,
-    is_shard_manifest,
-)
 
 __all__ = [
     "BaseDocumentStore",
@@ -54,10 +48,6 @@ __all__ = [
     "PathSummary",
     "TermDictionary",
     "Corpus",
-    "ShardedCorpus",
-    "ShardedStoreView",
-    "crc32_assignment",
-    "is_shard_manifest",
     "SnapshotHeader",
     "read_snapshot_header",
     "FORMAT_VERSION",

@@ -37,10 +37,13 @@ def parse_xml(text: str) -> XMLNode:
     Raises
     ------
     XMLParseError
-        If the document is not well formed.
+        If the document is not well formed, or nests elements deeper than the
+        recursive-descent parser can follow.
     """
-    parser = _Parser(text)
-    return parser.parse_document()
+    try:
+        return _Parser(text).parse_document()
+    except RecursionError:
+        raise XMLParseError("document nests too deeply to parse") from None
 
 
 def parse_xml_file(path: Union[str, Path]) -> XMLNode:

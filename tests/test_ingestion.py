@@ -2,13 +2,9 @@
 
 Covers the :class:`~repro.service.service.SearchService` mutation surface
 (ingest / bulk ingest / delete / change feed / background re-snapshot) over
-all three store backends — eager, lazy (v2 snapshot) and sharded — plus the
-mutation-path regressions this PR fixes:
-
-* :meth:`ShardedCorpus.remove_document` left the global statistics diverged
-  when the statistics subtraction failed mid-removal (fault injection);
-* duplicate document ids raised different error types per backend; both now
-  raise the typed :class:`~repro.errors.DuplicateDocumentError`.
+both store backends — eager and lazy (v2 snapshot) — and pins that a
+duplicate document id raises the typed
+:class:`~repro.errors.DuplicateDocumentError` on each.
 
 The concurrency hammer at the end drives reader threads paging with cursors
 while a writer ingests and deletes: every completed walk must be internally
@@ -36,7 +32,6 @@ from repro.service.protocol import IngestRequest, SearchRequest
 from repro.service.service import SearchService
 from repro.storage.corpus import Corpus
 from repro.storage.document_store import DocumentStore
-from repro.storage.sharded import ShardedCorpus
 from repro.xmlmodel.parser import parse_xml
 
 
@@ -51,8 +46,6 @@ def build_documents(count: int):
 
 def make_corpus(backend: str, count: int, tmp_path):
     """One corpus per backend under test, holding ``count`` base documents."""
-    if backend == "sharded":
-        return ShardedCorpus.build(build_documents(count), 3, name=backend)
     store = DocumentStore()
     for doc_id, root in build_documents(count):
         store.add(doc_id, root)
@@ -65,7 +58,7 @@ def make_corpus(backend: str, count: int, tmp_path):
     return corpus
 
 
-BACKENDS = ["eager", "lazy", "sharded"]
+BACKENDS = ["eager", "lazy"]
 
 
 @pytest.fixture(params=BACKENDS)
@@ -105,9 +98,9 @@ class TestIngestEndToEnd:
             service.delete_document("doc0")
 
     def test_duplicate_id_raises_typed_error(self, writable_service):
-        # The bug this pins: the eager store raised a generic StorageError
-        # while the sharded router raised its own; both now raise the one
-        # typed error the HTTP layer maps to 409.
+        # The bug this pins: the eager store raised a generic StorageError;
+        # every backend now raises the one typed error the HTTP layer maps
+        # to 409.
         service = writable_service
         with pytest.raises(DuplicateDocumentError, match="duplicate document id: 'doc1'"):
             service.ingest(IngestRequest(doc_id="doc1", xml=product_xml(1)))
@@ -286,51 +279,6 @@ class TestBackgroundSnapshot:
         assert stats["last_snapshot_error"]
 
 
-class TestShardedRemoveAtomicity:
-    def test_statistics_failure_leaves_global_stats_consistent(self):
-        # The bug this pins: a statistics subtraction that dies mid-removal
-        # used to leave the removed document's contributions in the *global*
-        # statistics forever (the shard itself recovered), so ranking signals
-        # diverged from the store.  The fix mirrors Corpus.remove_document's
-        # refresh-on-failure fallback by re-merging from the shards.
-        corpus = ShardedCorpus.build(build_documents(6), 3, name="fault")
-        before_version = corpus.version
-        patched = corpus.statistics
-
-        def explode(root):
-            raise RuntimeError("injected statistics failure")
-
-        patched.remove_document = explode
-        with pytest.raises(RuntimeError, match="injected"):
-            corpus.remove_document("doc3")
-        # The diverged table was replaced wholesale by a fresh merge.
-        assert corpus.statistics is not patched
-
-        # The document is gone everywhere...
-        assert "doc3" not in corpus.store
-        with pytest.raises(DocumentNotFoundError):
-            corpus.shard_of("doc3")
-        # ...the version bump invalidated caches...
-        assert corpus.version > before_version
-        # ...and the global statistics agree exactly with a fresh merge over
-        # the remaining documents (this is what diverged before the fix).
-        fresh = ShardedCorpus.build(
-            [(doc.doc_id, doc.root) for doc in corpus.store], 3, name="fresh"
-        )
-        assert corpus.statistics.document_count == fresh.statistics.document_count
-        assert corpus.statistics.total_elements == fresh.statistics.total_elements
-        for term in ("widget", "3"):
-            assert corpus.statistics.document_frequency(term) == (
-                fresh.statistics.document_frequency(term)
-            ), term
-
-    def test_successful_remove_still_atomic(self):
-        corpus = ShardedCorpus.build(build_documents(4), 3, name="ok")
-        corpus.remove_document("doc2")
-        assert corpus.statistics.document_count == 3
-        assert corpus.statistics.document_frequency("2") == 0
-
-
 # --------------------------------------------------------------------- #
 # Ingest-then-query == fresh-build-then-query
 # --------------------------------------------------------------------- #
@@ -354,25 +302,17 @@ class TestIngestEquivalence:
     @settings(max_examples=25, deadline=None)
     @given(documents=documents_strategy, split=st.integers(min_value=0, max_value=8))
     def test_eager_ingest_equals_fresh_build(self, documents, split):
-        self._check(documents, min(split, len(documents)), sharded=False)
-
-    @settings(max_examples=15, deadline=None)
-    @given(documents=documents_strategy, split=st.integers(min_value=0, max_value=8))
-    def test_sharded_ingest_equals_fresh_build(self, documents, split):
-        self._check(documents, min(split, len(documents)), sharded=True)
+        self._check(documents, min(split, len(documents)))
 
     @staticmethod
-    def _check(documents, split, *, sharded):
+    def _check(documents, split):
         markup = [product_xml(i, *words) for i, words in enumerate(documents)]
         ids = [f"doc{i}" for i in range(len(documents))]
 
         def build(id_markup_pairs):
-            pairs = [(doc_id, parse_xml(text)) for doc_id, text in id_markup_pairs]
-            if sharded:
-                return ShardedCorpus.build(pairs, 2, name="prop")
             store = DocumentStore()
-            for doc_id, root in pairs:
-                store.add(doc_id, root)
+            for doc_id, text in id_markup_pairs:
+                store.add(doc_id, parse_xml(text))
             return Corpus(store, name="prop")
 
         base = list(zip(ids[:split], markup[:split]))
@@ -394,7 +334,7 @@ class TestIngestEquivalence:
 # Concurrency hammer: mutate while serving
 # --------------------------------------------------------------------- #
 class TestMutateWhileServing:
-    @pytest.mark.parametrize("backend", ["eager", "sharded"])
+    @pytest.mark.parametrize("backend", ["eager"])
     def test_no_torn_pages_under_concurrent_writes(self, backend, tmp_path):
         service = SearchService(
             make_corpus(backend, 8, tmp_path), writable=True, default_page_size=2

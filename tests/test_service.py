@@ -6,6 +6,8 @@ corpus-version invalidation, batch execution, the semantics registry, and
 the cache-statistics accessors.
 """
 
+import time
+
 import pytest
 
 from repro.errors import (
@@ -460,6 +462,18 @@ class TestCompareProtocol:
     def test_compare_too_few_results(self, service):
         with pytest.raises(ComparisonError):
             service.compare(CompareRequest(query="gps", top=1))
+
+    def test_size_limit_above_row_count_matches_row_count(self, service):
+        # The multi-swap DP is sized by the rows the results have, not by the
+        # client's size_limit: 10**6 used to take seconds and allocate
+        # size_limit-long tables per entity.
+        outcome = service.search_and_compare("gps", top=3)
+        rows = max(len(features) for features in outcome.features)
+        at_rows = service.compare(CompareRequest(query="gps", top=3, size_limit=rows))
+        started = time.perf_counter()
+        huge = service.compare(CompareRequest(query="gps", top=3, size_limit=10**6))
+        assert time.perf_counter() - started < 2.0
+        assert huge.to_dict() == at_rows.to_dict()
 
 
 class TestIntrospection:

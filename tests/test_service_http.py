@@ -12,6 +12,7 @@ import threading
 import urllib.error
 import urllib.parse
 import urllib.request
+from base64 import urlsafe_b64encode
 
 import pytest
 
@@ -713,3 +714,60 @@ class TestMutationEndpoints:
         _, payload = get_json(f"{base_url}/")
         assert "POST /documents" in payload["endpoints"]
         assert "GET /documents/updated-since" in payload["endpoints"]
+
+
+NESTED_JSON = b"[" * 100_000
+NESTED_XML = "<a>" * 600 + "</a>" * 600
+BULK_LINE = json.dumps({"doc_id": "b1", "xml": "<product><name>Bulk GPS</name></product>"})
+
+
+def ingest_body(doc_id, xml):
+    return json.dumps({"doc_id": doc_id, "xml": xml}).encode()
+
+
+class TestRejectedInput:
+    """Nesting past a decoder's recursion depth, and ids that DELETE cannot
+    address, are client errors — never a 500 or a stored document."""
+
+    @pytest.mark.parametrize(
+        "method, path, body, status, error_type",
+        [
+            ("POST", "/compare", NESTED_JSON, 400, "ProtocolError"),
+            ("POST", "/documents", NESTED_JSON, 400, "ProtocolError"),
+            ("POST", "/documents:bulk", NESTED_JSON, 400, "ProtocolError"),
+            ("POST", "/documents", ingest_body("deep", NESTED_XML), 400, "XMLParseError"),
+            (
+                "GET",
+                "/search?cursor=" + urlsafe_b64encode(b"[" * 3000).decode(),
+                None,
+                410,
+                "InvalidCursorError",
+            ),
+            ("POST", "/documents", ingest_body("", "<a>gps</a>"), 400, "ProtocolError"),
+        ],
+        ids=["compare-json", "ingest-json", "bulk-json", "ingest-xml", "cursor-json", "empty-id"],
+    )
+    def test_rejected_with_4xx(self, writable_server, method, path, body, status, error_type):
+        _, base_url = writable_server
+        code, payload = error_response(lambda: post_raw(base_url + path, body, method=method))
+        assert code == status
+        assert payload["error"]["type"] == error_type
+
+    @pytest.mark.parametrize(
+        "bad_line, message",
+        [
+            (ingest_body("deep", NESTED_XML).decode(), "nests too deeply"),
+            (ingest_body("", "<a>gps</a>").decode(), "doc_id"),
+        ],
+        ids=["nested-xml", "empty-id"],
+    )
+    def test_bulk_bad_line_is_a_per_line_error(self, writable_server, bad_line, message):
+        _, base_url = writable_server
+        body = "\n".join([bad_line, BULK_LINE]).encode()
+        status, payload = post_raw(f"{base_url}/documents:bulk", body)
+        assert status == 200
+        assert payload["ingested"] == 1
+        assert [error["line"] for error in payload["errors"]] == [1]
+        assert message in payload["errors"][0]["error"]
+        _, after = get_json(f"{base_url}/search?q=bulk&page_size=10")
+        assert [item["doc_id"] for item in after["items"]] == ["b1"]

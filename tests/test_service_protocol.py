@@ -300,15 +300,6 @@ GOLDEN_CHANGE_FEED_RESPONSE = (
 )
 
 
-GOLDEN_SHARDED_CORPUS_STATS = (
-    '{"documents": 6, "name": "fixed", "shard_count": 3, "store": '
-    '{"backend": "sharded", "decodes": 0, "documents": 6, "evictions": 0, '
-    '"materialised": 0, "shard_count": 3, "shards": '
-    '[{"backend": "eager", "documents": 0}, {"backend": "eager", "documents": 4}, '
-    '{"backend": "eager", "documents": 2}]}, "version": 0}'
-)
-
-
 def golden_wire(value) -> str:
     return json.dumps(value.to_dict(), sort_keys=True)
 
@@ -433,33 +424,6 @@ class TestGoldenFixtures:
         assert (
             ChangeFeedResponse.from_dict(json.loads(GOLDEN_CHANGE_FEED_RESPONSE)) == response
         )
-
-    def test_sharded_stats_corpus_section(self):
-        """`GET /stats` with a sharded backend: additive schema, pinned exactly.
-
-        The single-corpus golden above this one is untouched — sharding adds
-        ``shard_count`` and the per-shard ``store`` fields, never renames.
-        """
-        from repro.service.service import SearchService
-        from repro.storage.sharded import ShardedCorpus
-        from repro.xmlmodel.parser import parse_xml
-
-        documents = {
-            "doc-0": "<item><name>alpha gadget</name><rating>good</rating></item>",
-            "doc-1": "<item><name>beta gadget</name><rating>fine</rating></item>",
-            "doc-2": "<item><name>gamma widget</name><pros>compact</pros></item>",
-            "doc-3": "<movie><title>delta story</title><rating>great</rating></movie>",
-            "doc-4": "<movie><title>epsilon story</title><pros>gripping</pros></movie>",
-            "doc-5": "<item><name>zeta widget</name><rating>good</rating></item>",
-        }
-        corpus = ShardedCorpus.build(
-            [(doc_id, parse_xml(markup)) for doc_id, markup in documents.items()],
-            3,
-            name="fixed",
-        )
-        service = SearchService(corpus)
-        wire = json.dumps(service.stats()["corpus"], sort_keys=True)
-        assert wire == GOLDEN_SHARDED_CORPUS_STATS
 
 
 # --------------------------------------------------------------------- #

@@ -6,8 +6,7 @@ Three layers of guarantees are pinned here:
   scans and LCA of :class:`~repro.structure.encoding.DocumentStructure`
   agree with a brute-force Dewey-label oracle on hypothesis-generated trees.
 * **Semantics differentials** — ``slca_struct`` returns exactly what
-  ``slca`` returns on pure keyword queries, on single corpora and through
-  the sharded fan-out at every shard count, down to wire-level cursors.
+  ``slca`` returns on pure keyword queries.
 * **Snapshot battery** — the v2 structural section round-trips (restored,
   not recomputed), files without the section fall back to lazy computation,
   and corrupted sections raise typed errors naming the damaged section.
@@ -33,7 +32,6 @@ from repro.errors import (
 from repro.search.engine import SearchEngine
 from repro.search.query import KeywordQuery
 from repro.search.semantics import MatchContext
-from repro.search.sharded_engine import ShardedSearchEngine
 from repro.search.structural import StructuredQuery, compute_slca_struct, parse_tag_path
 from repro.service.cursor import decode_cursor, encode_cursor
 from repro.service.protocol import SearchRequest
@@ -41,7 +39,6 @@ from repro.service.service import SearchService
 from repro.storage.corpus import Corpus
 from repro.storage.document_store import DocumentStore
 from repro.storage.inverted_index import Posting
-from repro.storage.sharded import ShardedCorpus
 from repro.storage.snapshot import (
     FORMAT_VERSION,
     _HEADER,
@@ -56,9 +53,7 @@ from repro.xmlmodel.dewey import DeweyLabel
 from repro.xmlmodel.parser import parse_xml
 from repro.xmlmodel.serializer import serialize
 
-SHARD_COUNTS = (1, 2, 3, 7)
-# Same vocabulary as test_sharded: tag names are indexed terms, so every
-# generated corpus can match these.
+# Tag names are indexed terms, so every generated corpus can match these.
 QUERIES = ("product", "review name", "item movie", "rating pros product")
 
 tag_names = st.sampled_from(["product", "review", "name", "pros", "rating", "item", "movie"])
@@ -312,17 +307,6 @@ class TestSemanticsDifferential:
         for query in QUERIES:
             assert fingerprint(structural.search(query)) == fingerprint(reference.search(query))
 
-    @pytest.mark.parametrize("shard_count", SHARD_COUNTS)
-    @given(documents=corpus_documents())
-    @settings(max_examples=8, deadline=None)
-    def test_sharded_fanout_matches_single_slca(self, shard_count, documents):
-        reference = SearchEngine(build_single(documents), semantics="slca", cache_size=0)
-        fanout = ShardedSearchEngine(
-            ShardedCorpus.build(documents, shard_count), semantics="slca_struct", cache_size=0
-        )
-        for query in QUERIES:
-            assert fingerprint(fanout.search(query)) == fingerprint(reference.search(query))
-
     def test_axis_self_equals_unconstrained(self):
         corpus = struct_corpus()
         forced = struct_search(corpus, StructuredQuery.from_parts("gps", axis="self"))
@@ -464,36 +448,6 @@ class TestServiceStructured:
             SearchRequest(cursor=first.next_cursor, query="gps", within=("product",))
         )
         assert follow_up.offset == 1
-
-    @pytest.mark.parametrize("shard_count", SHARD_COUNTS)
-    def test_structured_walk_is_shard_transparent(self, shard_count):
-        documents = struct_documents()
-        single = SearchService(build_single(documents))
-        sharded = SearchService(ShardedCorpus.build(documents, shard_count))
-        request = SearchRequest(
-            query="gps", within=("product",), axis="descendant", axis_tag="review", page_size=1
-        )
-        expected = single.search(request)
-        actual = sharded.search(request)
-        for _ in range(10):
-            assert actual.to_dict() == expected.to_dict()
-            if expected.next_cursor is None:
-                break
-            assert actual.next_cursor == expected.next_cursor
-            expected = single.search(SearchRequest(cursor=expected.next_cursor))
-            actual = sharded.search(SearchRequest(cursor=actual.next_cursor))
-
-    @pytest.mark.parametrize("shard_count", SHARD_COUNTS)
-    def test_structured_engine_results_are_shard_transparent(self, shard_count):
-        documents = struct_documents()
-        reference = SearchEngine(build_single(documents), semantics="slca_struct", cache_size=0)
-        fanout = ShardedSearchEngine(
-            ShardedCorpus.build(documents, shard_count), semantics="slca_struct", cache_size=0
-        )
-        query = StructuredQuery.from_parts(
-            "gps", within=("product",), axis="descendant", axis_tag="review"
-        )
-        assert fingerprint(fanout.search(query)) == fingerprint(reference.search(query))
 
     def test_cursor_round_trip_with_constraints(self):
         token = encode_cursor(
