@@ -9,10 +9,8 @@ measures the three claims the structural subsystem makes:
 * **tag-window scans** — ``descendants_with_tag`` (two binary searches into
   a per-tag occurrence list) vs the Dewey prefix walk over the whole label
   table, from document-root anchors;
-* **end-to-end** — cold ``slca_struct`` vs cold ``slca`` on pure keyword
-  queries (expected: parity within noise — same algorithm, different node
-  addressing) plus representative structured queries, and the snapshot
-  restore path (structures decoded from the v2 section) vs lazy
+* **end-to-end** — cold representative structured queries, and the
+  snapshot restore path (structures decoded from the v2 section) vs lazy
   recomputation on first access.
 """
 
@@ -27,7 +25,6 @@ from repro.search.structural import StructuredQuery
 from repro.storage.corpus import Corpus
 from repro.storage.snapshot import save_corpus
 
-QUERIES = ("drama war", "comedy actor", "thriller director actress")
 STRUCTURED = (
     ("drama war", ("movie",), "descendant", "actor"),
     ("comedy actor", ("movie",), "descendant", "cast"),
@@ -108,16 +105,6 @@ def main() -> None:
         f"window {window_ms:.1f} ms | prefix walk {walk_ms:.1f} ms "
         f"({walk_ms / window_ms:.1f}x)"
     )
-
-    # Cold query differential: same SLCA algorithm, different node addressing.
-    for query in QUERIES:
-        slca_ms = best_of(
-            lambda: SearchEngine(corpus, semantics="slca", cache_size=0).search(query)
-        )
-        struct_ms = best_of(
-            lambda: SearchEngine(corpus, semantics="slca_struct", cache_size=0).search(query)
-        )
-        print(f"cold {query!r}: slca {slca_ms:.1f} ms | slca_struct {struct_ms:.1f} ms")
 
     for text, within, axis, axis_tag in STRUCTURED:
         query = StructuredQuery.from_parts(text, within=within, axis=axis, axis_tag=axis_tag)

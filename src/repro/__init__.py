@@ -61,8 +61,6 @@ from repro.search import (
     SearchResult,
     SearchResultSet,
     available_semantics,
-    register_semantics,
-    unregister_semantics,
 )
 from repro.service import (
     CompareRequest,
@@ -111,8 +109,6 @@ __all__ = [
     "SearchEngine",
     "SearchResult",
     "SearchResultSet",
-    "register_semantics",
-    "unregister_semantics",
     "available_semantics",
     # Service layer
     "SearchService",

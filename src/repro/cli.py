@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument(
         "--semantics",
         default=None,
-        help="match semantics: slca, elca, slca_struct, or any registered name "
+        help="match semantics: slca, elca or slca_struct "
         "(default: slca, or slca_struct when a structural constraint is given)",
     )
     search.add_argument(
@@ -141,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument(
         "--semantics",
         default="slca",
-        help="match semantics: slca (default), elca, or any registered name",
+        help="match semantics: slca (default), elca or slca_struct",
     )
     compare.add_argument(
         "--top", type=_non_negative_int, default=2, help="number of top results to compare"

@@ -15,24 +15,21 @@ scratch:
   stable, relevance-flavoured order.
 * :mod:`~repro.search.structural` — :class:`StructuredQuery` (keywords plus
   axis constraints and tag-path filters) and the ``slca_struct`` semantics,
-  which evaluates SLCA over the pre/post structural encoding of
-  :mod:`repro.structure` instead of Dewey labels.
+  which filters SLCA matches through those constraints on the pre/post
+  structural encoding of :mod:`repro.structure`.
+* :mod:`~repro.search.semantics` — the fixed table of the three match
+  semantics (``slca``, ``elca``, ``slca_struct``).
 * :class:`~repro.search.engine.SearchEngine` — the facade used by XSACT's
   pipeline and by the experiments.
 """
 
-from repro.search.elca import compute_elca, compute_elca_scan
+from repro.search.elca import compute_elca
 from repro.search.engine import SearchEngine
 from repro.search.query import KeywordQuery
 from repro.search.ranking import rank_results, tf_idf_score
 from repro.search.result import SearchResult, SearchResultSet
-from repro.search.semantics import (
-    available_semantics,
-    get_semantics,
-    register_semantics,
-    unregister_semantics,
-)
-from repro.search.slca import compute_slca, compute_slca_merge, compute_slca_scan
+from repro.search.semantics import available_semantics
+from repro.search.slca import compute_slca
 from repro.search.structural import StructuredQuery, compute_slca_struct, parse_tag_path
 from repro.search.xseek import infer_return_subtree
 
@@ -42,18 +39,12 @@ __all__ = [
     "parse_tag_path",
     "compute_slca",
     "compute_slca_struct",
-    "compute_slca_merge",
-    "compute_slca_scan",
     "compute_elca",
-    "compute_elca_scan",
     "infer_return_subtree",
     "SearchResult",
     "SearchResultSet",
     "SearchEngine",
     "rank_results",
     "tf_idf_score",
-    "register_semantics",
-    "unregister_semantics",
-    "get_semantics",
     "available_semantics",
 ]

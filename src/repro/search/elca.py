@@ -7,31 +7,25 @@ The XSACT experiments run on SLCA results (the engine default), but the ELCA
 module completes the search substrate and is exercised by its own tests and an
 ablation benchmark.
 
-Two algorithms are provided:
-
-* :func:`compute_elca` — a stack-based linear merge over the Dewey labels
-  (Indexed-Stack style, see :mod:`repro.search.linear_merge`).  All posting
-  lists are merged in document order; a stack mirroring the root-to-current
-  path accumulates one keyword bitmask per subtree plus the set of keyword
-  occurrences not captured by a deeper LCA match.  When an entry is popped its
-  subtree is complete, so contains-all and exclusive-witness checks are O(1)
-  bitmask tests.  Total cost is ``O(N log N)`` for the merge plus ``O(N * d)``
-  stack work for ``N`` postings of maximum depth ``d``.
-* :func:`compute_elca_scan` — the original brute-force implementation, kept as
-  the correctness oracle: it enumerates every ancestor-or-self candidate and
-  re-checks containment per keyword, which is ``O(C^2 * N)`` in the number of
-  candidates ``C``.  The property tests assert both agree on arbitrary inputs.
+:func:`compute_elca` is a stack-based linear merge over the Dewey labels
+(Indexed-Stack style, see :mod:`repro.search.linear_merge`).  All posting
+lists are merged in document order; a stack mirroring the root-to-current
+path accumulates one keyword bitmask per subtree plus the set of keyword
+occurrences not captured by a deeper LCA match.  When an entry is popped its
+subtree is complete, so contains-all and exclusive-witness checks are O(1)
+bitmask tests.  Total cost is ``O(N log N)`` for the merge plus ``O(N * d)``
+stack work for ``N`` postings of maximum depth ``d``.  The property tests pin
+it against a brute-force scan oracle.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Set
+from typing import List, Sequence
 
 from repro.search.linear_merge import collect_per_document, stack_merge_document
 from repro.storage.inverted_index import Posting
-from repro.xmlmodel.dewey import DeweyLabel
 
-__all__ = ["compute_elca", "compute_elca_scan"]
+__all__ = ["compute_elca"]
 
 
 def compute_elca(keyword_postings: Sequence[Sequence[Posting]]) -> List[Posting]:
@@ -44,52 +38,3 @@ def compute_elca(keyword_postings: Sequence[Sequence[Posting]]) -> List[Posting]
     return collect_per_document(
         keyword_postings, lambda label_lists: stack_merge_document(label_lists, exclusive=True)
     )
-
-
-def compute_elca_scan(keyword_postings: Sequence[Sequence[Posting]]) -> List[Posting]:
-    """Brute-force ELCA used as a correctness oracle in tests.
-
-    Follows the definition directly: start from all LCA candidates
-    (ancestors-or-self of keyword matches), and keep a candidate if, for every
-    keyword, it has a witness occurrence that is not inside any *deeper* LCA
-    candidate that itself contains all keywords.  Quadratic in the number of
-    candidates, so only suitable for small inputs, but independent of the
-    optimised algorithm's logic.
-    """
-    return collect_per_document(keyword_postings, _elca_single_document)
-
-
-def _elca_single_document(label_lists: List[List[DeweyLabel]]) -> List[DeweyLabel]:
-    # All candidate nodes: ancestors-or-self of any match.
-    candidates: Set[DeweyLabel] = set()
-    for labels in label_lists:
-        for label in labels:
-            candidates.add(label)
-            candidates.update(label.ancestors())
-
-    def contains_all(node: DeweyLabel) -> bool:
-        return all(
-            any(node.is_ancestor_or_self_of(label) for label in labels)
-            for labels in label_lists
-        )
-
-    lca_matches = sorted(candidate for candidate in candidates if contains_all(candidate))
-
-    elcas: List[DeweyLabel] = []
-    for node in lca_matches:
-        # Child LCA matches strictly below this node.
-        descendants = [other for other in lca_matches if node.is_ancestor_of(other)]
-        witness_for_every_keyword = True
-        for labels in label_lists:
-            has_exclusive_witness = any(
-                node.is_ancestor_or_self_of(label)
-                and not any(descendant.is_ancestor_or_self_of(label) for descendant in descendants)
-                for label in labels
-            )
-            if not has_exclusive_witness:
-                witness_for_every_keyword = False
-                break
-        if witness_for_every_keyword:
-            elcas.append(node)
-    elcas.sort()
-    return elcas

@@ -46,12 +46,7 @@ from repro.errors import SearchError
 from repro.search.query import KeywordQuery
 from repro.search.ranking import rank_results
 from repro.search.result import SearchResult, SearchResultSet
-from repro.search.semantics import (
-    MatchContext,
-    get_registration,
-    get_semantics,
-    semantics_generation,
-)
+from repro.search.semantics import MatchContext, get_registration
 from repro.search.structural import StructuredQuery
 from repro.search.xseek import infer_return_subtree
 from repro.storage.corpus import Corpus
@@ -72,9 +67,8 @@ class SearchEngine:
     corpus:
         The corpus to search.
     semantics:
-        Match semantics: ``"slca"`` (default), ``"elca"``, or any name
-        registered through
-        :func:`~repro.search.semantics.register_semantics`.
+        Match semantics: ``"slca"`` (default), ``"elca"`` or
+        ``"slca_struct"`` (see :mod:`repro.search.semantics`).
     cache_size:
         Maximum number of distinct queries whose ranked results are kept in
         the LRU cache; ``0`` disables caching entirely.
@@ -92,12 +86,12 @@ class SearchEngine:
         cache_size: int = 128,
         cache_max_results: Optional[int] = 4096,
     ):
-        get_semantics(semantics)  # reject unknown names at construction
+        get_registration(semantics)  # reject unknown names at construction
         self.corpus = corpus
         self.semantics = semantics
         self.cache_size = cache_size
         self.cache_max_results = cache_max_results
-        self._cache: "OrderedDict[Tuple[Tuple[str, ...], str, int], List[SearchResult]]" = OrderedDict()
+        self._cache: "OrderedDict[Tuple[Tuple[str, ...], str], List[SearchResult]]" = OrderedDict()
         self._cached_results_total = 0
         self._cache_version = getattr(corpus, "version", None)
         self.cache_hits = 0
@@ -220,11 +214,7 @@ class SearchEngine:
         if self.cache_size <= 0:
             return self._evaluate(query), False
 
-        # The registration generation is part of the key: re-registering a
-        # custom semantics (replace=True) changes what the name computes, and
-        # entries cached under the old function must not answer for the new
-        # one.  Old-generation entries linger unreachable until LRU eviction.
-        key = (query.cache_key, self.semantics, semantics_generation(self.semantics))
+        key = (query.cache_key, self.semantics)
         with self._lock:
             version = getattr(self.corpus, "version", None)
             if version != self._cache_version:
@@ -301,9 +291,9 @@ class SearchEngine:
         # views drift apart and poison the shared entry.
         # copy=False: the match algorithms never mutate the lists, so the hot
         # path skips one posting-list copy per keyword.
-        # Resolved through the registry on every call (a dict probe), so a
-        # semantics registered after this engine was built is immediately
-        # usable and the engine never hard-codes match algorithms.
+        # Resolved per call through the module-level name (a dict probe), so
+        # a wrapper installed over it — bench/tracing.py times the match
+        # stage that way — sees every evaluation.
         registration = get_registration(self.semantics)
         if (
             isinstance(query, StructuredQuery)

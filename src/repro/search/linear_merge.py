@@ -28,8 +28,7 @@ On pop, a contains-all entry is:
 
 The pass costs ``O(N * d)`` stack operations for ``N`` occurrences of maximum
 depth ``d``, after an ``O(N log N)`` merge of the per-keyword lists — versus
-the quadratic candidate-by-candidate containment checks of the scan oracles in
-:mod:`repro.search.slca` / :mod:`repro.search.elca`.
+the quadratic candidate-by-candidate containment checks of a brute-force scan.
 """
 
 from __future__ import annotations
@@ -50,8 +49,6 @@ _CONTAINS_ALL_BELOW = 2
 def collect_per_document(
     keyword_postings: Sequence[Sequence[Posting]],
     single_document: Callable[[List[List[DeweyLabel]]], Sequence[DeweyLabel]],
-    *,
-    sort_lists: bool = False,
 ) -> List[Posting]:
     """Run a per-document match algorithm over per-keyword posting lists.
 
@@ -62,16 +59,13 @@ def collect_per_document(
     returned labels as :class:`Posting` results in global document order
     (``single_document`` must return labels sorted in document order).
 
-    ``sort_lists`` pre-sorts each posting list, for algorithms that binary
-    search within the per-document label lists.  Without it the input lists
-    are only iterated, never copied — the stack merge orders the occurrence
-    stream itself, so zero-copy index buckets pass straight through.
+    The input lists are only iterated, never copied — the stack merge orders
+    the occurrence stream itself, so zero-copy index buckets pass straight
+    through.
     """
     lists = list(keyword_postings)
     if not lists or any(not postings for postings in lists):
         return []
-    if sort_lists:
-        lists = [sorted(postings) for postings in lists]
 
     per_document = group_labels_by_document(lists)
     results: List[Posting] = []

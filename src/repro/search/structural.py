@@ -15,12 +15,12 @@ optional structural constraints:
   enclosing ``movie``.  The degenerate ``axis="self"`` keeps the matches
   themselves (useful to force the structural evaluation path in tests).
 
-The semantics registered here, ``"slca_struct"``, computes SLCA over the
-pre/post encoding instead of Dewey labels — window-bounded integer interval
-tests replace label prefix comparisons — and then applies the constraints.
-On a pure keyword query (no constraints) it returns *exactly* what
-``"slca"`` returns; the differential suite pins that equivalence.  It is a
-context-aware semantics (``accepts_context=True``): the engine hands it a
+The ``"slca_struct"`` semantics computes the SLCA matches with
+:func:`~repro.search.slca.compute_slca` and then evaluates the constraints on
+the pre/post encoding — window-bounded integer interval tests instead of
+Dewey label walks.  On a pure keyword query (no constraints) it returns
+``compute_slca``'s matches unchanged.  It is a context-aware semantics
+(``accepts_context=True``): the engine hands it a
 :class:`~repro.search.semantics.MatchContext` carrying the corpus (for its
 :class:`~repro.structure.table.StructuralTable`) and the query (for the
 constraints).
@@ -28,17 +28,19 @@ constraints).
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from itertools import groupby
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.errors import QueryError, SearchError
-from repro.search.linear_merge import group_labels_by_document
 from repro.search.query import KeywordQuery
-from repro.search.semantics import MatchContext, register_semantics
+from repro.search.slca import compute_slca
 from repro.storage.inverted_index import Posting
 from repro.structure.encoding import DocumentStructure
 from repro.structure.table import StructuralTable
+
+if TYPE_CHECKING:  # semantics.py imports this module to build its table
+    from repro.search.semantics import MatchContext
 
 __all__ = ["StructuredQuery", "parse_tag_path", "compute_slca_struct", "AXES"]
 
@@ -148,13 +150,13 @@ class StructuredQuery(KeywordQuery):
 def compute_slca_struct(
     keyword_postings: Sequence[Sequence[Posting]], context: MatchContext
 ) -> List[Posting]:
-    """SLCA over the pre/post encoding, plus structural constraints.
+    """SLCA matches filtered through the query's structural constraints.
 
     Contract mirrors :func:`~repro.search.slca.compute_slca` (conjunctive
-    semantics, postings sorted in global document order); on a plain
-    :class:`~repro.search.query.KeywordQuery` the output is identical to
-    ``compute_slca``'s.  Constraints are applied per document after the SLCA
-    computation: first the ``within`` re-anchoring, then the axis step.
+    semantics, postings sorted in global document order); without
+    constraints the output *is* ``compute_slca``'s.  Constraints are applied
+    per document on the pre numbers of the SLCA matches: first the
+    ``within`` re-anchoring, then the axis step.
 
     Raises
     ------
@@ -171,95 +173,23 @@ def compute_slca_struct(
             "semantics 'slca_struct' needs a corpus with a structural table "
             f"(corpus {getattr(context.corpus, 'name', context.corpus)!r} has none)"
         )
-    within: Tuple[str, ...] = ()
-    axis: Optional[str] = None
-    axis_tag: Optional[str] = None
     query = context.query
-    if isinstance(query, StructuredQuery):
-        within, axis, axis_tag = query.within, query.axis, query.axis_tag
+    slca = compute_slca(lists)
+    if not isinstance(query, StructuredQuery) or not query.has_constraints:
+        return slca
 
     matches: List[Posting] = []
-    grouped = group_labels_by_document(lists)
-    for doc_id in sorted(grouped):
-        label_lists = grouped[doc_id]
-        if any(not labels for labels in label_lists):
-            continue  # conjunctive: every keyword must occur in the document
+    for doc_id, postings in groupby(slca, key=lambda posting: posting.doc_id):
         structure = table.get(doc_id)
-        pre_lists = [sorted(structure.pre_of(label) for label in labels) for labels in label_lists]
-        result = _slca_pre(structure, pre_lists)
-        if within:
-            result = _apply_within(structure, table, result, within)
-        if axis is not None:
-            result = _apply_axis(structure, table, result, axis, axis_tag)
+        result = [structure.pre_of(posting.label) for posting in postings]
+        if query.within:
+            result = _apply_within(structure, table, result, query.within)
+        if query.axis is not None:
+            result = _apply_axis(structure, table, result, query.axis, query.axis_tag)
         matches.extend(
             Posting(doc_id=doc_id, label=structure.labels[pre]) for pre in result
         )
     return matches
-
-
-def _slca_pre(structure: DocumentStructure, pre_lists: List[List[int]]) -> List[int]:
-    """SLCA of one document's per-keyword pre-number lists.
-
-    The indexed-lookup algorithm of :mod:`repro.search.slca` transplanted to
-    the encoding: drive from the shortest list, narrow each candidate with
-    binary searches into the other lists, drop ancestor candidates with the
-    interval test.  Mirrors ``_slca_single_document`` step for step so the
-    pure-keyword differential (``slca_struct ≡ slca``) holds by construction.
-    """
-    if len(pre_lists) == 1:
-        return _remove_ancestor_pres(structure, pre_lists[0])
-    shortest_index = min(range(len(pre_lists)), key=lambda i: len(pre_lists[i]))
-    shortest = pre_lists[shortest_index]
-    others = [pres for index, pres in enumerate(pre_lists) if index != shortest_index]
-
-    candidates: List[int] = []
-    for pre in shortest:
-        candidate: Optional[int] = pre
-        for other in others:
-            candidate = _closest_containing(structure, candidate, other)
-            if candidate is None:
-                break
-        if candidate is not None:
-            candidates.append(candidate)
-    return _remove_ancestor_pres(structure, sorted(candidates))
-
-
-def _closest_containing(
-    structure: DocumentStructure, pre: Optional[int], occurrences: List[int]
-) -> Optional[int]:
-    """Deepest LCA of ``pre`` with any pre number in the sorted list.
-
-    The two candidates flanking ``pre`` in document order are the only ones
-    that can yield the deepest LCA (the integer twin of ``_closest_lca`` on
-    Dewey labels — Dewey order and pre order coincide).
-    """
-    if pre is None or not occurrences:
-        return None
-    position = bisect_left(occurrences, pre)
-    best: Optional[int] = None
-    best_level = -1
-    for neighbour_index in (position - 1, position):
-        if 0 <= neighbour_index < len(occurrences):
-            lca = structure.lca(pre, occurrences[neighbour_index])
-            if structure.level[lca] > best_level:
-                best = lca
-                best_level = structure.level[lca]
-    return best
-
-
-def _remove_ancestor_pres(structure: DocumentStructure, pres: List[int]) -> List[int]:
-    """Keep only pre numbers that are not proper ancestors of a later one.
-
-    Input must be sorted; in pre order an ancestor immediately precedes its
-    descendants, so one pass with the ``end``-window test suffices.
-    """
-    end = structure.end
-    result: List[int] = []
-    for pre in sorted(set(pres)):
-        while result and end[result[-1]] > pre:
-            result.pop()
-        result.append(pre)
-    return result
 
 
 def _apply_within(
@@ -308,6 +238,3 @@ def _apply_axis(
             if ancestor is not None:
                 selected.add(ancestor)
     return sorted(selected)
-
-
-register_semantics("slca_struct", compute_slca_struct, accepts_context=True)

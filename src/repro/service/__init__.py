@@ -11,18 +11,8 @@ serving surface — the reproduction of the demo paper's web application tier:
   façade (per-request semantics, batch execution, cache statistics);
 * :mod:`~repro.service.http` — the stdlib HTTP JSON front-end behind
   ``repro-xsact serve``.
-
-Match semantics are pluggable through the registry in
-:mod:`repro.search.semantics` (re-exported here for convenience): register a
-function, then name it in any request.
 """
 
-from repro.search.semantics import (
-    available_semantics,
-    get_semantics,
-    register_semantics,
-    unregister_semantics,
-)
 from repro.service.cursor import Cursor, decode_cursor, encode_cursor
 from repro.service.http import XsactHTTPServer, create_server
 from repro.service.protocol import (
@@ -53,9 +43,4 @@ __all__ = [
     # HTTP front-end
     "XsactHTTPServer",
     "create_server",
-    # Semantics registry (re-exported from repro.search.semantics)
-    "register_semantics",
-    "unregister_semantics",
-    "get_semantics",
-    "available_semantics",
 ]

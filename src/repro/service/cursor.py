@@ -8,11 +8,7 @@ state:
   (:attr:`~repro.search.query.KeywordQuery.cache_key`), so the continuation
   targets exactly the ranked list the first page came from and the follow-up
   request is a guaranteed cache hit while the entry lives;
-* the **semantics** the list was computed under, together with its
-  registration *generation* — re-registering a custom semantics
-  (``register_semantics(..., replace=True)``) changes what the name computes,
-  so a cursor that straddles the swap is rejected like a stale corpus
-  version instead of re-slicing a different ranked list;
+* the **semantics** the list was computed under;
 * the **offset** of the next page;
 * the **page size** the walk was started with, so a cursor-only continuation
   keeps the caller's page boundaries instead of silently reverting to the
@@ -25,7 +21,9 @@ state:
 The encoding is URL-safe base64 over compact JSON.  It is *opaque, not
 secret*: clients must treat it as a token, and the decoder treats it as
 untrusted input — anything that does not decode to exactly the expected
-shape raises :class:`~repro.errors.InvalidCursorError`.
+shape raises :class:`~repro.errors.InvalidCursorError`.  Tokens from the
+earlier format, which also carried a semantics generation under ``"sg"``,
+still decode: the key is ignored.
 """
 
 from __future__ import annotations
@@ -49,9 +47,9 @@ class Cursor:
 
     ``within``/``axis``/``axis_tag`` carry the structural constraints of a
     :class:`~repro.search.structural.StructuredQuery` walk; they are encoded
-    only when set, so cursors for plain keyword walks are byte-identical to
-    the pre-structural format (old tokens keep decoding, and old clients
-    never see unfamiliar keys unless they issue structured queries).
+    only when set, so cursors for plain keyword walks carry only the six base
+    keys (old clients never see unfamiliar keys unless they issue structured
+    queries).
     """
 
     keywords: Tuple[str, ...]
@@ -59,7 +57,6 @@ class Cursor:
     offset: int
     corpus_version: int
     page_size: int
-    semantics_generation: int = 0
     within: Tuple[str, ...] = ()
     axis: Optional[str] = None
     axis_tag: Optional[str] = None
@@ -73,7 +70,6 @@ class Cursor:
             "o": self.offset,
             "cv": self.corpus_version,
             "ps": self.page_size,
-            "sg": self.semantics_generation,
         }
         if self.within:
             data["w"] = list(self.within)
@@ -91,7 +87,6 @@ def encode_cursor(
     offset: int,
     corpus_version: int,
     page_size: int,
-    semantics_generation: int = 0,
     *,
     within: Tuple[str, ...] = (),
     axis: Optional[str] = None,
@@ -104,7 +99,6 @@ def encode_cursor(
         offset=offset,
         corpus_version=corpus_version,
         page_size=page_size,
-        semantics_generation=semantics_generation,
         within=tuple(within),
         axis=axis,
         axis_tag=axis_tag,
@@ -135,7 +129,6 @@ def decode_cursor(token: str) -> Cursor:
     offset = data.get("o")
     corpus_version = data.get("cv")
     page_size = data.get("ps")
-    generation = data.get("sg")
     within = data.get("w", [])
     axis = data.get("a")
     axis_tag = data.get("at")
@@ -159,9 +152,6 @@ def decode_cursor(token: str) -> Cursor:
         or isinstance(page_size, bool)
         or not isinstance(page_size, int)
         or page_size <= 0
-        or isinstance(generation, bool)
-        or not isinstance(generation, int)
-        or generation < 0
     ):
         raise InvalidCursorError(f"malformed cursor payload: {token!r}")
     return Cursor(
@@ -170,7 +160,6 @@ def decode_cursor(token: str) -> Cursor:
         offset=offset,
         corpus_version=corpus_version,
         page_size=page_size,
-        semantics_generation=generation,
         within=tuple(within),
         axis=axis,
         axis_tag=axis_tag,

@@ -42,9 +42,9 @@ documents, 410 for stale/undecodable cursors (the resource genuinely went
 away: the corpus moved on), 500 for everything unexpected.
 
 Conditional GET: ``/search`` and ``/stats`` responses carry an ``ETag``
-derived from the corpus version (plus, for ``/search``, the semantics name
-and its registration generation — everything server-side that can change the
-representation of a fixed URL).  A request presenting the same tag via
+derived from the corpus version — the only server-side state that can change
+the representation of a fixed URL (``/search`` tags also name the
+semantics).  A request presenting the same tag via
 ``If-None-Match`` is answered ``304 Not Modified`` without evaluating the
 query or serialising a body; after any corpus mutation the version bump
 changes the tag and the next conditional request gets a full ``200``.  The
@@ -76,7 +76,6 @@ from repro.errors import (
     ReadOnlyServiceError,
     ReproError,
 )
-from repro.search.semantics import semantics_generation
 from repro.service.cursor import decode_cursor
 from repro.service.protocol import CompareRequest, IngestRequest, SearchRequest
 from repro.service.service import SearchService
@@ -219,10 +218,7 @@ class _Handler(BaseHTTPRequestHandler):
         # pre-mutation version and a later If-None-Match would revalidate
         # the wrong bytes.  The response's version is, by the generation
         # contract, exactly the corpus state that produced the items.
-        emitted = (
-            f'"search/v{response.corpus_version}/{response.semantics}'
-            f'.{semantics_generation(response.semantics)}"'
-        )
+        emitted = f'"search/v{response.corpus_version}/{response.semantics}"'
         self._respond(200, response.to_dict(), etag=emitted)
 
     def _stats(self) -> None:
@@ -292,15 +288,14 @@ class _Handler(BaseHTTPRequestHandler):
         self._respond(200, self._service.updated_since(version).to_dict())
 
     def _search_etag(self, request: SearchRequest) -> Optional[str]:
-        """Validator for a /search URL: corpus version + semantics identity.
+        """Validator for a /search URL: corpus version + semantics.
 
         The URL itself pins the query, cursor and page size, so the tag only
         has to cover the server-side state that can change the answer for a
-        fixed URL: the corpus version (any mutation re-ranks) and which
-        function the semantics name currently resolves to (its registration
-        generation).  The semantics comes from the explicit parameter, else
-        from the cursor, else it is the service default; an undecodable
-        cursor yields no tag and falls through to the normal 410 path.
+        fixed URL: the corpus version (any mutation re-ranks).  The semantics
+        comes from the explicit parameter, else from the cursor, else it is
+        the service default; an undecodable cursor yields no tag and falls
+        through to the normal 410 path.
         """
         semantics = request.semantics
         if semantics is None and request.cursor is not None:
@@ -311,11 +306,12 @@ class _Handler(BaseHTTPRequestHandler):
         if semantics is None:
             # Mirror the service's unspecified-semantics default: structural
             # constraints flip it to the structure-aware semantics.
-            semantics = (
-                "slca_struct" if (request.within or request.axis is not None) else "slca"
+            constrained = (
+                request.within or request.axis is not None or request.axis_tag is not None
             )
+            semantics = "slca_struct" if constrained else "slca"
         version = self._service.corpus.version
-        return f'"search/v{version}/{semantics}.{semantics_generation(semantics)}"'
+        return f'"search/v{version}/{semantics}"'
 
     def _if_none_match_hit(self, etag: str) -> bool:
         """True when the request's ``If-None-Match`` matches ``etag``.

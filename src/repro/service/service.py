@@ -49,7 +49,7 @@ from repro.search.engine import SearchEngine
 from repro.search.query import KeywordQuery
 from repro.search.structural import StructuredQuery, parse_tag_path
 from repro.search.result import SearchResult, SearchResultSet
-from repro.search.semantics import available_semantics, semantics_generation
+from repro.search.semantics import available_semantics
 from repro.service.cursor import decode_cursor, encode_cursor
 from repro.service.protocol import (
     BulkIngestError,
@@ -257,8 +257,8 @@ class SearchService:
         Raises
         ------
         SearchError
-            If ``semantics`` is not registered (see
-            :mod:`repro.search.semantics`).
+            If ``semantics`` is not one of the semantics in
+            :mod:`repro.search.semantics`.
         """
         return self._generation.engine_for(semantics)
 
@@ -519,15 +519,6 @@ class SearchService:
                     f"cursor was issued under semantics {cursor.semantics!r}, "
                     f"request asks for {request.semantics!r}"
                 )
-            if semantics_generation(cursor.semantics) != cursor.semantics_generation:
-                # The name now resolves to a different function than the one
-                # that ranked page 1 (replace=True or unregister+register):
-                # re-slicing the new ranked list at the old offset would skip
-                # or repeat results, just like a corpus mutation would.
-                raise InvalidCursorError(
-                    f"semantics {cursor.semantics!r} was re-registered since this "
-                    f"cursor was issued; restart pagination"
-                )
             # Constraint fields on a continuation must agree with the cursor
             # too, for the same reason as query and semantics above.
             req_within, req_axis, req_axis_tag = self._request_constraints(request)
@@ -536,7 +527,7 @@ class SearchService:
                     f"cursor was issued for within path {list(cursor.within)!r}, "
                     f"request asks for {list(req_within)!r}"
                 )
-            if request.axis is not None and (
+            if (request.axis is not None or request.axis_tag is not None) and (
                 req_axis != cursor.axis or req_axis_tag != cursor.axis_tag
             ):
                 raise InvalidCursorError(
@@ -544,7 +535,7 @@ class SearchService:
                     f"request asks for {req_axis!r}/{req_axis_tag!r}"
                 )
             try:
-                if cursor.within or cursor.axis is not None:
+                if cursor.within or cursor.axis is not None or cursor.axis_tag is not None:
                     query = StructuredQuery(
                         keywords=cursor.keywords,
                         raw=request.query,
@@ -568,7 +559,9 @@ class SearchService:
             )
         else:
             within, axis, axis_tag = self._request_constraints(request)
-            if within or axis is not None:
+            # axis_tag alone counts as a constraint, so from_parts rejects it
+            # (it needs an axis) instead of the search silently ignoring it.
+            if within or axis is not None or axis_tag is not None:
                 query = StructuredQuery.from_parts(
                     request.query, within=within, axis=axis, axis_tag=axis_tag
                 )
@@ -614,7 +607,6 @@ class SearchService:
                 offset=next_offset,
                 corpus_version=version,
                 page_size=page_size,
-                semantics_generation=semantics_generation(semantics),
                 within=constrained.within if constrained is not None else (),
                 axis=constrained.axis if constrained is not None else None,
                 axis_tag=constrained.axis_tag if constrained is not None else None,

@@ -2,11 +2,12 @@
 
 from hypothesis import given, settings, strategies as st
 
+from oracles import compute_elca_scan, compute_slca_scan
 from repro.storage.document_store import DocumentStore
 from repro.storage.inverted_index import InvertedIndex, Posting
 from repro.storage.tokenizer import _TOKEN_PATTERN, _split_tokens, tokenize
-from repro.search.elca import compute_elca, compute_elca_scan
-from repro.search.slca import compute_slca, compute_slca_merge, compute_slca_scan
+from repro.search.elca import compute_elca
+from repro.search.slca import compute_slca
 from repro.xmlmodel.builder import TreeBuilder
 from repro.xmlmodel.dewey import DeweyLabel, common_ancestor_label
 from repro.xmlmodel.parser import parse_xml
@@ -168,11 +169,6 @@ class TestSlcaProperties:
                     for posting in postings
                 )
 
-    @settings(max_examples=80, deadline=None)
-    @given(posting_lists)
-    def test_merge_slca_matches_scan_oracle(self, lists):
-        assert compute_slca_merge(lists) == compute_slca_scan(lists)
-
 
 # --------------------------------------------------------------------------- #
 # ELCA properties: the fast stack-merge vs the brute-force oracle
@@ -224,9 +220,7 @@ class TestSearchAlgorithmsOnRandomCorpora:
     def test_fast_algorithms_match_oracles(self, corpus_and_keywords):
         index, keywords = corpus_and_keywords
         lists = index.keyword_node_lists(keywords)
-        oracle_slca = compute_slca_scan(lists)
-        assert compute_slca(lists) == oracle_slca
-        assert compute_slca_merge(lists) == oracle_slca
+        assert compute_slca(lists) == compute_slca_scan(lists)
         assert compute_elca(lists) == compute_elca_scan(lists)
 
     @settings(max_examples=50, deadline=None)

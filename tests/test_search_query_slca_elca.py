@@ -2,10 +2,11 @@
 
 import pytest
 
+from oracles import compute_slca_scan
 from repro.errors import QueryError
 from repro.search.elca import compute_elca
 from repro.search.query import KeywordQuery
-from repro.search.slca import compute_slca, compute_slca_scan
+from repro.search.slca import compute_slca
 from repro.storage.inverted_index import InvertedIndex, Posting
 from repro.storage.document_store import DocumentStore
 from repro.xmlmodel.dewey import DeweyLabel

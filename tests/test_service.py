@@ -2,10 +2,12 @@
 
 Covers the tentpole behaviours of the service-layer redesign: per-request
 semantics over one shared corpus, stable cursor pagination with
-corpus-version invalidation, batch execution, the semantics registry, and
+corpus-version invalidation, batch execution, the semantics table, and
 the cache-statistics accessors.
 """
 
+import base64
+import json
 import time
 
 import pytest
@@ -17,12 +19,7 @@ from repro.errors import (
     ServiceError,
 )
 from repro.search.engine import SearchEngine
-from repro.search.semantics import (
-    available_semantics,
-    get_semantics,
-    register_semantics,
-    unregister_semantics,
-)
+from repro.search.semantics import available_semantics, get_registration
 from repro.service.cursor import Cursor, decode_cursor, encode_cursor
 from repro.service.protocol import CompareRequest, SearchRequest
 from repro.service.service import SearchService
@@ -218,9 +215,25 @@ class TestCursorCodec:
             offset=4,
             corpus_version=2,
             page_size=2,
-            semantics_generation=3,
         )
         assert decode_cursor(cursor.encode()) == cursor
+
+    def test_token_with_generation_key_continues_the_walk(self, service):
+        # Tokens from the earlier wire format also carried a semantics
+        # generation under "sg"; a client holding one keeps paginating.
+        first = service.search(SearchRequest(query="gps", page_size=2))
+        payload = {
+            "v": 1, "k": ["gps"], "s": "slca", "o": 2,
+            "cv": service.corpus.version, "ps": 2, "sg": 0,
+        }
+        token = base64.urlsafe_b64encode(
+            json.dumps(payload, separators=(",", ":")).encode("utf-8")
+        ).decode("ascii")
+        continued = service.search(SearchRequest(cursor=token))
+        assert continued.offset == 2
+        assert continued.to_dict() == service.search(
+            SearchRequest(cursor=first.next_cursor)
+        ).to_dict()
 
     def test_encode_helper(self):
         token = encode_cursor(("gps",), "slca", 2, 0, page_size=5)
@@ -263,115 +276,15 @@ class TestPerRequestSemantics:
         )
         assert elca.total >= slca.total
 
-    def test_cursor_rejected_after_semantics_reregistration(
-        self, small_product_corpus
-    ):
-        # Pagination straddling a replace=True re-registration must 410, not
-        # re-slice the new function's ranked list at the old offset.
-        register_semantics("pin-test", lambda lists: sorted(lists[0]))
-        try:
-            service = SearchService(small_product_corpus, default_page_size=1)
-            first = service.search(
-                SearchRequest(query="gps tomtom", semantics="pin-test", page_size=1)
-            )
-            assert first.next_cursor is not None
-            register_semantics("pin-test", lambda lists: [], replace=True)
-            with pytest.raises(InvalidCursorError, match="re-registered"):
-                service.search(SearchRequest(cursor=first.next_cursor))
-        finally:
-            unregister_semantics("pin-test")
-
-    def test_custom_semantics_usable_per_request(self, service):
-        def first_keyword_only(keyword_postings):
-            return sorted(keyword_postings[0])
-
-        register_semantics("first-only", first_keyword_only)
-        try:
-            response = service.search(
-                SearchRequest(query="gps tomtom", semantics="first-only", page_size=100)
-            )
-            assert response.semantics == "first-only"
-            assert response.total > 0
-            # The custom semantics ignores the second keyword entirely, so it
-            # must see at least as many matches as the conjunctive SLCA.
-            slca = service.search(SearchRequest(query="gps tomtom", page_size=100))
-            assert response.total >= slca.total
-        finally:
-            unregister_semantics("first-only")
-
 
 class TestSemanticsRegistry:
     def test_builtins_always_available(self):
         assert {"slca", "elca"} <= set(available_semantics())
-        assert callable(get_semantics("slca"))
+        assert callable(get_registration("slca").fn)
 
     def test_get_unknown_names_available(self):
         with pytest.raises(SearchError, match="available"):
-            get_semantics("nope")
-
-    def test_builtin_not_replaceable(self):
-        with pytest.raises(SearchError, match="built-in"):
-            register_semantics("slca", lambda lists: [], replace=True)
-        with pytest.raises(SearchError, match="built-in"):
-            unregister_semantics("elca")
-
-    def test_duplicate_registration_needs_replace(self):
-        register_semantics("dup-test", lambda lists: [])
-        try:
-            with pytest.raises(SearchError, match="already registered"):
-                register_semantics("dup-test", lambda lists: [])
-            register_semantics("dup-test", lambda lists: [], replace=True)
-        finally:
-            unregister_semantics("dup-test")
-
-    def test_bad_registrations_rejected(self):
-        with pytest.raises(SearchError):
-            register_semantics("", lambda lists: [])
-        with pytest.raises(SearchError):
-            register_semantics("not-callable", None)
-
-    def test_unregister_unknown(self):
-        with pytest.raises(SearchError):
-            unregister_semantics("never-registered")
-
-    def test_replace_invalidates_cached_results(self, small_product_corpus):
-        # Regression: the query cache is keyed by semantics *name*; without
-        # the registration generation in the key, results computed under the
-        # replaced function kept being served for the new one.
-        register_semantics("gen-test", lambda lists: sorted(lists[0]))
-        try:
-            engine = SearchEngine(small_product_corpus, semantics="gen-test")
-            assert len(engine.search("gps")) > 0  # cached under generation 1
-            register_semantics("gen-test", lambda lists: [], replace=True)
-            assert len(engine.search("gps")) == 0  # not the stale cache entry
-        finally:
-            unregister_semantics("gen-test")
-
-    def test_unregister_invalidates_cached_results(self, small_product_corpus):
-        # Unregistering must not leave a ghost semantics answering from the
-        # cache while fresh queries for the same name are rejected.
-        register_semantics("ghost-test", lambda lists: sorted(lists[0]))
-        engine = SearchEngine(small_product_corpus, semantics="ghost-test")
-        assert len(engine.search("gps")) > 0
-        unregister_semantics("ghost-test")
-        with pytest.raises(SearchError, match="unknown result semantics"):
-            engine.search("gps")  # cache miss under the new generation
-
-    def test_engine_resolves_semantics_registered_after_construction(
-        self, small_product_corpus
-    ):
-        # The engine validates the name at construction but resolves through
-        # the registry per query, so it never hard-codes match algorithms.
-        register_semantics("swap-test", lambda lists: [])
-        try:
-            engine = SearchEngine(small_product_corpus, semantics="swap-test", cache_size=0)
-            assert len(engine.search("gps")) == 0
-            register_semantics(
-                "swap-test", lambda lists: sorted(lists[0]), replace=True
-            )
-            assert len(engine.search("gps")) > 0
-        finally:
-            unregister_semantics("swap-test")
+            get_registration("nope")
 
 
 class TestBatchExecution:

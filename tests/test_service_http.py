@@ -273,6 +273,19 @@ class TestStructuredSearch:
         assert code == 400
         assert payload["error"]["type"] == "QueryError"
 
+    def test_axis_tag_without_axis_rejected(self, base_url):
+        code, payload = error_response(
+            lambda: get_json(f"{base_url}/search?q=gps&axis_tag=review")
+        )
+        assert code == 400
+        assert payload["error"]["type"] == "QueryError"
+        assert "axis_tag given without an axis" in payload["error"]["message"]
+        # The lone tag is a constraint for the ETag too: the plain query's
+        # validator must not turn the invalid request into a 304.
+        _, plain_tag, _ = conditional_get(f"{base_url}/search?q=gps")
+        status, _, _ = conditional_get(f"{base_url}/search?q=gps&axis_tag=review", plain_tag)
+        assert status == 400
+
     def test_bad_within_path_rejected(self, base_url):
         code, payload = error_response(
             lambda: get_json(f"{base_url}/search?q=gps&within=a//b")

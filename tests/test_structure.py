@@ -1,12 +1,15 @@
 """Tests for the structural index subsystem.
 
-Three layers of guarantees are pinned here:
+Four layers of guarantees are pinned here:
 
 * **Encoding differentials** — the pre/post interval predicates, window
   scans and LCA of :class:`~repro.structure.encoding.DocumentStructure`
   agree with a brute-force Dewey-label oracle on hypothesis-generated trees.
 * **Semantics differentials** — ``slca_struct`` returns exactly what
   ``slca`` returns on pure keyword queries.
+* **Constraint oracle** — with ``within`` paths and axis steps,
+  ``slca_struct`` matches a tree walk over the scan-oracle SLCAs on
+  hypothesis-generated corpora.
 * **Snapshot battery** — the v2 structural section round-trips (restored,
   not recomputed), files without the section fall back to lazy computation,
   and corrupted sections raise typed errors naming the damaged section.
@@ -21,6 +24,7 @@ from base64 import urlsafe_b64decode, urlsafe_b64encode
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import compute_slca_scan
 from repro.cli import main as cli_main
 from repro.errors import (
     InvalidCursorError,
@@ -32,7 +36,7 @@ from repro.errors import (
 from repro.search.engine import SearchEngine
 from repro.search.query import KeywordQuery
 from repro.search.semantics import MatchContext
-from repro.search.structural import StructuredQuery, compute_slca_struct, parse_tag_path
+from repro.search.structural import AXES, StructuredQuery, compute_slca_struct, parse_tag_path
 from repro.service.cursor import decode_cursor, encode_cursor
 from repro.service.protocol import SearchRequest
 from repro.service.service import SearchService
@@ -398,6 +402,107 @@ class TestConstraints:
 
 
 # --------------------------------------------------------------------------- #
+# Constraint evaluation ≡ a tree-walk oracle on random corpora
+# --------------------------------------------------------------------------- #
+ABSENT_TAG = "warranty"  # never drawn by tag_names
+
+
+@st.composite
+def constrained_cases(draw):
+    """A random corpus, keywords and a ``within`` path from the corpus's own tags.
+
+    Tag names are indexed terms, so the keywords always match.  ``within``
+    is empty, a suffix of a random element's root-to-node tag path, any one
+    or two corpus tags, or a tag that occurs nowhere.  Returns the documents,
+    the keyword text, the path, and the axis tags to try: every corpus tag
+    plus the absent one.
+    """
+    documents = draw(corpus_documents(min_size=1))
+    elements = [node for _, tree in documents for node in tree.iter_elements()]
+    present = sorted({node.tag for node in elements})
+    keywords = draw(st.lists(st.sampled_from(present), min_size=1, max_size=2, unique=True))
+    path = _tag_path(draw(st.sampled_from(elements)))
+    within = draw(
+        st.one_of(
+            st.sampled_from([path[-1:], path[-2:], (), (ABSENT_TAG,)]),
+            st.lists(st.sampled_from(present), min_size=1, max_size=2).map(tuple),
+        )
+    )
+    return documents, " ".join(keywords), within, present + [ABSENT_TAG]
+
+
+def _tag_path(node):
+    tags = []
+    while node is not None:
+        tags.append(node.tag)
+        node = node.parent
+    return tuple(reversed(tags))
+
+
+def _subtree(node):
+    yield node
+    for child in node.children:
+        yield from _subtree(child)
+
+
+def _within_anchor(node, within):
+    """Innermost ancestor-or-self whose root-to-node tag path ends with ``within``."""
+    while node is not None:
+        if _tag_path(node)[-len(within):] == within:
+            return node
+        node = node.parent
+    return None
+
+
+def _axis_step(node, axis, axis_tag):
+    if axis == "self":
+        return [node]
+    if axis == "child":
+        return [child for child in node.children if child.tag == axis_tag]
+    if axis == "descendant":
+        return [
+            descendant
+            for child in node.children
+            for descendant in _subtree(child)
+            if descendant.tag == axis_tag
+        ]
+    ancestor = node.parent  # axis == "ancestor": the nearest proper one
+    while ancestor is not None and ancestor.tag != axis_tag:
+        ancestor = ancestor.parent
+    return [] if ancestor is None else [ancestor]
+
+
+def constraint_oracle(documents, keyword_postings, query):
+    """slca_struct's matches from scan-oracle SLCAs and parent/children/tag walks."""
+    trees = dict(documents)
+    expected = set()
+    for match in compute_slca_scan(keyword_postings):
+        node = trees[match.doc_id].node_at(match.label)
+        if query.within:
+            node = _within_anchor(node, query.within)
+            if node is None:
+                continue
+        for selected in _axis_step(node, query.axis, query.axis_tag):
+            expected.add(Posting(doc_id=match.doc_id, label=selected.label))
+    return sorted(expected)
+
+
+class TestConstraintOracle:
+    @given(case=constrained_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_slca_struct_matches_tree_walk_oracle(self, case):
+        # Every axis with every tag, so each example covers all the steps.
+        documents, text, within, tags = case
+        corpus = build_single(documents)
+        lists = corpus.index.keyword_node_lists(KeywordQuery.parse(text).normalized_keywords)
+        steps = [("self", None)] + [(axis, tag) for axis in AXES[1:] for tag in tags]
+        for axis, axis_tag in steps:
+            query = StructuredQuery.from_parts(text, within=within, axis=axis, axis_tag=axis_tag)
+            matches = compute_slca_struct(lists, MatchContext(corpus=corpus, query=query))
+            assert matches == constraint_oracle(documents, lists, query), (axis, axis_tag)
+
+
+# --------------------------------------------------------------------------- #
 # Service, cursors and the wire protocol
 # --------------------------------------------------------------------------- #
 class TestServiceStructured:
@@ -449,9 +554,26 @@ class TestServiceStructured:
         )
         assert follow_up.offset == 1
 
+    def test_axis_tag_without_axis_rejected(self):
+        # Ignoring a lone axis_tag would answer the unconstrained query.
+        service = SearchService(struct_corpus())
+        with pytest.raises(QueryError, match="axis_tag given without an axis"):
+            service.search(SearchRequest(query="gps", axis_tag="review"))
+        first = service.search(SearchRequest(query="gps", page_size=1))
+        assert first.next_cursor is not None
+        with pytest.raises(InvalidCursorError):
+            service.search(SearchRequest(cursor=first.next_cursor, axis_tag="review"))
+        # The same holds for a token that carries the tag itself.
+        payload = json.loads(urlsafe_b64decode(first.next_cursor.encode("ascii")))
+        forged = urlsafe_b64encode(
+            json.dumps(dict(payload, at="review"), separators=(",", ":")).encode("utf-8")
+        ).decode("ascii")
+        with pytest.raises(InvalidCursorError, match="malformed cursor constraints"):
+            service.search(SearchRequest(cursor=forged))
+
     def test_cursor_round_trip_with_constraints(self):
         token = encode_cursor(
-            ("gps",), "slca_struct", 3, 1, 5, 2,
+            ("gps",), "slca_struct", 3, 1, 5,
             within=("reviews", "review"), axis="ancestor", axis_tag="product",
         )
         cursor = decode_cursor(token)
@@ -461,14 +583,14 @@ class TestServiceStructured:
         assert (cursor.offset, cursor.page_size, cursor.semantics) == (3, 5, "slca_struct")
 
     def test_unconstrained_cursor_keeps_the_old_wire_format(self):
-        token = encode_cursor(("gps",), "slca", 1, 0, 10, 0)
+        token = encode_cursor(("gps",), "slca", 1, 0, 10)
         payload = json.loads(urlsafe_b64decode(token.encode("ascii")))
-        assert set(payload) == {"v", "k", "s", "o", "cv", "ps", "sg"}  # no new keys
+        assert set(payload) == {"v", "k", "s", "o", "cv", "ps"}  # no new keys
         cursor = decode_cursor(token)
         assert cursor.within == () and cursor.axis is None and cursor.axis_tag is None
 
     def test_malformed_constraint_fields_rejected(self):
-        token = encode_cursor(("gps",), "slca", 0, 0, 10, 0)
+        token = encode_cursor(("gps",), "slca", 0, 0, 10)
         payload = json.loads(urlsafe_b64decode(token.encode("ascii")))
         for damage in ({"w": "pros"}, {"w": ["pros", ""]}, {"a": 7}, {"at": ["x"]}):
             broken = dict(payload, **damage)
