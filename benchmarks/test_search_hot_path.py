@@ -12,6 +12,7 @@ would do, and incremental document removal followed by a cold query —
 the case a full index rebuild used to dominate.
 """
 
+import gc
 import time
 
 import pytest
@@ -102,23 +103,30 @@ def test_cached_query(benchmark, imdb_engine):
 
 def test_cold_vs_cached_report(imdb_corpus, report):
     """Register a cold-vs-cached latency table and sanity-check the speedup."""
-    def best_of(call, rounds=5):
-        timings = []
-        for _ in range(rounds):
-            start = time.perf_counter()
-            call()
-            timings.append(time.perf_counter() - start)
-        return min(timings) * 1000
+    def timed_ms(call):
+        start = time.perf_counter()
+        call()
+        return (time.perf_counter() - start) * 1000
 
     rows = []
     for query in HOT_QUERIES:
         cold_engine = SearchEngine(imdb_corpus, cache_size=0)
-        cold_ms = best_of(lambda: cold_engine.search(query))
-
         warm_engine = SearchEngine(imdb_corpus)
         warm_engine.search(query)
-        cached_ms = best_of(lambda: warm_engine.search(query))
-        rows.append((query, cold_ms, cached_ms))
+        cold, cached = [], []
+        # Alternate the two sides in one loop, so host drift hits both alike,
+        # and keep the collector out of the timed calls, as timeit does: this
+        # checks that a hit skips evaluation, not how long GC pauses take.
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for _ in range(15):
+                cold.append(timed_ms(lambda: cold_engine.search(query)))
+                cached.append(timed_ms(lambda: warm_engine.search(query)))
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+        rows.append((query, min(cold), min(cached)))
 
     lines = [f"{'query':<20} {'cold ms':>10} {'cached ms':>10} {'speedup':>8}"]
     for query, cold_ms, cached_ms in rows:
@@ -126,9 +134,9 @@ def test_cold_vs_cached_report(imdb_corpus, report):
         lines.append(f"{query:<20} {cold_ms:>10.2f} {cached_ms:>10.2f} {speedup:>7.1f}x")
     report("Search hot path: cold vs cached query latency", "\n".join(lines))
 
-    # The cached path skips posting lookup, matching, inference and ranking;
-    # in practice it is ~2.5x faster by best-of-5 minimum, so asserting on the
-    # minima both guards the speedup and stays stable against scheduler and GC
-    # noise (a single clean sample per side suffices).
+    # The cached path skips posting lookup, matching, inference and ranking.
+    # Both sides clone every result, so the margin is that evaluation alone;
+    # asserting on the minima of 15 alternated rounds guards it and stays
+    # stable against scheduler noise (one clean sample per side suffices).
     for _, cold_ms, cached_ms in rows:
         assert cached_ms <= cold_ms

@@ -8,25 +8,27 @@ results comes out.  The pipeline is
 2. compute SLCA (or ELCA) match nodes,
 3. infer the return subtree for each match with the XSeek rules,
 4. deduplicate results that map to the same return node,
-5. copy the return subtrees out of the corpus, rank them and assign ids.
+5. rank the results on the documents' own return nodes and assign ids,
+6. copy out the return subtree of each result the caller receives.
 
 Repeated queries are the dominant pattern under real traffic, so the engine
 keeps a small LRU cache of ranked result lists keyed by the normalised query
 (:attr:`~repro.search.query.KeywordQuery.cache_key`) and the result semantics.
-Cache entries are pristine: every ``search`` call returns fresh subtree copies,
-so callers may annotate or prune their results without polluting later hits.
-The cache is invalidated wholesale whenever the corpus
-:attr:`~repro.storage.corpus.Corpus.version` changes.
+A cache entry holds references, not trees: per ranked result the document
+id, the match and return labels, the score and the title.  Every result a
+caller receives is a fresh copy of its subtree — cloned from the node the
+call evaluated on a miss, or from ``corpus.store.get(doc_id)`` on a hit — so
+callers may annotate or prune their results freely, and a page costs subtree
+copies for its own results only.  The cache is invalidated wholesale whenever
+the corpus :attr:`~repro.storage.corpus.Corpus.version` changes.
 
 The cache is bounded two ways: ``cache_size`` caps the number of entries, and
 ``cache_max_results`` caps the *total number of cached results* summed over
-all entries.  The second bound is the one that actually limits memory — each
-cached result pins a full return-subtree copy, and a single broad query can
-produce thousands of them, so an entry count alone would let a handful of
-broad queries hold an unbounded slice of the corpus in memory.  When an
-insertion pushes the total over the budget, least-recently-used entries are
-evicted until it fits; a single result list larger than the whole budget is
-simply not retained.
+all entries, so a handful of broad queries with thousands of results each
+cannot grow the cache without bound.  When an insertion pushes the total over
+the budget, least-recently-used entries are evicted until it fits; a single
+result list larger than the whole budget is simply not retained.  Decoded
+document trees are bounded by the store (a lazy store's LRU), not here.
 
 The engine is safe to share between threads over a read-only corpus: cache
 probes, insertions and the hit/miss counters are lock-guarded, while query
@@ -40,7 +42,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import SearchError
 from repro.search.query import KeywordQuery
@@ -59,6 +61,16 @@ __all__ = ["SearchEngine"]
 _TITLE_TAGS = ("name", "title", "brand_name", "product_name", "label")
 
 
+class _CachedResult(NamedTuple):
+    """A cached ranked result: where its subtree lives, not a copy of it."""
+
+    doc_id: str
+    match_label: DeweyLabel
+    return_label: DeweyLabel
+    score: float
+    title: str
+
+
 class SearchEngine:
     """Keyword search over a :class:`~repro.storage.corpus.Corpus`.
 
@@ -73,10 +85,11 @@ class SearchEngine:
         Maximum number of distinct queries whose ranked results are kept in
         the LRU cache; ``0`` disables caching entirely.
     cache_max_results:
-        Maximum *total* number of cached results summed across all entries —
-        the memory bound, since every cached result holds a subtree copy.
-        ``None`` leaves only the entry-count bound.  A single result list
-        exceeding the whole budget is not cached at all.
+        Maximum *total* number of cached results summed across all entries,
+        so a few broad queries cannot grow the cache without bound.  A cached
+        result is a small reference (document id, labels, score, title), not
+        a subtree.  ``None`` leaves only the entry-count bound.  A single
+        result list exceeding the whole budget is not cached at all.
     """
 
     def __init__(
@@ -91,7 +104,7 @@ class SearchEngine:
         self.semantics = semantics
         self.cache_size = cache_size
         self.cache_max_results = cache_max_results
-        self._cache: "OrderedDict[Tuple[Tuple[str, ...], str], List[SearchResult]]" = OrderedDict()
+        self._cache: "OrderedDict[Tuple[Tuple[str, ...], str], List[_CachedResult]]" = OrderedDict()
         self._cached_results_total = 0
         self._cache_version = getattr(corpus, "version", None)
         self.cache_hits = 0
@@ -141,9 +154,9 @@ class SearchEngine:
         Returns ``(total, page)`` where ``total`` is the full ranked result
         count and ``page`` holds the results at ranks ``offset+1`` to
         ``offset+count`` with their rank-stable ids (``"R{rank}"``).  Only
-        the window is subtree-cloned — the service layer's pagination stays
-        O(page size) per request even when the ranked list is huge, instead
-        of paying a defensive copy of every cached result per page.
+        the window is subtree-cloned, so the service layer's pagination and
+        top-``k`` compares stay O(page size) per request even when the
+        ranked list is huge.
 
         Raises
         ------
@@ -163,12 +176,13 @@ class SearchEngine:
         self, query: KeywordQuery, offset: int, count: Optional[int]
     ) -> Tuple[int, List[SearchResult]]:
         """Clone-and-id the ranked results at ``[offset, offset+count)``."""
-        ranked, shared = self._ranked_results(query)
+        ranked = self._ranked_results(query)
         selected = ranked[offset:] if count is None else ranked[offset : offset + count]
         results: List[SearchResult] = []
-        for position, result in enumerate(selected, start=offset + 1):
-            if shared:
-                result = self._clone_result(result)
+        for position, entry in enumerate(selected, start=offset + 1):
+            if isinstance(entry, _CachedResult):
+                entry = self._resolve(entry)
+            result = self._clone_result(entry)
             result.result_id = f"R{position}"
             results.append(result)
         return len(ranked), results
@@ -185,7 +199,7 @@ class SearchEngine:
         The hit/miss counters were always maintained but never exposed; the
         service layer's ``/stats`` endpoint and the ``serve`` logs read them
         through this accessor.  Keys: ``entries`` (cached queries),
-        ``cached_results`` (total results pinned, the ``cache_max_results``
+        ``cached_results`` (total results cached, the ``cache_max_results``
         bound), ``hits`` and ``misses`` (lifetime counters, reset never —
         compute rates over deltas).
         """
@@ -200,19 +214,18 @@ class SearchEngine:
     # ------------------------------------------------------------------ #
     # Caching
     # ------------------------------------------------------------------ #
-    def _ranked_results(self, query: KeywordQuery) -> Tuple[List[SearchResult], bool]:
-        """Return the full ranked result list and whether it is cache-shared.
+    def _ranked_results(
+        self, query: KeywordQuery
+    ) -> Sequence[Union[SearchResult, _CachedResult]]:
+        """Return the full ranked result list.
 
-        Cache-shared lists must not be handed to callers directly — ``search``
-        clones each selected result so cached subtrees stay pristine.  A miss
-        therefore pays one extra subtree copy over an uncached engine; that is
-        deliberate: handing out the originals and cloning into the cache
-        instead would copy the *full* ranked list even for small ``limit``
-        requests, and lending cached entries out uncloned would let caller
-        mutations poison later hits.
+        On a miss (or with caching disabled) this is the list the call just
+        evaluated, whose subtrees are the documents' own return nodes; on a
+        hit it is the cached references.  Neither may reach a caller:
+        ``_materialise_page`` clones the subtree of each selected result.
         """
         if self.cache_size <= 0:
-            return self._evaluate(query), False
+            return self._evaluate(query)
 
         key = (query.cache_key, self.semantics)
         with self._lock:
@@ -224,7 +237,7 @@ class SearchEngine:
             if cached is not None:
                 self._cache.move_to_end(key)
                 self.cache_hits += 1
-                return cached, True
+                return cached
             self.cache_misses += 1
 
         # Evaluate outside the lock: the corpus is shared read-only, so
@@ -242,11 +255,14 @@ class SearchEngine:
                 # shared _cache_version may already have been re-synced to the
                 # new corpus version by another thread's probe, which would
                 # let this stale list masquerade as current.
-                return ranked, False
+                return ranked
             displaced = self._cache.pop(key, None)
             if displaced is not None:
                 self._cached_results_total -= len(displaced)
-            self._cache[key] = ranked
+            self._cache[key] = [
+                _CachedResult(r.doc_id, r.match_label, r.return_label, r.score, r.title)
+                for r in ranked
+            ]
             self._cached_results_total += len(ranked)
             while self._cache and (
                 len(self._cache) > self.cache_size
@@ -260,15 +276,27 @@ class SearchEngine:
                 # retained.
                 _, evicted = self._cache.popitem(last=False)
                 self._cached_results_total -= len(evicted)
-            # If the new list itself was evicted (oversized), nothing aliases
-            # it: hand it out unshared so search() skips the defensive clones.
-            return ranked, key in self._cache
+            return ranked
+
+    def _resolve(self, cached: _CachedResult) -> SearchResult:
+        """Rebuild a cached result over its document's own return node."""
+        node = self.corpus.store.get(cached.doc_id).node_at(cached.return_label)
+        return SearchResult(
+            result_id="",
+            doc_id=cached.doc_id,
+            match_label=cached.match_label,
+            return_label=cached.return_label,
+            subtree=node,
+            score=cached.score,
+            title=cached.title,
+        )
 
     @staticmethod
     def _clone_result(result: SearchResult) -> SearchResult:
-        # dataclasses.replace keeps the clone in sync with future SearchResult
-        # fields; only the id (reassigned per result set) and the subtree
-        # (must be a fresh mutable copy) diverge from the cached original.
+        # The one clone point for served results.  dataclasses.replace keeps
+        # the clone in sync with future SearchResult fields; only the id
+        # (assigned per page) and the subtree (a fresh, detached copy of the
+        # document's node) diverge from the ranked original.
         return replace(result, result_id="", subtree=result.subtree.copy())
 
     # ------------------------------------------------------------------ #
@@ -318,7 +346,9 @@ class SearchEngine:
         return registration.fn(posting_lists)
 
     def _materialise_results(self, matches: List[Posting]) -> List[SearchResult]:
-        seen_return_nodes: Dict[Tuple[str, DeweyLabel], SearchResult] = {}
+        # The candidates hold the documents' own return nodes, not copies:
+        # they never leave the engine, and ranking only reads them.
+        seen_return_nodes: Set[Tuple[str, DeweyLabel]] = set()
         results: List[SearchResult] = []
         for match in matches:
             document = self.corpus.store.get(match.doc_id)
@@ -327,19 +357,17 @@ class SearchEngine:
             key = (match.doc_id, return_node.label)
             if key in seen_return_nodes:
                 continue
-            # copy() already returns a detached clone labelled from the root,
-            # so no relabel pass is needed.
-            subtree = return_node.copy()
-            result = SearchResult(
-                result_id="",
-                doc_id=match.doc_id,
-                match_label=match.label,
-                return_label=return_node.label,
-                subtree=subtree,
-                title=self._result_title(subtree, match.doc_id),
+            seen_return_nodes.add(key)
+            results.append(
+                SearchResult(
+                    result_id="",
+                    doc_id=match.doc_id,
+                    match_label=match.label,
+                    return_label=return_node.label,
+                    subtree=return_node,
+                    title=self._result_title(return_node, match.doc_id),
+                )
             )
-            seen_return_nodes[key] = result
-            results.append(result)
         return results
 
     @staticmethod

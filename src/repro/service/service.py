@@ -28,6 +28,7 @@ same object:
 
 from __future__ import annotations
 
+import re
 import threading
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -42,6 +43,7 @@ from repro.errors import (
     QueryError,
     ReadOnlyServiceError,
     ReproError,
+    SearchError,
     ServiceError,
 )
 from repro.features.extractor import FeatureExtractor
@@ -77,6 +79,16 @@ DEFAULT_PAGE_SIZE = 10
 # Shared with the CLI `serve` command, which widens its service's ceiling
 # when the operator configures a larger default page size.
 DEFAULT_MAX_PAGE_SIZE = 100
+
+# A result id names a rank: "R" and the rank without leading zeros.  Eighteen
+# digits exceed any result count, and keep int() far from its digit limit.
+_RESULT_ID = re.compile(r"R([1-9][0-9]{0,17})")
+
+
+def _rank_of(result_id: str) -> int:
+    """The rank a result id names, or 0 when it names none."""
+    match = _RESULT_ID.fullmatch(result_id)
+    return int(match.group(1)) if match else 0
 
 
 class _Generation:
@@ -272,23 +284,11 @@ class SearchService:
         limit: Optional[int] = None,
     ) -> SearchResultSet:
         """Evaluate a query and return the rich, in-process result set."""
+        # The counters mean *requests served*, not evaluations: internal
+        # searches (the search stage of a compare, batch memo fills) go to
+        # the engine directly and do not count.
         with self._lock:
             self._search_count += 1
-        return self._evaluate_results(query, semantics=semantics, limit=limit)
-
-    def _evaluate_results(
-        self,
-        query: "str | KeywordQuery",
-        semantics: str = "slca",
-        limit: Optional[int] = None,
-    ) -> SearchResultSet:
-        """Engine evaluation without touching the request counters.
-
-        The counters mean *requests served*, not evaluations: internal
-        searches (the search stage of a compare, batch memo fills) must not
-        inflate them, so every public entry point counts itself exactly once
-        and routes here.
-        """
         return self.engine_for(semantics).search(query, limit=limit)
 
     def compare_selected(
@@ -382,30 +382,36 @@ class SearchService:
         semantics: str = "slca",
     ):
         """Convenience: search and compare the top ``top`` results."""
-        result_set = self._evaluate_results(query, semantics=semantics)
-        ids = self._top_ids(result_set, top, query)
         return self.compare_selected(
-            result_set, result_ids=ids, size_limit=size_limit, algorithm=algorithm
+            self._top_results(query, semantics, top),
+            size_limit=size_limit,
+            algorithm=algorithm,
         )
 
-    @staticmethod
-    def _top_ids(
-        result_set: SearchResultSet, top: int, query: "str | KeywordQuery"
-    ) -> List[str]:
-        """Ids of the top-``top`` results, the default checkbox selection.
+    def _top_results(
+        self, query: "str | KeywordQuery", semantics: str, top: int
+    ) -> SearchResultSet:
+        """The top-``top`` results, the default checkbox selection.
+
+        Only these results are cloned, however many the query ranks.  Shared
+        by the rich and the wire compare paths so both report identically.
 
         Raises
         ------
         ComparisonError
-            When the query produced fewer than two results — shared by the
-            rich and the wire compare paths so both report identically.
+            When the query produced fewer than two results (checked first).
+        SearchError
+            When ``top`` is negative.
         """
-        if len(result_set) < 2:
+        total, page = self.engine_for(semantics).search_page(query, 0, max(top, 0))
+        if total < 2:
             raise ComparisonError(
-                f"query {str(query)!r} returned {len(result_set)} result(s); "
+                f"query {str(query)!r} returned {total} result(s); "
                 f"need at least two to compare"
             )
-        return [result.result_id for result in result_set.top(top)]
+        if top < 0:
+            raise SearchError(f"top() count must be non-negative, got {top}")
+        return page
 
     # ------------------------------------------------------------------ #
     # Protocol API (wire callers: the HTTP front-end)
@@ -641,25 +647,27 @@ class SearchService:
 
     def compare(self, request: CompareRequest) -> CompareResponse:
         """Serve one comparison request and return the table as plain data."""
-        result_set = self._evaluate_results(request.query, semantics=request.semantics)
         if request.result_ids is not None:
+            # Only the ranks up to the highest selected one are cloned; an id
+            # that names no rank ("R01", "R0", "x") selects nothing.
+            count = max((_rank_of(result_id) for result_id in request.result_ids), default=0)
+            engine = self.engine_for(request.semantics)
+            _, page = engine.search_page(request.query, 0, count)
             try:
-                selected = result_set.select(request.result_ids)
+                selected = page.select(request.result_ids)
             except KeyError as exc:
                 # On the wire an unknown checkbox id is a client error.  Only
                 # the id lookup is mapped — a KeyError out of the comparison
                 # pipeline itself would be a server bug and must surface as
                 # one.
                 raise ComparisonError(f"unknown result id: {exc.args[0]!r}") from exc
-            # Hand the pre-selected subset on (result_ids=None keeps set
+            # Hand the pre-selected subset on (compare_selected keeps set
             # order) so the ids are resolved exactly once.
-            result_set = SearchResultSet(query=result_set.query, results=selected)
-            ids = None
+            result_set = SearchResultSet(query=page.query, results=selected)
         else:
-            ids = self._top_ids(result_set, request.top, request.query)
+            result_set = self._top_results(request.query, request.semantics, request.top)
         outcome = self.compare_selected(
             result_set,
-            result_ids=ids,
             size_limit=request.size_limit,
             algorithm=request.algorithm,
         )

@@ -269,21 +269,30 @@ class XMLNode:
         from its already-copied parent), avoiding the repeated subtree
         relabelling that per-child :meth:`append_child` calls would cost.
         """
-        clone = XMLNode(tag=self.tag, text=self.text, attributes=dict(self.attributes), kind=self.kind)
+        clone = self._shallow_clone(None, DeweyLabel.root())
         stack = [(self, clone)]
         while stack:
             source, target = stack.pop()
+            label = target.label
             for offset, child in enumerate(source.children):
-                child_clone = XMLNode(
-                    tag=child.tag,
-                    text=child.text,
-                    attributes=dict(child.attributes),
-                    kind=child.kind,
-                )
-                child_clone.parent = target
-                child_clone.label = target.label.child(offset)
+                child_clone = child._shallow_clone(target, label.child(offset))
                 target.children.append(child_clone)
-                stack.append((child, child_clone))
+                if child.children:
+                    stack.append((child, child_clone))
+        return clone
+
+    def _shallow_clone(self, parent: Optional["XMLNode"], label: DeweyLabel) -> "XMLNode":
+        # A childless copy of a node that is already valid, so it skips
+        # __init__'s kind checks and second attribute-dict copy, which would
+        # double the cost of cloning every served search result.
+        clone = XMLNode.__new__(XMLNode)
+        clone.tag = self.tag
+        clone.text = self.text
+        clone.attributes = dict(self.attributes)
+        clone.kind = self.kind
+        clone.parent = parent
+        clone.children = []
+        clone.label = label
         return clone
 
     def size(self) -> int:
@@ -292,7 +301,16 @@ class XMLNode:
 
     def count_elements(self) -> int:
         """Number of element nodes in this subtree."""
-        return sum(1 for _ in self.iter_elements())
+        # One stack loop without generators: ranking calls this for every
+        # ranked result, so it is on the cold-query hot path.
+        count = 0
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if node.kind is NodeKind.ELEMENT:
+                count += 1
+            stack.extend(node.children)
+        return count
 
     def prune(self, keep: Callable[["XMLNode"], bool]) -> Optional["XMLNode"]:
         """Return a copy of the subtree keeping only nodes on paths to kept nodes.

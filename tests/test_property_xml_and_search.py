@@ -113,7 +113,10 @@ class TestXmlRoundTripProperties:
     @settings(max_examples=50, deadline=None)
     @given(xml_trees())
     def test_element_count_matches_walk(self, tree):
-        assert tree.count_elements() == sum(1 for node in tree.walk() if node.is_element)
+        for subtree in tree.walk():
+            assert subtree.count_elements() == sum(
+                1 for node in subtree.walk() if node.is_element
+            )
 
 
 # --------------------------------------------------------------------------- #

@@ -1,5 +1,7 @@
 """Unit and integration tests for return-node inference, ranking and the engine."""
 
+import gc
+
 import pytest
 
 from repro.errors import SearchError
@@ -12,7 +14,9 @@ from repro.storage.corpus import Corpus
 from repro.storage.document_store import DocumentStore
 from repro.storage.statistics import CorpusStatistics
 from repro.xmlmodel.dewey import DeweyLabel
+from repro.xmlmodel.node import XMLNode
 from repro.xmlmodel.parser import parse_xml
+from repro.xmlmodel.serializer import serialize
 
 
 PRODUCT_XML = (
@@ -405,6 +409,41 @@ class TestSearchEngineCache:
         engine.search("gps")
         engine.search("gps")
         assert engine.cache_hits == 1
+
+    def test_cache_pins_no_subtree_copies(self):
+        # Cache entries are references into the corpus: once the served
+        # result sets are dropped, no copied tree node stays alive.
+        engine = SearchEngine(product_corpus())
+
+        def live_nodes():
+            gc.collect()
+            return sum(1 for obj in gc.get_objects() if isinstance(obj, XMLNode))
+
+        before = live_nodes()
+        for query in ("gps", "tomtom", "garmin", "review", "compact"):
+            assert len(engine.search(query)) >= 1
+        assert engine.cache_stats()["entries"] == 5
+        assert live_nodes() == before
+
+    def test_hit_after_eviction_serves_the_same_page(self, small_product_corpus, tmp_path):
+        # A hit re-reads its documents from the store; with a one-document
+        # LRU they were evicted since the miss, and the page must not change.
+        path = tmp_path / "products.snap"
+        small_product_corpus.save(path)
+        engine = SearchEngine(Corpus.load(path, max_materialised=1))
+
+        def page():
+            _, results = engine.search_page("gps", 0, 5)
+            return [
+                (r.doc_id, r.return_label, r.score, r.title, serialize(r.subtree))
+                for r in results
+            ]
+
+        first = page()
+        second = page()
+        assert engine.cache_hits == 1
+        assert len(first) > 1
+        assert second == first
 
 
 class TestSearchOnGeneratedCorpus:

@@ -14,6 +14,7 @@ import pytest
 
 from repro.errors import (
     ComparisonError,
+    DFSConstructionError,
     InvalidCursorError,
     SearchError,
     ServiceError,
@@ -375,6 +376,56 @@ class TestCompareProtocol:
     def test_compare_too_few_results(self, service):
         with pytest.raises(ComparisonError):
             service.compare(CompareRequest(query="gps", top=1))
+
+    @pytest.mark.parametrize(
+        "selection, error, message",
+        [
+            ({"top": -1}, SearchError, "top() count must be non-negative, got -1"),
+            ({"top": 0}, ComparisonError, "select at least two results to compare"),
+            ({"top": 1}, ComparisonError, "select at least two results to compare"),
+            ({"result_ids": ()}, ComparisonError, "select at least two results to compare"),
+            (
+                {"result_ids": ("R1", "R1")},
+                DFSConstructionError,
+                "duplicate result ids: ['R1', 'R1']",
+            ),
+            (
+                {"result_ids": ("R01", "R2")},
+                ComparisonError,
+                "unknown result id: \"no result with id 'R01'\"",
+            ),
+            (
+                {"result_ids": ("R0", "R1")},
+                ComparisonError,
+                "unknown result id: \"no result with id 'R0'\"",
+            ),
+            (
+                {"result_ids": ("R2", "R999")},
+                ComparisonError,
+                "unknown result id: \"no result with id 'R999'\"",
+            ),
+        ],
+    )
+    def test_compare_rejects_bad_selections(self, service, selection, error, message):
+        with pytest.raises(error) as raised:
+            service.compare(CompareRequest(query="gps", **selection))
+        assert type(raised.value) is error
+        assert str(raised.value) == message
+
+    def test_compare_clones_only_its_top(self, small_product_corpus, monkeypatch):
+        # "gps" ranks three results; comparing the top two clones two.
+        service = SearchService(small_product_corpus)
+        clones = []
+        original = SearchEngine._clone_result
+
+        def counting_clone(result):
+            clones.append(result)
+            return original(result)
+
+        monkeypatch.setattr(SearchEngine, "_clone_result", staticmethod(counting_clone))
+        response = service.compare(CompareRequest(query="gps", top=2))
+        assert response.column_ids == ("R1", "R2")
+        assert len(clones) == 2
 
     def test_size_limit_above_row_count_matches_row_count(self, service):
         # The multi-swap DP is sized by the rows the results have, not by the
