@@ -248,7 +248,8 @@ def _add_corpus_arguments(parser: argparse.ArgumentParser) -> None:
         "command); documents are decoded lazily on first access",
     )
     # Outside the exclusive group: it tunes --snapshot rather than competing
-    # with it, and is simply ignored for the other (always-eager) sources.
+    # with it, and is simply ignored for the other sources, whose documents
+    # are all resident.
     parser.add_argument(
         "--max-materialised",
         type=_non_negative_int,

@@ -92,9 +92,9 @@ class DocumentNotFoundError(StorageError):
 class DuplicateDocumentError(StorageError):
     """Raised when adding a document whose id is already present.
 
-    Every writable backend (eager store, lazy store) raises this subclass so
-    the service layer can map duplicates to a single HTTP 409 regardless of
-    which store backs the service.  Remains a
+    The document store raises this subclass, whether the existing document
+    is resident or a snapshot record, so the service layer can map
+    duplicates to a single HTTP 409.  Remains a
     :class:`StorageError` for callers that catch the broad class.
     """
 

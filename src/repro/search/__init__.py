@@ -26,7 +26,7 @@ scratch:
 from repro.search.elca import compute_elca
 from repro.search.engine import SearchEngine
 from repro.search.query import KeywordQuery
-from repro.search.ranking import rank_results, tf_idf_score
+from repro.search.ranking import rank_results
 from repro.search.result import SearchResult, SearchResultSet
 from repro.search.semantics import available_semantics
 from repro.search.slca import compute_slca
@@ -45,6 +45,5 @@ __all__ = [
     "SearchResultSet",
     "SearchEngine",
     "rank_results",
-    "tf_idf_score",
     "available_semantics",
 ]

@@ -28,7 +28,7 @@ all entries, so a handful of broad queries with thousands of results each
 cannot grow the cache without bound.  When an insertion pushes the total over
 the budget, least-recently-used entries are evicted until it fits; a single
 result list larger than the whole budget is simply not retained.  Decoded
-document trees are bounded by the store (a lazy store's LRU), not here.
+document trees are bounded by the store's LRU, not here.
 
 The engine is safe to share between threads over a read-only corpus: cache
 probes, insertions and the hit/miss counters are lock-guarded, while query
@@ -307,7 +307,7 @@ class SearchEngine:
         results = self._materialise_results(matches)
         # Index-assisted scoring: posting spans already know where every
         # keyword occurs, so ranking never re-tokenises result subtrees (nor
-        # forces a lazy store to materialise anything beyond the results).
+        # forces the store to decode anything beyond the results).
         return rank_results(results, query, self.corpus.statistics, index=self.corpus.index)
 
     def _compute_matches(self, query: KeywordQuery) -> List[Posting]:

@@ -9,41 +9,27 @@ alone.
 
 The per-query work is resolved once, up front: :func:`query_idf_weights` turns
 the normalised keywords into a keyword→idf table (one statistics lookup per
-keyword per *query*, not per result), and the per-result pass counts keyword
-occurrences inside the result subtree.  Two counting strategies exist:
-
-* **Index-assisted** (:func:`rank_results` with an ``index``): term frequency
-  is the number of the keyword's posting nodes — read from the inverted
-  index's per-document offset map, one slice per (keyword, document) — that
-  fall inside the returned subtree (descendant-or-self of the return label).
-  No node text is re-tokenised, and nothing beyond the already-materialised
-  result subtree is touched, which keeps scoring from faulting in unrelated
-  documents on a lazily-loaded corpus.
-* **Tokenising fallback** (no ``index``, and :func:`tf_idf_score`): node
-  texts are tokenised by one batch
-  :func:`~repro.storage.tokenizer.tokenize_many` pass per node and non-query
-  tokens are discarded by a set probe.  This is the only option for detached
-  subtrees that no index covers.
-
-The strategies agree on which results score zero versus non-zero, but may
-differ on multiplicity within a single node (the index posts a node once per
-term, however often the term repeats in that node's texts), so scores are
-comparable *within* one strategy, not across the two.
+keyword per *query*, not per result).  A keyword's term frequency in a result
+is the number of its posting nodes — read from the inverted index's
+per-document offset map, one slice per (keyword, document) — that fall inside
+the returned subtree (descendant-or-self of the return label).  A node posts
+once per term however often the term repeats in its texts, so that is the
+multiplicity scored.  No node text is re-tokenised, and nothing beyond the
+already-decoded result subtree is touched, which keeps scoring from decoding
+unrelated documents of a snapshot-loaded corpus.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.search.query import KeywordQuery
 from repro.search.result import SearchResult
 from repro.storage.inverted_index import InvertedIndex
 from repro.storage.statistics import CorpusStatistics
-from repro.storage.tokenizer import tokenize_many
-from repro.xmlmodel.node import XMLNode
 
-__all__ = ["query_idf_weights", "tf_idf_score", "rank_results"]
+__all__ = ["query_idf_weights", "rank_results"]
 
 
 def query_idf_weights(
@@ -63,59 +49,6 @@ def query_idf_weights(
             math.log((document_count + 1) / (document_frequency + 1)) + 1.0
         )
     return weights
-
-
-def _query_term_frequencies(subtree: XMLNode, wanted: Dict[str, float]) -> Dict[str, int]:
-    """Count query-keyword occurrences the same way the inverted index posts them.
-
-    Tag names, direct text *and* attribute values all contribute — the index
-    (:meth:`~repro.storage.inverted_index.InvertedIndex._node_term_ids`)
-    matches on all three, so a result matched only via an attribute value must
-    still score a non-zero term frequency here.  Only tokens present in
-    ``wanted`` (the query keywords) are counted.
-    """
-    counts: Dict[str, int] = {}
-    for node in subtree.iter_elements():
-        texts = [node.tag or ""]
-        direct = node.direct_text()
-        if direct:
-            texts.append(direct)
-        if node.attributes:
-            texts.extend(node.attributes.values())
-        for token in tokenize_many(texts):
-            if token in wanted:
-                counts[token] = counts.get(token, 0) + 1
-    return counts
-
-
-def _score_subtree(subtree: XMLNode, weights: Dict[str, float]) -> float:
-    """Score one subtree against precomputed keyword idf weights."""
-    frequencies = _query_term_frequencies(subtree, weights)
-    score = 0.0
-    for keyword, idf in weights.items():
-        term_frequency = frequencies.get(keyword, 0)
-        if term_frequency == 0:
-            continue
-        score += (1.0 + math.log(term_frequency)) * idf
-    normaliser = math.log(2 + subtree.count_elements())
-    return score / normaliser if normaliser else score
-
-
-def tf_idf_score(
-    subtree: XMLNode,
-    query: KeywordQuery,
-    statistics: CorpusStatistics,
-) -> float:
-    """Score a result subtree against a query.
-
-    ``tf`` is the keyword count inside the subtree (log-dampened), ``idf`` is
-    computed from document frequencies in the corpus statistics, and the final
-    sum is divided by ``log(2 + subtree element count)`` to normalise for size.
-    Scores are computed over the normalised keyword view so that spelling
-    variants of the same query (and directly-constructed un-tokenised queries)
-    evaluate identically — the engine's cache relies on this.
-    """
-    return _score_subtree(subtree, query_idf_weights(query, statistics))
 
 
 def _score_from_postings(
@@ -146,22 +79,17 @@ def rank_results(
     results: Sequence[SearchResult],
     query: KeywordQuery,
     statistics: CorpusStatistics,
-    index: Optional[InvertedIndex] = None,
+    index: InvertedIndex,
 ) -> List[SearchResult]:
     """Assign scores and return the results sorted by descending score.
 
-    With ``index`` given (the corpus's inverted index — what the engine
-    passes), term frequencies come from posting spans instead of re-tokenising
-    every result subtree.  Without it, the tokenising fallback runs.  Ties are
-    broken by (document id, match label) so the ordering is total and
-    deterministic across runs.
+    Term frequencies come from ``index``'s posting spans (the corpus's
+    inverted index).  Ties are broken by (document id, match label) so the
+    ordering is total and deterministic across runs.
     """
     weights = query_idf_weights(query, statistics)
     for result in results:
-        if index is not None:
-            result.score = _score_from_postings(result, weights, index)
-        else:
-            result.score = _score_subtree(result.subtree, weights)
+        result.score = _score_from_postings(result, weights, index)
     return sorted(
         results,
         key=lambda result: (-result.score, result.doc_id, result.match_label),

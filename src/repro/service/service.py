@@ -958,9 +958,9 @@ class SearchService:
 
         Includes the per-engine cache statistics (the engine's hit/miss
         counters used to be maintained but never exposed) plus an aggregate
-        over all semantics, and the document-store backend counters — for a
-        lazily-loaded corpus those are the materialised/evicted/decoded
-        figures operators watch to size ``max_materialised``.
+        over all semantics, and the document-store counters — for a
+        snapshot-loaded corpus the materialised/evicted/decoded figures are
+        what operators watch to size ``max_materialised``.
         """
         generation = self._generation
         with self._lock:

@@ -3,8 +3,9 @@
 XSACT sits on top of a keyword search engine for structured data (XSeek in the
 paper).  That engine needs three storage-level services, all provided here:
 
-* :class:`~repro.storage.document_store.DocumentStore` — an in-memory corpus of
-  XML documents addressable by id, with optional persistence to a directory of
+* :class:`~repro.storage.document_store.DocumentStore` — the corpus of XML
+  documents addressable by id: resident trees, or snapshot records decoded on
+  demand into a bounded LRU, with optional persistence to a directory of
   ``.xml`` files.
 * :class:`~repro.storage.inverted_index.InvertedIndex` — keyword → posting-list
   index, where each posting identifies a node by ``(document id, Dewey label)``;
@@ -21,13 +22,13 @@ paper).  That engine needs three storage-level services, all provided here:
   re-tokenising the corpus; see :meth:`Corpus.save` / :meth:`Corpus.load`.
 """
 
-from repro.storage.document_store import BaseDocumentStore, DocumentStore, StoredDocument
-from repro.storage.inverted_index import InvertedIndex, Posting
-from repro.storage.lazy_store import (
+from repro.storage.document_store import (
     DEFAULT_MAX_MATERIALISED,
     DocumentRecord,
-    LazyDocumentStore,
+    DocumentStore,
+    StoredDocument,
 )
+from repro.storage.inverted_index import InvertedIndex, Posting
 from repro.storage.snapshot import FORMAT_VERSION, SnapshotHeader, read_snapshot_header
 from repro.storage.statistics import CorpusStatistics, PathSummary
 from repro.storage.term_dictionary import TermDictionary
@@ -36,9 +37,7 @@ from repro.storage.tokenizer import STOPWORDS, tokenize, tokenize_many
 from repro.storage.corpus import Corpus
 
 __all__ = [
-    "BaseDocumentStore",
     "DocumentStore",
-    "LazyDocumentStore",
     "DocumentRecord",
     "DEFAULT_MAX_MATERIALISED",
     "StoredDocument",

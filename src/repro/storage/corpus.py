@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Dict, Optional, Union
 
 from repro.errors import StorageError
-from repro.storage.document_store import BaseDocumentStore, DocumentStore
+from repro.storage.document_store import DocumentStore
 from repro.storage.inverted_index import InvertedIndex
 from repro.storage.statistics import CorpusStatistics
 from repro.storage.term_dictionary import TermDictionary
@@ -37,7 +37,7 @@ __all__ = ["Corpus"]
 class Corpus:
     """A document store together with its inverted index and statistics."""
 
-    def __init__(self, store: BaseDocumentStore, name: str = "corpus"):
+    def __init__(self, store: DocumentStore, name: str = "corpus"):
         self.name = name
         self.store = store
         self.dictionary = TermDictionary()
@@ -73,7 +73,7 @@ class Corpus:
     def _restore(
         cls,
         *,
-        store: BaseDocumentStore,
+        store: DocumentStore,
         dictionary: TermDictionary,
         index: InvertedIndex,
         statistics: CorpusStatistics,
@@ -107,7 +107,7 @@ class Corpus:
         See :mod:`repro.storage.snapshot` for the layout.  ``compress``
         zlib-deflates individual document records.  The snapshot records
         :attr:`version`, so a later :meth:`load` can reject the file when the
-        corpus was mutated after the save.  Saving a lazily-loaded corpus
+        corpus was mutated after the save.  Saving a loaded corpus
         streams documents record-by-record without materialising them all.
         """
         from repro.storage.snapshot import save_corpus
@@ -120,25 +120,20 @@ class Corpus:
         path: Union[str, Path],
         *,
         expected_version: Optional[int] = None,
-        eager: bool = False,
         max_materialised: Optional[int] = None,
     ) -> "Corpus":
         """Reconstruct a corpus from a snapshot without re-tokenising anything.
 
         The loaded corpus is equivalent to a fresh build over the same
         documents (same postings, document frequencies, path summaries and
-        ranked query results).  By default it attaches a
-        :class:`~repro.storage.lazy_store.LazyDocumentStore` that keeps
-        trees in the ``mmap``-ed record section until first access (bounded
-        by ``max_materialised``; ``0`` disables eviction); ``eager=True``
-        materialises every tree up front.
+        ranked query results).  Its store keeps trees in the ``mmap``-ed
+        record section until first access, decoding them into an LRU bounded
+        by ``max_materialised`` (``0`` disables eviction).
 
-        A lazily-loaded corpus supports every mutation: added documents live
-        in a resident overlay, and documents whose trees must be edited in
-        place are pinned first via
-        :meth:`~repro.storage.lazy_store.LazyDocumentStore.promote`
-        (copy-on-write — the mmap'd record is immutable, so an unpromoted
-        edit would be silently undone by LRU eviction and re-decode).
+        A loaded corpus supports every mutation: added documents are
+        resident, and removed records are dropped.  The record section is
+        immutable, so an in-place edit of a decoded tree is undone when the
+        LRU evicts it; replace the document instead.
 
         Raises
         ------
@@ -154,10 +149,7 @@ class Corpus:
         from repro.storage.snapshot import load_corpus
 
         return load_corpus(
-            path,
-            expected_version=expected_version,
-            eager=eager,
-            max_materialised=max_materialised,
+            path, expected_version=expected_version, max_materialised=max_materialised
         )
 
     def begin_generation(self) -> "Corpus":

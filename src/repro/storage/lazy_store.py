@@ -1,414 +1,10 @@
-"""Lazy, record-backed document store with bounded materialisation.
+"""The name ``bench/tracing.py`` wraps the store's ``get`` under.
 
-The eager :class:`~repro.storage.document_store.DocumentStore` keeps every
-document tree resident, so cold start and RSS scale with corpus size — the
-bound the ROADMAP's million-document goal cannot live with.  This backend
-inverts the residency default: documents exist as *records* (offset-addressed
-byte ranges inside a snapshot's ``mmap``-ed record section, see
-:mod:`repro.storage.snapshot`), and a tree is only decoded — *materialised* —
-when somebody asks for it through :meth:`get`.
-
-Materialised documents are held in a bounded LRU (``max_materialised``
-entries), so the hot set of a query workload stays decoded while the long
-tail keeps costing nothing but its directory entry.  Eviction drops the tree;
-a later access decodes it again from the same record, producing an
-equal-by-value tree (decoding is deterministic).
-
-The store itself is format-agnostic: the snapshot layer injects a ``loader``
-callable that turns a :class:`DocumentRecord` into a root node (slicing the
-mmap, verifying the record checksum, optionally inflating zlib) and a
-``closer`` that releases the mapping.  Nothing here knows about byte layouts.
-
-Mutation and copy-on-write promotion
-------------------------------------
-The record section is immutable — mutations never write through to it.
-
-* :meth:`add` places new documents in a *resident overlay*: they have no
-  backing record, are never evicted, and shadow nothing.
-* :meth:`remove` materialises the document one last time (callers need the
-  tree to subtract statistics), then drops its record: the disk bytes become
-  unreachable.
-* :meth:`promote` is the copy-on-write step for in-place tree mutation:
-  it materialises a lazy document and moves it permanently into the resident
-  overlay, detaching it from its record.  Without promotion, mutating a
-  materialised tree and then losing it to LRU eviction would silently revert
-  the edits on the next decode — promotion pins the mutated tree as the
-  document's truth.
-
-Thread safety: the LRU, overlay and counters are lock-guarded; record
-*decoding* runs outside the lock so concurrent misses on distinct documents
-proceed in parallel (two threads racing on the same cold document both
-decode; the second insertion is dropped in favour of the first, so callers
-always converge on one cached tree).
+The tracer patches ``vars(LazyDocumentStore)["get"]``, so this alias of
+:class:`~repro.storage.document_store.DocumentStore` stays until the tracer
+reads spans recorded in ``src/`` instead (ROADMAP item 1).
 """
 
-from __future__ import annotations
+from repro.storage.document_store import DocumentStore as LazyDocumentStore
 
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Callable, Dict, Iterator, List, Mapping, Optional
-
-from repro.errors import DocumentNotFoundError, DuplicateDocumentError, StorageError
-from repro.storage.document_store import BaseDocumentStore, StoredDocument
-from repro.xmlmodel.node import XMLNode
-
-__all__ = ["DocumentRecord", "LazyDocumentStore", "DEFAULT_MAX_MATERIALISED"]
-
-# Default LRU bound: large enough that a paginated query workload over the
-# benchmark corpora never thrashes, small enough that resident trees stay a
-# fraction of corpus size.  Operators tune it per deployment (`repro-xsact
-# --max-materialised`).
-DEFAULT_MAX_MATERIALISED = 1024
-
-
-@dataclass(frozen=True)
-class DocumentRecord:
-    """Directory entry describing one document's on-disk record.
-
-    Attributes
-    ----------
-    doc_id:
-        The document id (directory key, duplicated here for error messages).
-    offset:
-        Byte offset of the record inside the snapshot's record section.
-    stored_length:
-        Length of the stored record bytes (compressed length when
-        ``compressed``).
-    raw_length:
-        Length of the decoded (uncompressed) tree record.
-    checksum:
-        CRC-32 of the *stored* bytes, verified on every decode.
-    compressed:
-        Whether the stored bytes are a zlib deflate stream.
-    element_count:
-        Number of element nodes in the tree — lets :meth:`total_elements`
-        and :meth:`describe`-style summaries answer without materialising.
-    metadata:
-        The document's metadata key/value pairs (immutable view; each
-        materialisation hands out a fresh mutable copy).
-    """
-
-    doc_id: str
-    offset: int
-    stored_length: int
-    raw_length: int
-    checksum: int
-    compressed: bool
-    element_count: int
-    metadata: Mapping[str, str]
-
-
-class _SharedCloser:
-    """Refcounted wrapper letting generation clones share one mmap closer.
-
-    Each store holding a reference calls the closer exactly once (via
-    :meth:`LazyDocumentStore.close`); the wrapped resource is only released
-    when the last holder has done so.  Without this, discarding a clone of a
-    failed mutation would close the mapping still serving the live store.
-    """
-
-    def __init__(self, closer: Callable[[], None]) -> None:
-        self._closer: Optional[Callable[[], None]] = closer
-        self._refs = 1
-        self._lock = threading.Lock()
-
-    def acquire(self) -> "_SharedCloser":
-        with self._lock:
-            self._refs += 1
-        return self
-
-    def __call__(self) -> None:
-        with self._lock:
-            self._refs -= 1
-            if self._refs > 0:
-                return
-            closer, self._closer = self._closer, None
-        if closer is not None:
-            closer()
-
-
-class LazyDocumentStore(BaseDocumentStore):
-    """Record-backed store decoding documents on demand into a bounded LRU.
-
-    Parameters
-    ----------
-    records:
-        Directory entries in insertion (document) order.
-    loader:
-        ``loader(record)`` returns the decoded root node for a record.  It is
-        supplied by the snapshot layer and raises
-        :class:`~repro.errors.SnapshotError` on damaged records.
-    closer:
-        Optional callable releasing the underlying resources (mmap + file
-        handle); invoked by :meth:`close` exactly once.
-    max_materialised:
-        LRU bound on concurrently materialised lazy documents.  ``None``
-        disables eviction (every decoded document stays resident — the eager
-        memory profile with lazy cold start).  Must be positive otherwise.
-    """
-
-    def __init__(
-        self,
-        records: List[DocumentRecord],
-        loader: Callable[[DocumentRecord], XMLNode],
-        closer: Optional[Callable[[], None]] = None,
-        max_materialised: Optional[int] = DEFAULT_MAX_MATERIALISED,
-    ) -> None:
-        if max_materialised is not None and max_materialised <= 0:
-            raise StorageError(
-                f"max_materialised must be positive or None, got {max_materialised}"
-            )
-        self._records: "OrderedDict[str, DocumentRecord]" = OrderedDict()
-        for record in records:
-            if record.doc_id in self._records:
-                raise StorageError(f"duplicate document id: {record.doc_id!r}")
-            self._records[record.doc_id] = record
-        self._loader = loader
-        self._closer = closer
-        self._closed = False
-        self.max_materialised = max_materialised
-        # Materialised lazy documents, LRU order (least recent first).
-        self._lru: "OrderedDict[str, StoredDocument]" = OrderedDict()
-        # Mutation overlay: added or promoted documents; never evicted.  Keys
-        # are disjoint from self._records (promotion removes the record).
-        self._resident: Dict[str, StoredDocument] = {}
-        # Insertion order across both populations.
-        self._order: Dict[str, None] = dict.fromkeys(self._records)
-        self._lock = threading.Lock()
-        self._decode_count = 0
-        self._eviction_count = 0
-        self._promotion_count = 0
-
-    # ------------------------------------------------------------------ #
-    # Materialisation core
-    # ------------------------------------------------------------------ #
-    def get(self, doc_id: str) -> StoredDocument:
-        with self._lock:
-            document = self._resident.get(doc_id)
-            if document is not None:
-                return document
-            document = self._lru.get(doc_id)
-            if document is not None:
-                self._lru.move_to_end(doc_id)
-                return document
-            record = self._records.get(doc_id)
-            if record is None:
-                raise DocumentNotFoundError(doc_id)
-        # Decode outside the lock: concurrent misses on distinct documents
-        # must not serialise on one decode.
-        document = self._decode(record)
-        with self._lock:
-            # Settle races: another thread may have materialised (or promoted,
-            # or removed) this document while we decoded.
-            winner = self._resident.get(doc_id) or self._lru.get(doc_id)
-            if winner is not None:
-                self._lru.move_to_end(doc_id) if doc_id in self._lru else None
-                return winner
-            if doc_id not in self._records:
-                raise DocumentNotFoundError(doc_id)
-            self._lru[doc_id] = document
-            if self.max_materialised is not None:
-                while len(self._lru) > self.max_materialised:
-                    self._lru.popitem(last=False)
-                    self._eviction_count += 1
-            return document
-
-    def _decode(self, record: DocumentRecord) -> StoredDocument:
-        root = self._loader(record)
-        with self._lock:
-            self._decode_count += 1
-        return StoredDocument(
-            doc_id=record.doc_id, root=root, metadata=dict(record.metadata)
-        )
-
-    def promote(self, doc_id: str) -> StoredDocument:
-        """Copy-on-write: pin a document into the resident overlay.
-
-        Materialises the document if needed, detaches it from its backing
-        record and moves it into the overlay, where it is never evicted.
-        After promotion, mutations of the returned tree are durable for the
-        lifetime of this store (and are what a subsequent
-        :meth:`~repro.storage.corpus.Corpus.save` writes out).  Promoting an
-        already-resident document is a no-op returning the resident document.
-
-        Raises
-        ------
-        DocumentNotFoundError
-            If the id is unknown.
-        """
-        document = self.get(doc_id)
-        with self._lock:
-            resident = self._resident.get(doc_id)
-            if resident is not None:
-                return resident
-            if doc_id not in self._records:  # removed while unlocked
-                raise DocumentNotFoundError(doc_id)
-            current = self._lru.pop(doc_id, None)
-            if current is not None:
-                document = current
-            del self._records[doc_id]
-            self._resident[doc_id] = document
-            self._promotion_count += 1
-            return document
-
-    # ------------------------------------------------------------------ #
-    # Mutation
-    # ------------------------------------------------------------------ #
-    def add(self, doc_id: str, root: XMLNode, metadata: Optional[Dict[str, str]] = None) -> StoredDocument:
-        if not root.is_element:
-            raise StorageError("document root must be an element node")
-        document = StoredDocument(doc_id=doc_id, root=root, metadata=dict(metadata or {}))
-        with self._lock:
-            if doc_id in self._records or doc_id in self._resident:
-                raise DuplicateDocumentError(doc_id)
-            self._resident[doc_id] = document
-            self._order[doc_id] = None
-            return document
-
-    def remove(self, doc_id: str) -> StoredDocument:
-        # Materialise first: callers (corpus statistics) need the tree to
-        # subtract it, and once the record is dropped the bytes are orphaned.
-        document = self.get(doc_id)
-        with self._lock:
-            if doc_id in self._resident:
-                document = self._resident.pop(doc_id)
-            elif doc_id in self._records:
-                del self._records[doc_id]
-                current = self._lru.pop(doc_id, None)
-                if current is not None:
-                    document = current
-            else:
-                raise DocumentNotFoundError(doc_id)
-            self._order.pop(doc_id, None)
-            return document
-
-    def clear(self) -> None:
-        with self._lock:
-            self._records.clear()
-            self._lru.clear()
-            self._resident.clear()
-            self._order.clear()
-
-    # ------------------------------------------------------------------ #
-    # Access
-    # ------------------------------------------------------------------ #
-    def __contains__(self, doc_id: str) -> bool:
-        with self._lock:
-            return doc_id in self._records or doc_id in self._resident
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._order)
-
-    def __iter__(self) -> Iterator[StoredDocument]:
-        """Yield every document in insertion order.
-
-        Already-materialised documents are yielded as-is; evicted/lazy ones
-        are decoded *transiently*, bypassing the LRU, so a full scan (snapshot
-        save, :meth:`Corpus.refresh`) never evicts the query-serving hot set
-        and never needs corpus-sized memory.
-        """
-        for doc_id in list(self._order):
-            with self._lock:
-                document = self._resident.get(doc_id) or self._lru.get(doc_id)
-                record = None if document is not None else self._records.get(doc_id)
-            if document is not None:
-                yield document
-            elif record is not None:
-                yield self._decode(record)
-            # else: removed mid-iteration; skip.
-
-    def document_ids(self) -> List[str]:
-        with self._lock:
-            return list(self._order)
-
-    def total_elements(self) -> int:
-        with self._lock:
-            lazy = sum(record.element_count for record in self._records.values())
-            resident = list(self._resident.values())
-        return lazy + sum(doc.element_count() for doc in resident)
-
-    def stats(self) -> Dict[str, object]:
-        """Materialisation counters (served through ``/stats``).
-
-        ``materialised`` is the current LRU population, ``resident`` the
-        overlay of added/promoted documents, ``decodes`` and ``evictions``
-        are lifetime totals (a decode count close to the access count means
-        the LRU is too small for the workload).
-        """
-        with self._lock:
-            return {
-                "backend": "lazy",
-                "documents": len(self._order),
-                "materialised": len(self._lru),
-                "resident": len(self._resident),
-                "max_materialised": self.max_materialised,
-                "decodes": self._decode_count,
-                "evictions": self._eviction_count,
-                "promotions": self._promotion_count,
-            }
-
-    def clone(self) -> "LazyDocumentStore":
-        """Structurally-shared copy for generation-swap writes.
-
-        Shares the immutable record section (and its mmap, through a
-        refcounted closer) plus the already-materialised document objects;
-        copies every piece of membership bookkeeping so adds/removes on the
-        clone never show through the original.  Whole-document mutation only:
-        editing a shared tree *in place* would be visible across generations,
-        so in-place edits must :meth:`promote` on the generation being
-        mutated and replace the tree, never splice nodes of a shared one.
-        """
-        with self._lock:
-            if self._closed:
-                raise StorageError("cannot clone a closed document store")
-            closer: Optional[Callable[[], None]] = None
-            if self._closer is not None:
-                if not isinstance(self._closer, _SharedCloser):
-                    self._closer = _SharedCloser(self._closer)
-                closer = self._closer.acquire()
-            copy = LazyDocumentStore.__new__(LazyDocumentStore)
-            copy._records = OrderedDict(self._records)
-            copy._loader = self._loader
-            copy._closer = closer
-            copy._closed = False
-            copy.max_materialised = self.max_materialised
-            copy._lru = OrderedDict(self._lru)
-            copy._resident = dict(self._resident)
-            copy._order = dict(self._order)
-            copy._lock = threading.Lock()
-            copy._decode_count = self._decode_count
-            copy._eviction_count = self._eviction_count
-            copy._promotion_count = self._promotion_count
-            return copy
-
-    # ------------------------------------------------------------------ #
-    # Lifecycle
-    # ------------------------------------------------------------------ #
-    def close(self) -> None:
-        """Release the underlying mapping.
-
-        After closing, lazy documents that are not materialised or resident
-        can no longer be decoded; call only when the corpus is done with.
-        Idempotent.
-        """
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            closer, self._closer = self._closer, None
-        if closer is not None:
-            closer()
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
-        try:
-            self.close()
-        except Exception:
-            pass
-
-
-def frozen_metadata(metadata: Dict[str, str]) -> Mapping[str, str]:
-    """Immutable metadata view for :class:`DocumentRecord` construction."""
-    return MappingProxyType(dict(metadata))
+__all__ = ["LazyDocumentStore"]

@@ -29,15 +29,16 @@ inverted-index run tables resolved against those labels, the statistics, and
 the structural section (per-element tags for the pre/post encoding).  The
 *record section* is the bulk: one varint-encoded tree record per document,
 offset-addressed, optionally zlib-deflated per record.  Loads ``mmap`` the
-file, decode only the head, and hand the record section to a
-:class:`~repro.storage.lazy_store.LazyDocumentStore` that decodes trees on
-first access into a bounded LRU — cold start is near-constant in the number
-of *touched* documents and a host can serve corpora larger than RAM.
+file, decode only the head, and open a
+:class:`~repro.storage.document_store.DocumentStore` over the record section
+that decodes trees on first access into a bounded LRU — cold start is
+near-constant in the number of *touched* documents and a host can serve
+corpora larger than RAM.
 
 Checksums are layered to match what each load actually reads: the trailing
 header checksum covers the fixed fields and name, the head checksum covers
 the eager head only, and every record carries its own crc32 (verified on each
-decode) — a lazy load must not read the whole file just to validate it.
+decode) — a load must not read the whole file just to validate it.
 
 Integrity and staleness are rejected with typed errors, never a half-loaded
 corpus:
@@ -53,12 +54,10 @@ corpus:
   :attr:`Corpus.version` differs from the version the caller expects, i.e.
   the corpus was mutated after the snapshot was taken.
 
-Sharing mirrors a fresh build on the eager paths: each node posts **one**
-frozen :class:`~repro.storage.inverted_index.Posting` object shared across
-all its term buckets, and posting labels are the very
-:class:`~repro.xmlmodel.dewey.DeweyLabel` objects of the decoded tree nodes.
-On lazy loads posting labels come from the head's label tables instead —
-equal by value to the labels of any later-decoded tree (labels compare by
+Sharing mirrors a fresh build: each node posts **one** frozen
+:class:`~repro.storage.inverted_index.Posting` object shared across all its
+term buckets.  Posting labels come from the head's label tables — equal by
+value to the labels of any later-decoded tree (labels compare by
 components), which is all the search layer relies on.
 """
 
@@ -83,13 +82,12 @@ from repro.errors import (
     SnapshotVersionError,
     StructureError,
 )
-from repro.storage.document_store import DocumentStore
-from repro.storage.inverted_index import InvertedIndex, Posting
-from repro.storage.lazy_store import (
+from repro.storage.document_store import (
     DEFAULT_MAX_MATERIALISED,
     DocumentRecord,
-    LazyDocumentStore,
+    DocumentStore,
 )
+from repro.storage.inverted_index import InvertedIndex, Posting
 from repro.storage.statistics import CorpusStatistics, PathSummary
 from repro.storage.term_dictionary import TermDictionary
 from repro.storage.tokenizer import fingerprint as _tokenizer_fingerprint
@@ -123,8 +121,7 @@ _HEADER = struct.Struct("<HQIQQH")
 # header + raw bytes), for elements bit 1 flags the presence of attributes and
 # the remaining bits carry the child-record count.  Packing kind, length and
 # count into a single varint keeps the per-node decode to the bare minimum of
-# byte reads — tree decoding is the hot path of both eager cold starts and
-# lazy materialisation.
+# byte reads — tree decoding is the hot path of every record decode.
 _TEXT_BIT = 1
 _ATTRS_BIT = 2
 
@@ -426,12 +423,12 @@ def _decode_tree(reader: _Reader) -> Tuple[XMLNode, List[XMLNode]]:
     return root, elements
 
 
-def _decode_record(data, record: DocumentRecord, base: int = 0) -> Tuple[XMLNode, List[XMLNode]]:
+def _decode_record(data, record: DocumentRecord, base: int = 0) -> XMLNode:
     """Decode one record from ``data`` (bytes or mmap) at ``base`` offset.
 
-    Verifies the record's own crc32 before decoding — on lazy loads this is
-    the only integrity check the record ever gets, and it runs on the exact
-    bytes about to be trusted by the fast-path tree decoder.
+    Verifies the record's own crc32 before decoding — this is the only
+    integrity check the record ever gets, and it runs on the exact bytes
+    about to be trusted by the fast-path tree decoder.
     """
     start = base + record.offset
     stored = bytes(data[start:start + record.stored_length])
@@ -463,7 +460,7 @@ def _decode_record(data, record: DocumentRecord, base: int = 0) -> Tuple[XMLNode
         raise SnapshotFormatError(
             f"malformed snapshot: document {record.doc_id!r} record does not decode cleanly"
         )
-    return root, elements
+    return root
 
 
 # --------------------------------------------------------------------------- #
@@ -523,9 +520,7 @@ def _read_index(
 ) -> InvertedIndex:
     """Rebuild the inverted index against per-document pre-order label lists.
 
-    ``doc_labels`` comes from decoded tree elements on eager loads (posting
-    labels then *are* the tree's label objects, as after a fresh build) and
-    from the head's label tables on lazy loads (equal by value to any
+    ``doc_labels`` comes from the head's label tables (equal by value to any
     later-decoded tree's labels).
     """
     bucket_count = reader.varint()
@@ -909,9 +904,9 @@ def save_corpus(corpus: "Corpus", path: Union[str, Path], *, compress: bool = Fa
 def _build_payload(corpus: "Corpus", *, compress: bool) -> Tuple[bytes, bytes]:
     """The eager head plus the offset-addressed record section.
 
-    Iterating the store decodes lazily-backed documents transiently, so
-    re-saving a lazy corpus streams record-by-record instead of materialising
-    everything at once.
+    Iterating the store decodes records transiently, so re-saving a loaded
+    corpus streams record-by-record instead of materialising everything at
+    once.
     """
     writer = _Writer()
     writer.varint(_tokenizer_fingerprint())
@@ -1027,7 +1022,7 @@ def read_snapshot_header(path: Union[str, Path]) -> SnapshotHeader:
     The promised extents are additionally checked against the file size — a
     file truncated inside the record section is rejected here, naming the
     first document whose record is cut, instead of surfacing as a decode
-    failure on some later lazy access.
+    failure on some later record access.
     """
     try:
         with open(Path(path), "rb") as handle:
@@ -1062,7 +1057,6 @@ def load_corpus(
     path: Union[str, Path],
     *,
     expected_version: Optional[int] = None,
-    eager: bool = False,
     max_materialised: Optional[int] = None,
 ) -> "Corpus":
     """Reconstruct a :class:`Corpus` from a snapshot file.
@@ -1070,11 +1064,10 @@ def load_corpus(
     The loaded corpus answers every query exactly like a fresh build over the
     same documents — same postings, frequencies, path summaries and ranked
     results — and carries the saved :attr:`Corpus.version`.  What differs is
-    *residency*: by default trees stay in the ``mmap``-ed record section and
-    are decoded on first access into a bounded LRU
-    (:class:`~repro.storage.lazy_store.LazyDocumentStore`), so cold start
-    reads only the eager head; ``eager=True`` materialises every tree up
-    front.
+    *residency*: trees stay in the ``mmap``-ed record section and the
+    :class:`~repro.storage.document_store.DocumentStore` decodes them on
+    first access into a bounded LRU, so cold start reads only the eager
+    head.
 
     Parameters
     ----------
@@ -1084,12 +1077,9 @@ def load_corpus(
         When given, the snapshot's recorded corpus version must match it;
         a mismatch raises :class:`~repro.errors.SnapshotVersionError` before
         any decoding work.
-    eager:
-        Decode every document tree at load time into an in-memory
-        :class:`~repro.storage.document_store.DocumentStore`.
     max_materialised:
-        LRU bound for lazy loads (ignored otherwise): ``None`` picks the
-        default (:data:`~repro.storage.lazy_store.DEFAULT_MAX_MATERIALISED`),
+        LRU bound on decoded records: ``None`` picks the default
+        (:data:`~repro.storage.document_store.DEFAULT_MAX_MATERIALISED`),
         ``0`` disables eviction entirely.
 
     Raises
@@ -1128,14 +1118,7 @@ def load_corpus(
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
-            return _load(
-                handle,
-                header,
-                payload_offset,
-                file_size,
-                eager=eager,
-                max_materialised=max_materialised,
-            )
+            return _load(handle, header, payload_offset, file_size, max_materialised)
         finally:
             if gc_was_enabled:
                 gc.enable()
@@ -1148,11 +1131,9 @@ def _load(
     header: SnapshotHeader,
     payload_offset: int,
     file_size: int,
-    *,
-    eager: bool,
     max_materialised: Optional[int],
 ) -> "Corpus":
-    """Decode the head and wire the record section to the chosen backend."""
+    """Decode the head and open the store over the record section."""
     from repro.storage.corpus import Corpus
 
     try:
@@ -1181,22 +1162,7 @@ def _load(
         doc_ids.append(record.doc_id)
         doc_labels[record.doc_id] = labels
 
-    head_end = payload_offset + header.payload_length
-    if eager:
-        try:
-            handle.seek(head_end)
-            section = handle.read(header.record_length)
-        except OSError as exc:
-            raise SnapshotError(f"cannot read snapshot: {exc}") from exc
-        store: "DocumentStore | LazyDocumentStore" = DocumentStore()
-        for record in records:
-            root, elements = _decode_record(section, record)
-            store.add(record.doc_id, root, metadata=dict(record.metadata))
-            # Prefer the decoded tree's own label objects so eager loads keep
-            # the fresh-build identity sharing between postings and nodes.
-            doc_labels[record.doc_id] = [element.label for element in elements]
-    else:
-        store = _open_lazy_store(handle, records, head_end, max_materialised)
+    store = _open_store(handle, records, payload_offset + header.payload_length, max_materialised)
 
     index = _read_index(reader, dictionary, doc_ids, doc_labels)
     statistics = _read_statistics(reader, dictionary)
@@ -1218,19 +1184,17 @@ def _load(
     )
 
 
-def _open_lazy_store(
+def _open_store(
     handle: BinaryIO,
     records: List[DocumentRecord],
     record_base: int,
     max_materialised: Optional[int],
-) -> LazyDocumentStore:
-    """Map the snapshot and build the lazy backend over its record section.
+) -> DocumentStore:
+    """Map the snapshot and open the document store over its record section.
 
     The mapping covers the whole file (the record base is added per access),
-    stays valid after the caller closes its file handle, and is released by
-    the store's ``closer``.  An empty record section skips the mapping — a
-    zero-length mmap is an error, and with no records the loader can never
-    run anyway.
+    so it is never empty, stays valid after the caller closes its file
+    handle, and is released by the store's ``closer``.
     """
     if max_materialised is None:
         bound: Optional[int] = DEFAULT_MAX_MATERIALISED
@@ -1238,22 +1202,15 @@ def _open_lazy_store(
         bound = None
     else:
         bound = max_materialised
-    if not records:
-        return LazyDocumentStore([], _no_records_loader, max_materialised=bound)
     try:
         mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
     except (OSError, ValueError) as exc:
         raise SnapshotError(f"cannot map snapshot record section: {exc}") from exc
 
     def loader(record: DocumentRecord) -> XMLNode:
-        root, _ = _decode_record(mapped, record, base=record_base)
-        return root
+        return _decode_record(mapped, record, base=record_base)
 
-    return LazyDocumentStore(records, loader, closer=mapped.close, max_materialised=bound)
-
-
-def _no_records_loader(record: DocumentRecord) -> XMLNode:  # pragma: no cover
-    raise SnapshotFormatError(f"snapshot has no record section for document {record.doc_id!r}")
+    return DocumentStore(records, loader, closer=mapped.close, max_materialised=bound)
 
 
 def _check_fingerprint(reader: _Reader) -> None:

@@ -260,25 +260,6 @@ class DocumentStructure:
         """Whether ``a`` is a *proper* descendant of ``b``: two comparisons."""
         return a > b and self.post[a] < self.post[b]
 
-    def is_ancestor(self, a: int, b: int) -> bool:
-        """Whether ``a`` is a *proper* ancestor of ``b``."""
-        return a < b and self.post[a] > self.post[b]
-
-    def lca(self, a: int, b: int) -> int:
-        """Pre number of the lowest common ancestor of ``a`` and ``b``.
-
-        Walks ``min(a, b)``'s parent chain until the window covers the other
-        node — ``O(depth)`` like the Dewey prefix version, but on integers.
-        """
-        if a > b:
-            a, b = b, a
-        node = a
-        while node != -1:
-            if self.end[node] > b:
-                return node
-            node = self.parent[node]
-        raise StructureError(f"nodes {a} and {b} share no ancestor")  # pragma: no cover
-
     # ------------------------------------------------------------------ #
     # Axis scans (window-bounded — no tree walks)
     # ------------------------------------------------------------------ #

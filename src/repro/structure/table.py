@@ -4,8 +4,8 @@ A :class:`StructuralTable` hangs off every
 :class:`~repro.storage.corpus.Corpus`.  It is *lazy by default*: a fresh
 build or an old snapshot starts with an empty cache and a loader that
 fetches the document root on first structural access, so corpora that never
-see a structured query never pay the indexing cost and lazily-loaded stores
-only materialise the documents that matches actually land in.
+see a structured query never pay the indexing cost and snapshot-loaded
+stores only decode the documents that matches actually land in.
 
 Snapshots with a persisted structural section restore through
 :meth:`StructuralTable.restore` instead: the per-document encodings arrive
@@ -94,11 +94,6 @@ class StructuralTable:
         with self._lock:
             self._computed += 1
             return self._documents.setdefault(doc_id, structure)
-
-    def peek(self, doc_id: str) -> Optional[DocumentStructure]:
-        """The cached structure of ``doc_id``, or ``None`` — never computes."""
-        with self._lock:
-            return self._documents.get(doc_id)
 
     def discard(self, doc_id: str) -> None:
         """Drop one document's cached structure (after a document removal)."""

@@ -2,8 +2,8 @@
 
 Covers the :class:`~repro.service.service.SearchService` mutation surface
 (ingest / bulk ingest / delete / change feed / background re-snapshot) over
-both store backends — eager and lazy (v2 snapshot) — and pins that a
-duplicate document id raises the typed
+a built corpus ("eager") and a snapshot-loaded one ("lazy": the store's
+``backend``), and pins that a duplicate document id raises the typed
 :class:`~repro.errors.DuplicateDocumentError` on each.
 
 The concurrency hammer at the end drives reader threads paging with cursors
@@ -98,9 +98,9 @@ class TestIngestEndToEnd:
             service.delete_document("doc0")
 
     def test_duplicate_id_raises_typed_error(self, writable_service):
-        # The bug this pins: the eager store raised a generic StorageError;
-        # every backend now raises the one typed error the HTTP layer maps
-        # to 409.
+        # The bug this pins: a duplicate of a resident document raised a
+        # generic StorageError; the store now raises the one typed error the
+        # HTTP layer maps to 409, for resident documents and records alike.
         service = writable_service
         with pytest.raises(DuplicateDocumentError, match="duplicate document id: 'doc1'"):
             service.ingest(IngestRequest(doc_id="doc1", xml=product_xml(1)))
@@ -334,7 +334,7 @@ class TestIngestEquivalence:
 # Concurrency hammer: mutate while serving
 # --------------------------------------------------------------------- #
 class TestMutateWhileServing:
-    @pytest.mark.parametrize("backend", ["eager"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_no_torn_pages_under_concurrent_writes(self, backend, tmp_path):
         service = SearchService(
             make_corpus(backend, 8, tmp_path), writable=True, default_page_size=2

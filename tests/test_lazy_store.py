@@ -1,8 +1,8 @@
-"""Tests for the lazy document store and the v2 snapshot's lazy load path.
+"""Tests for the document store over snapshot records, and the snapshot load path.
 
-The central property: a lazily-loaded corpus is observationally equivalent to
-the eager original — same ranked results, postings, document frequencies and
-statistics — while only materialising the documents that are actually touched,
+The central property: a loaded corpus is observationally equivalent to the
+built original — same ranked results, postings, document frequencies and
+statistics — while only decoding the documents that are actually touched,
 inside a bounded LRU.  Shared round-trip helpers come from ``test_snapshot``.
 """
 
@@ -17,11 +17,10 @@ from repro.errors import (
     StorageError,
 )
 from repro.storage.corpus import Corpus
-from repro.storage.document_store import DocumentStore
-from repro.storage.lazy_store import (
+from repro.storage.document_store import (
     DEFAULT_MAX_MATERIALISED,
     DocumentRecord,
-    LazyDocumentStore,
+    DocumentStore,
 )
 from repro.storage.snapshot import read_snapshot_header
 from repro.xmlmodel.parser import parse_xml
@@ -43,7 +42,7 @@ def tree_signature(document):
 
 
 # --------------------------------------------------------------------------- #
-# Lazy ≡ eager equivalence
+# Loaded ≡ built equivalence
 # --------------------------------------------------------------------------- #
 class TestLazyEquivalence:
     def test_lazy_load_is_equivalent(self, tmp_path):
@@ -62,17 +61,20 @@ class TestLazyEquivalence:
         assert stats["evictions"] > 0
         assert stats["materialised"] <= 1
 
-    def test_eager_v2_load_is_equivalent(self, tmp_path):
-        corpus = small_corpus()
-        loaded = Corpus.load(saved_path(corpus, tmp_path), eager=True)
-        assert loaded.store.stats()["backend"] == "eager"
-        assert_equivalent(corpus, loaded, QUERIES)
-
     def test_compressed_records_round_trip(self, tmp_path):
         corpus = small_corpus()
         path = saved_path(corpus, tmp_path, compress=True)
         assert_equivalent(corpus, Corpus.load(path), QUERIES)
-        assert_equivalent(corpus, Corpus.load(path, eager=True), QUERIES)
+
+    def test_built_and_loaded_stats_share_one_shape(self, tmp_path):
+        corpus = small_corpus()
+        built = corpus.store.stats()
+        loaded = Corpus.load(saved_path(corpus, tmp_path)).store.stats()
+        assert built.keys() == loaded.keys()
+        assert (built["backend"], loaded["backend"]) == ("eager", "lazy")
+        assert built["resident"] == built["documents"] == len(corpus.store)
+        assert built["decodes"] == built["materialised"] == 0
+        assert loaded["resident"] == 0
 
     def test_empty_corpus_loads_lazily(self, tmp_path):
         corpus = Corpus(DocumentStore(), name="empty")
@@ -94,12 +96,10 @@ class TestLazyEquivalence:
         queries = vocabulary[:4]
         if len(vocabulary) >= 2:
             queries.append(f"{vocabulary[0]} {vocabulary[1]}")
-        # Lazy with a deliberately tiny LRU (forces eviction/re-decode mid
-        # walk) and forced-eager both reproduce the fresh build exactly.
-        lazy = Corpus.load(path, max_materialised=2)
-        assert_equivalent(corpus, lazy, queries)
-        eager = Corpus.load(path, eager=True)
-        assert_equivalent(corpus, eager, queries)
+        # A deliberately tiny LRU (forces eviction/re-decode mid walk) and
+        # no eviction at all both reproduce the fresh build exactly.
+        assert_equivalent(corpus, Corpus.load(path, max_materialised=2), queries)
+        assert_equivalent(corpus, Corpus.load(path, max_materialised=0), queries)
 
 
 # --------------------------------------------------------------------------- #
@@ -178,24 +178,9 @@ class TestMutationAfterLazyLoad:
         assert loaded.store.document_ids() == ["p2"]
         assert_equivalent(expected, loaded, QUERIES)
 
-    def test_promote_pins_document_across_eviction(self, tmp_path):
-        loaded = Corpus.load(saved_path(small_corpus(), tmp_path), max_materialised=1)
-        store = loaded.store
-        pinned = store.promote("p1")
-        pinned.metadata["pinned"] = "yes"
-        for _ in range(3):  # churn the one-slot LRU with the other document
-            store.get("p2")
-        assert store.get("p1") is pinned
-        assert store.get("p1").metadata["pinned"] == "yes"
-        stats = store.stats()
-        assert stats["promotions"] == 1
-        assert stats["resident"] == 1
-        assert store.promote("p1") is pinned  # idempotent, still one promotion
-        assert store.stats()["promotions"] == 1
-
     def test_unpromoted_edits_revert_on_eviction(self, tmp_path):
-        # The copy-on-write hazard promote() exists for: without promotion,
-        # an edit to a materialised document is undone by eviction + re-decode.
+        # A decoded record is a cache entry, not the document's truth: an
+        # in-place edit is undone by eviction + re-decode.
         loaded = Corpus.load(saved_path(small_corpus(), tmp_path), max_materialised=1)
         store = loaded.store
         store.get("p1").metadata["edited"] = "lost"
@@ -203,11 +188,14 @@ class TestMutationAfterLazyLoad:
         assert "edited" not in store.get("p1").metadata
 
     def test_resave_after_lazy_load_round_trips(self, tmp_path):
-        corpus = small_corpus()
-        loaded = Corpus.load(saved_path(corpus, tmp_path))
-        loaded.store.promote("p1")
+        # The resaved store mixes records with a resident (added) document.
+        extra = "<product><name>Magellan RoadMate GPS</name><price>99</price></product>"
+        loaded = Corpus.load(saved_path(small_corpus(), tmp_path))
+        loaded.add_document("p3", parse_xml(extra))
         resaved = Corpus.load(saved_path(loaded, tmp_path, name="resaved.snap"))
-        assert_equivalent(corpus, resaved, QUERIES)
+        expected = small_corpus()
+        expected.add_document("p3", parse_xml(extra))
+        assert_equivalent(expected, resaved, QUERIES + ["magellan"])
 
 
 # --------------------------------------------------------------------------- #
@@ -265,31 +253,70 @@ def _loader(record):
     return parse_xml(f"<doc><name>{record.doc_id}</name></doc>")
 
 
+def _racing_store(mutate):
+    """A store over record "a" whose first decode runs ``mutate(store)``.
+
+    ``get`` decodes outside its lock, so this is what a writer thread racing
+    the decode can do.
+    """
+    raced = []
+
+    def loader(record):
+        if not raced:
+            raced.append(record.doc_id)
+            mutate(store)
+        return _loader(record)
+
+    store = DocumentStore([_record("a")], loader)
+    return store
+
+
 class TestLazyStoreUnit:
     def test_duplicate_record_ids_rejected(self):
         with pytest.raises(StorageError, match="duplicate"):
-            LazyDocumentStore([_record("a"), _record("a")], _loader)
+            DocumentStore([_record("a"), _record("a")], _loader)
+
+    def test_records_need_a_loader(self):
+        with pytest.raises(StorageError, match="loader"):
+            DocumentStore([_record("a")])
+
+    def test_removal_during_decode_raises(self):
+        store = _racing_store(lambda store: store.remove("a"))
+        with pytest.raises(DocumentNotFoundError):
+            store.get("a")
+        assert "a" not in store
+        assert store.stats()["materialised"] == 0
+
+    def test_resident_replacement_during_decode_wins(self):
+        replacement = parse_xml("<doc><name>resident</name></doc>")
+
+        def replace(store):
+            store.remove("a")
+            store.add("a", replacement)
+
+        store = _racing_store(replace)
+        assert store.get("a").root is replacement
+        assert store.stats()["materialised"] == 0
+        assert store.stats()["resident"] == 1
 
     def test_non_positive_bound_rejected(self):
         with pytest.raises(StorageError, match="positive"):
-            LazyDocumentStore([_record("a")], _loader, max_materialised=0)
+            DocumentStore([_record("a")], _loader, max_materialised=0)
 
     def test_unknown_document_raises(self):
-        store = LazyDocumentStore([_record("a")], _loader)
+        store = DocumentStore([_record("a")], _loader)
         with pytest.raises(DocumentNotFoundError):
             store.get("missing")
-        with pytest.raises(DocumentNotFoundError):
-            store.promote("missing")
         with pytest.raises(DocumentNotFoundError):
             store.remove("missing")
 
     def test_add_duplicate_of_lazy_document_rejected(self):
-        store = LazyDocumentStore([_record("a")], _loader)
+        store = DocumentStore([_record("a")], _loader)
         with pytest.raises(StorageError, match="duplicate"):
             store.add("a", parse_xml("<doc/>"))
 
     def test_remove_returns_materialised_tree(self):
-        store = LazyDocumentStore([_record("a"), _record("b")], _loader)
+        store = DocumentStore([_record("a"), _record("b")], _loader)
         removed = store.remove("a")
         assert removed.root.is_element
         assert "a" not in store
@@ -298,33 +325,33 @@ class TestLazyStoreUnit:
             store.get("a")
 
     def test_insertion_order_spans_lazy_and_added(self):
-        store = LazyDocumentStore([_record("a"), _record("b")], _loader)
+        store = DocumentStore([_record("a"), _record("b")], _loader)
         store.add("c", parse_xml("<doc><x>new</x></doc>"))
         assert store.document_ids() == ["a", "b", "c"]
         assert [document.doc_id for document in store] == ["a", "b", "c"]
         assert len(store) == 3
 
     def test_total_elements_mixes_directory_and_overlay(self):
-        store = LazyDocumentStore([_record("a", element_count=5)], _loader)
+        store = DocumentStore([_record("a", element_count=5)], _loader)
         store.add("c", parse_xml("<doc><x>new</x></doc>"))  # 2 elements
         assert store.total_elements() == 7
         assert store.stats()["decodes"] == 0
 
     def test_metadata_is_fresh_per_materialisation(self):
-        store = LazyDocumentStore(
+        store = DocumentStore(
             [_record("a", metadata={"k": "v"})], _loader, max_materialised=1
         )
         assert store.get("a").metadata == {"k": "v"}
 
     def test_close_is_idempotent(self):
         calls = []
-        store = LazyDocumentStore([_record("a")], _loader, closer=lambda: calls.append(1))
+        store = DocumentStore([_record("a")], _loader, closer=lambda: calls.append(1))
         store.close()
         store.close()
         assert calls == [1]
 
     def test_stats_shape(self):
-        store = LazyDocumentStore([_record("a")], _loader, max_materialised=7)
+        store = DocumentStore([_record("a")], _loader, max_materialised=7)
         stats = store.stats()
         assert stats == {
             "backend": "lazy",
@@ -334,5 +361,4 @@ class TestLazyStoreUnit:
             "max_materialised": 7,
             "decodes": 0,
             "evictions": 0,
-            "promotions": 0,
         }

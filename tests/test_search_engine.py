@@ -7,7 +7,7 @@ import pytest
 from repro.errors import SearchError
 from repro.search.engine import SearchEngine
 from repro.search.query import KeywordQuery
-from repro.search.ranking import rank_results, tf_idf_score
+from repro.search.ranking import rank_results
 from repro.search.result import SearchResult, SearchResultSet
 from repro.search.xseek import infer_return_subtree, is_entity_node
 from repro.storage.corpus import Corpus
@@ -117,30 +117,34 @@ class TestXseekInference:
         assert infer_return_subtree(leaf, None, max_climb=1).tag == "e"
 
 
+def root_results(corpus, doc_ids):
+    """One whole-document result per id, as the engine would build them."""
+    return [
+        SearchResult(
+            result_id="",
+            doc_id=doc_id,
+            match_label=DeweyLabel.root(),
+            return_label=DeweyLabel.root(),
+            subtree=corpus.store.get(doc_id).root.copy(),
+        )
+        for doc_id in doc_ids
+    ]
+
+
 class TestRanking:
     def test_tf_idf_prefers_matching_subtree(self):
         corpus = product_corpus()
         query = KeywordQuery.parse("tomtom gps")
-        tomtom = corpus.store.get("p1").root
-        garmin = corpus.store.get("p2").root
-        assert tf_idf_score(tomtom, query, corpus.statistics) > tf_idf_score(
-            garmin, query, corpus.statistics
-        )
+        results = root_results(corpus, ("p2", "p1"))
+        ranked = rank_results(results, query, corpus.statistics, corpus.index)
+        assert [result.doc_id for result in ranked] == ["p1", "p2"]
+        assert ranked[0].score > ranked[1].score
 
     def test_rank_results_orders_by_score_then_id(self):
         corpus = product_corpus()
         query = KeywordQuery.parse("gps")
-        results = [
-            SearchResult(
-                result_id="",
-                doc_id=doc_id,
-                match_label=DeweyLabel.root(),
-                return_label=DeweyLabel.root(),
-                subtree=corpus.store.get(doc_id).root.copy(),
-            )
-            for doc_id in ("p2", "p1")
-        ]
-        ranked = rank_results(results, query, corpus.statistics)
+        results = root_results(corpus, ("p2", "p1"))
+        ranked = rank_results(results, query, corpus.statistics, corpus.index)
         assert [result.doc_id for result in ranked] in (["p1", "p2"], ["p2", "p1"])
         assert ranked[0].score >= ranked[1].score
 
@@ -215,17 +219,9 @@ class TestSearchEngine:
 
 
 class TestRankingBugfixes:
-    def test_attribute_only_match_scores_nonzero(self):
+    def test_attribute_match_is_searchable_and_ranked(self):
         # Regression: the index posts attribute-value tokens, but ranking used
         # to ignore them — a result matched only via an attribute got tf=0.
-        store = DocumentStore()
-        store.add("d", parse_xml('<item kind="waterproof"><name>Jacket</name></item>'))
-        corpus = Corpus(store)
-        subtree = corpus.store.get("d").root.copy()
-        query = KeywordQuery.parse("waterproof")
-        assert tf_idf_score(subtree, query, corpus.statistics) > 0.0
-
-    def test_attribute_match_is_searchable_and_ranked(self):
         store = DocumentStore()
         store.add("d1", parse_xml('<item kind="waterproof"><name>Alpha Jacket</name></item>'))
         store.add("d2", parse_xml("<item><name>Beta Jacket</name></item>"))

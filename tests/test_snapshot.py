@@ -220,22 +220,17 @@ class TestFailureModes:
         path.write_bytes(bytes(data))
         with pytest.raises(SnapshotFormatError, match="checksum"):
             Corpus.load(path)
-        # The eager path reads the same head and must reject it too.
-        with pytest.raises(SnapshotFormatError, match="checksum"):
-            Corpus.load(path, eager=True)
 
     def test_corrupted_v2_record_rejected_by_checksum_on_access(self, tmp_path):
-        # Record damage is caught by the per-record crc32 — at load time for
-        # eager loads, on first materialisation for lazy ones (a lazy load
-        # must not read the whole record section just to validate it).
+        # Record damage is caught by the per-record crc32 on the record's
+        # first decode (a load must not read the whole record section just to
+        # validate it).
         corpus = small_corpus()
         path = tmp_path / "c3.snap"
         corpus.save(path)
         data = bytearray(path.read_bytes())
         data[-20] ^= 0xFF  # inside the record section (the last document)
         path.write_bytes(bytes(data))
-        with pytest.raises(SnapshotFormatError, match="checksum"):
-            Corpus.load(path, eager=True)
         loaded = Corpus.load(path)
         with pytest.raises(SnapshotFormatError, match="checksum"):
             for doc_id in loaded.store.document_ids():
