@@ -57,7 +57,7 @@ from repro.experiments.figure4 import run_figure4
 from repro.search.structural import AXES, StructuredQuery, parse_tag_path
 from repro.experiments.report import format_measurements
 from repro.service.http import create_server
-from repro.service.service import DEFAULT_MAX_PAGE_SIZE, SearchService
+from repro.service.service import SearchService
 from repro.storage.corpus import Corpus
 
 __all__ = ["build_parser", "main"]
@@ -340,13 +340,9 @@ def _command_serve(arguments: argparse.Namespace, out) -> int:
             flush=True,
         )
         return 2
-    # The service clamps per-request page sizes to max_page_size; widen the
-    # ceiling when the operator asks for a default above it, instead of
-    # rejecting the configuration at startup.
     service = SearchService(
         corpus,
         default_page_size=arguments.page_size,
-        max_page_size=max(DEFAULT_MAX_PAGE_SIZE, arguments.page_size),
         writable=arguments.writable,
         snapshot_path=snapshot_path if arguments.snapshot_every is not None else None,
         snapshot_every=arguments.snapshot_every,
@@ -368,6 +364,9 @@ def _command_serve(arguments: argparse.Namespace, out) -> int:
         pass
     finally:
         server.server_close()
+        # Mutations already answered 201 must reach the snapshot being
+        # written; its thread is a daemon and would die with the process.
+        service.wait_for_snapshot()
         stats = service.stats()
         cache = stats["cache"]
         requests = stats["requests"]

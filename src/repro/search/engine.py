@@ -308,7 +308,7 @@ class SearchEngine:
         # Index-assisted scoring: posting spans already know where every
         # keyword occurs, so ranking never re-tokenises result subtrees (nor
         # forces the store to decode anything beyond the results).
-        return rank_results(results, query, self.corpus.statistics, index=self.corpus.index)
+        return rank_results(results, query, self.corpus.index)
 
     def _compute_matches(self, query: KeywordQuery) -> List[Posting]:
         # Resolve postings through the *normalised* keyword view — the same

@@ -8,7 +8,7 @@ mild size normalisation so that gigantic subtrees do not win on raw term count
 alone.
 
 The per-query work is resolved once, up front: :func:`query_idf_weights` turns
-the normalised keywords into a keyword→idf table (one statistics lookup per
+the normalised keywords into a keyword→idf table (one index lookup per
 keyword per *query*, not per result).  A keyword's term frequency in a result
 is the number of its posting nodes — read from the inverted index's
 per-document offset map, one slice per (keyword, document) — that fall inside
@@ -27,24 +27,21 @@ from typing import Dict, List, Sequence
 from repro.search.query import KeywordQuery
 from repro.search.result import SearchResult
 from repro.storage.inverted_index import InvertedIndex
-from repro.storage.statistics import CorpusStatistics
 
 __all__ = ["query_idf_weights", "rank_results"]
 
 
-def query_idf_weights(
-    query: KeywordQuery, statistics: CorpusStatistics
-) -> Dict[str, float]:
+def query_idf_weights(query: KeywordQuery, index: InvertedIndex) -> Dict[str, float]:
     """Resolve a query's keywords to their idf weights, once per query.
 
-    ``idf`` is computed from document frequencies in the corpus statistics;
-    the returned mapping is the entire query-dependent part of the score, so
-    ranking a result list performs exactly one statistics lookup per keyword.
+    ``idf`` is computed from the inverted index's document frequencies; the
+    returned mapping is the entire query-dependent part of the score, so
+    ranking a result list performs exactly one index lookup per keyword.
     """
-    document_count = max(statistics.document_count, 1)
+    document_count = max(index.documents_indexed, 1)
     weights: Dict[str, float] = {}
     for keyword in query.normalized_keywords:
-        document_frequency = statistics.document_frequency(keyword)
+        document_frequency = index.document_frequency(keyword)
         weights[keyword] = (
             math.log((document_count + 1) / (document_frequency + 1)) + 1.0
         )
@@ -78,16 +75,15 @@ def _score_from_postings(
 def rank_results(
     results: Sequence[SearchResult],
     query: KeywordQuery,
-    statistics: CorpusStatistics,
     index: InvertedIndex,
 ) -> List[SearchResult]:
     """Assign scores and return the results sorted by descending score.
 
-    Term frequencies come from ``index``'s posting spans (the corpus's
+    Document and term frequencies both come from ``index`` (the corpus's
     inverted index).  Ties are broken by (document id, match label) so the
     ordering is total and deterministic across runs.
     """
-    weights = query_idf_weights(query, statistics)
+    weights = query_idf_weights(query, index)
     for result in results:
         result.score = _score_from_postings(result, weights, index)
     return sorted(

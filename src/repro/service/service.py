@@ -18,9 +18,9 @@ same object:
   version, so the follow-up request re-slices the engine's cached ranked
   list (a cache hit, no re-evaluation) and is rejected as stale after any
   corpus mutation;
-* **batch execution** — :meth:`SearchService.search_many` evaluates each
-  distinct ``(normalised query, semantics)`` pair once per batch, even when
-  the engine cache is disabled or already evicted the entry;
+* **batch execution** — :meth:`SearchService.search_many` serves a batch on
+  one captured generation, so every response carries the same corpus
+  version; a repeat within a batch is an engine-cache hit like any other;
 * thread safety throughout: the engine guards its cache internally, the
   service guards engine creation and its request counters, and everything
   else is read-only.
@@ -31,7 +31,7 @@ from __future__ import annotations
 import re
 import threading
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.comparison.table import ComparisonTable
 from repro.core.config import DFSConfig
@@ -76,9 +76,14 @@ from repro.xmlmodel.serializer import serialize
 __all__ = ["SearchService", "DEFAULT_PAGE_SIZE", "DEFAULT_MAX_PAGE_SIZE"]
 
 DEFAULT_PAGE_SIZE = 10
-# Shared with the CLI `serve` command, which widens its service's ceiling
-# when the operator configures a larger default page size.
+# Ceiling on a request's page size, raised to the service's default page size
+# when that is larger: a public endpoint must not let one request materialise
+# an unbounded page.
 DEFAULT_MAX_PAGE_SIZE = 100
+# Bound on the in-memory change feed; older entries are dropped and clients
+# whose sync point predates the horizon are told to resync in full
+# (``complete=false``).
+CHANGE_LOG_LIMIT = 1024
 
 # A result id names a rank: "R" and the rank without leading zeros.  Eighteen
 # digits exceed any result count, and keep int() far from its digit limit.
@@ -165,11 +170,8 @@ class SearchService:
         Per-engine query-cache bounds, passed through to every
         :class:`~repro.search.engine.SearchEngine` the service creates.
     default_page_size:
-        Page size used when a request does not specify one.
-    max_page_size:
-        Hard ceiling on the per-request page size; larger asks are clamped
-        (a public endpoint must not let one request materialise an unbounded
-        page).
+        Page size used when a request does not specify one.  Larger asks
+        than ``max(DEFAULT_MAX_PAGE_SIZE, default_page_size)`` are clamped.
     writable:
         Whether the mutation surface is enabled.  Read-only services answer
         every mutation with :class:`~repro.errors.ReadOnlyServiceError`
@@ -180,10 +182,6 @@ class SearchService:
         ``snapshot_path`` (atomic temp-file + rename, see
         :mod:`repro.storage.snapshot`).  The saved corpus is immutable — the
         next write builds a fresh clone — so the save runs without locks.
-    change_log_limit:
-        Bound on the in-memory change feed; older entries are dropped and
-        clients whose sync point predates the horizon are told to resync in
-        full (``complete=false``).
     """
 
     def __init__(
@@ -194,29 +192,20 @@ class SearchService:
         cache_size: int = 128,
         cache_max_results: Optional[int] = 4096,
         default_page_size: int = DEFAULT_PAGE_SIZE,
-        max_page_size: int = DEFAULT_MAX_PAGE_SIZE,
         writable: bool = False,
         snapshot_path: Optional[Union[str, Path]] = None,
         snapshot_every: Optional[int] = None,
-        change_log_limit: int = 1024,
     ):
         if default_page_size <= 0:
             raise ServiceError(f"default_page_size must be positive, got {default_page_size}")
-        if max_page_size < default_page_size:
-            raise ServiceError(
-                f"max_page_size ({max_page_size}) must be >= default_page_size "
-                f"({default_page_size})"
-            )
         if snapshot_every is not None and snapshot_every <= 0:
             raise ServiceError(f"snapshot_every must be positive, got {snapshot_every}")
         if snapshot_every is not None and snapshot_path is None:
             raise ServiceError("snapshot_every needs a snapshot_path to write to")
-        if change_log_limit <= 0:
-            raise ServiceError(f"change_log_limit must be positive, got {change_log_limit}")
         self.config = config or DFSConfig()
         self.algorithm = algorithm
         self.default_page_size = default_page_size
-        self.max_page_size = max_page_size
+        self.max_page_size = max(DEFAULT_MAX_PAGE_SIZE, default_page_size)
         self.writable = writable
         self._cache_size = cache_size
         self._cache_max_results = cache_max_results
@@ -230,7 +219,6 @@ class SearchService:
         self._ingest_count = 0
         self._delete_count = 0
         self._changes: List[ChangeEntry] = []
-        self._change_log_limit = change_log_limit
         # Versions <= the floor predate the feed (boot state or trimmed
         # entries): a client syncing from below it must resync in full.
         self._feed_floor = corpus.version
@@ -285,8 +273,8 @@ class SearchService:
     ) -> SearchResultSet:
         """Evaluate a query and return the rich, in-process result set."""
         # The counters mean *requests served*, not evaluations: internal
-        # searches (the search stage of a compare, batch memo fills) go to
-        # the engine directly and do not count.
+        # searches (the search stage of a compare) go to the engine directly
+        # and do not count.
         with self._lock:
             self._search_count += 1
         return self.engine_for(semantics).search(query, limit=limit)
@@ -421,77 +409,24 @@ class SearchService:
         # Capture the serving generation once: version stamp, staleness check
         # and evaluation all run against one corpus state, so a concurrent
         # generation swap cannot produce a torn page.
-        generation = self._generation
-
-        def fetch(
-            query: KeywordQuery, semantics: str, offset: int, count: int
-        ) -> Tuple[int, List[SearchResult]]:
-            total, page = generation.engine_for(semantics).search_page(query, offset, count)
-            return total, page.results
-
-        return self._paged_search(request, fetch, generation)
+        return self._paged_search(request, self._generation)
 
     def search_many(self, requests: Sequence[SearchRequest]) -> List[SearchResponse]:
-        """Serve a batch of search requests.
+        """Serve a batch of search requests on one serving generation.
 
-        Each distinct ``(normalised query, semantics)`` pair in the batch is
-        evaluated once, and single-window requests only pay subtree clones
-        for their own page.  The one exception: a query whose ranked list is
-        too large for the engine cache to retain *and* whose batch entries
-        span multiple distinct windows is evaluated at most twice (the
-        second evaluation materialises the full set, which then serves every
-        further window from the batch memo).
+        Every response carries the same corpus version.  A query repeated
+        within the batch is an engine-cache hit like any other repeat.
         """
-        window_memo: Dict[
-            Tuple[Tuple[str, ...], str, int, int], Tuple[int, List[SearchResult]]
-        ] = {}
-        full_memo: Dict[Tuple[Tuple[str, ...], str], SearchResultSet] = {}
-        # One generation for the whole batch: every response carries the same
-        # corpus version and the memoised ranked lists stay coherent.
         generation = self._generation
+        return [self._paged_search(request, generation) for request in requests]
 
-        def fetch(
-            query: KeywordQuery, semantics: str, offset: int, count: int
-        ) -> Tuple[int, List[SearchResult]]:
-            pair = (query.cache_key, semantics)
-            full = full_memo.get(pair)
-            if full is not None:
-                return len(full), full.results[offset : offset + count]
-            key = pair + (offset, count)
-            window = window_memo.get(key)
-            if window is not None:
-                return window
-            engine = generation.engine_for(semantics)
-            first_window = not any(k[:2] == pair for k in window_memo)
-            if engine.cache_size > 0 and first_window:
-                # Cheap path for the first window of a pair: O(page) clones,
-                # and the engine cache dedups evaluation for repeats.
-                total, page = engine.search_page(query, offset, count)
-                window_memo[key] = (total, page.results)
-                return window_memo[key]
-            # A second distinct window (the engine cache may not have
-            # retained an oversized list) or a disabled cache: materialise
-            # the full ranked set once and serve every further window from
-            # it.  Sharing results between batch entries is safe:
-            # serialisation never mutates a result.
-            result_set = engine.search(query)
-            full_memo[pair] = result_set
-            return len(result_set), result_set.results[offset : offset + count]
-
-        return [self._paged_search(request, fetch, generation) for request in requests]
-
-    def _paged_search(
-        self,
-        request: SearchRequest,
-        fetch: Callable[[KeywordQuery, str, int, int], Tuple[int, List[SearchResult]]],
-        generation: _Generation,
-    ) -> SearchResponse:
+    def _paged_search(self, request: SearchRequest, generation: _Generation) -> SearchResponse:
         """Shared pagination core of :meth:`search` and :meth:`search_many`.
 
-        ``generation`` is the serving generation the caller captured (and
-        whose engines ``fetch`` evaluates on); generation-swap writes never
-        touch it, so the version read below can only move when the *served*
-        corpus itself is mutated in place (out-of-band library callers).
+        ``generation`` is the serving generation the caller captured, whose
+        engines evaluate the request; generation-swap writes never touch it,
+        so the version read below can only move when the *served* corpus
+        itself is mutated in place (out-of-band library callers).
         """
         with self._lock:
             self._search_count += 1
@@ -586,7 +521,7 @@ class SearchService:
             )
         page_size = min(page_size, self.max_page_size)
 
-        total, page = fetch(query, semantics, offset, page_size)
+        total, page = generation.engine_for(semantics).search_page(query, offset, page_size)
         if request.cursor is not None and generation.corpus.version != version:
             # The corpus mutated between the staleness check and evaluation;
             # this page was sliced from a post-mutation ranked list with a
@@ -845,7 +780,7 @@ class SearchService:
         with self._lock:
             self._generation = generation
             self._changes.extend(entries)
-            overflow = len(self._changes) - self._change_log_limit
+            overflow = len(self._changes) - CHANGE_LOG_LIMIT
             if overflow > 0:
                 dropped = self._changes[:overflow]
                 del self._changes[:overflow]

@@ -9,15 +9,16 @@ paper).  That engine needs three storage-level services, all provided here:
   ``.xml`` files.
 * :class:`~repro.storage.inverted_index.InvertedIndex` — keyword → posting-list
   index, where each posting identifies a node by ``(document id, Dewey label)``;
-  this is the structure the SLCA / ELCA algorithms consume.
-* :class:`~repro.storage.statistics.CorpusStatistics` — tag-path and keyword
-  frequency summaries (a DataGuide-style structural summary) used by ranking and
-  by the entity classifier.
+  this is the structure the SLCA / ELCA algorithms consume, and the one owner
+  of term statistics (the document frequencies ranking reads).
+* :class:`~repro.storage.statistics.CorpusStatistics` — tag-path summaries (a
+  DataGuide-style structural summary) used by XSeek and the entity
+  classifier; it never tokenises.
 * :class:`~repro.storage.term_dictionary.TermDictionary` — interns tokens to
-  dense integer term ids; the index and statistics of one corpus share a
-  dictionary so every per-term table is keyed by ints, not strings.
+  dense integer term ids; the index keys every per-term table by its
+  dictionary's ints, not by strings.
 * :mod:`repro.storage.snapshot` — one-file binary persistence of a whole
-  :class:`~repro.storage.corpus.Corpus` (store + dictionary + index +
+  :class:`~repro.storage.corpus.Corpus` (store + index with its dictionary +
   statistics), so cold start is a sequential read instead of re-parsing and
   re-tokenising the corpus; see :meth:`Corpus.save` / :meth:`Corpus.load`.
 """

@@ -1,12 +1,11 @@
 """The :class:`Corpus` convenience bundle.
 
 A corpus ties together the storage-layer pieces that the search engine and the
-experiments always use together: the document store, its inverted index, its
-statistics, and the :class:`~repro.storage.term_dictionary.TermDictionary`
-shared by the latter two.  Sharing one dictionary means index and statistics
-agree on every term id, so query evaluation resolves each keyword to an id
-once and both tables answer with integer keys.  Building the index and
-statistics eagerly keeps the rest of the code free of "is the index stale?"
+experiments always use together: the document store, its inverted index and
+its structural statistics.  Only the index tokenises: it owns the term
+dictionary and the document frequencies ranking reads, while the statistics
+summarise tag paths and never see a term.  Building the index and statistics
+eagerly keeps the rest of the code free of "is the index stale?"
 bookkeeping — dataset generators produce a store, wrap it in a corpus once,
 and hand the corpus around.
 
@@ -27,7 +26,6 @@ from repro.errors import StorageError
 from repro.storage.document_store import DocumentStore
 from repro.storage.inverted_index import InvertedIndex
 from repro.storage.statistics import CorpusStatistics
-from repro.storage.term_dictionary import TermDictionary
 from repro.structure.table import StructuralTable
 from repro.xmlmodel.node import XMLNode
 
@@ -40,9 +38,8 @@ class Corpus:
     def __init__(self, store: DocumentStore, name: str = "corpus"):
         self.name = name
         self.store = store
-        self.dictionary = TermDictionary()
-        self.index = InvertedIndex.build(store, dictionary=self.dictionary)
-        self.statistics = CorpusStatistics.build(store, dictionary=self.dictionary)
+        self.index = InvertedIndex.build(store)
+        self.statistics = CorpusStatistics.build(store)
         # Lazily populated: documents are structurally indexed on the first
         # structured query that touches them, so pure keyword workloads never
         # pay for the encoding (see repro.structure).
@@ -74,7 +71,6 @@ class Corpus:
         cls,
         *,
         store: DocumentStore,
-        dictionary: TermDictionary,
         index: InvertedIndex,
         statistics: CorpusStatistics,
         name: str,
@@ -85,13 +81,11 @@ class Corpus:
 
         Bypasses ``__init__`` — the whole point of a snapshot is that index
         and statistics arrive ready-made instead of being rebuilt from the
-        store.  The parts must share ``dictionary``, as a normal construction
-        would guarantee, and ``structure`` must load roots from ``store``.
+        store.  ``structure`` must load roots from ``store``.
         """
         corpus = cls.__new__(cls)
         corpus.name = name
         corpus.store = store
-        corpus.dictionary = dictionary
         corpus.index = index
         corpus.statistics = statistics
         corpus.structure = structure
@@ -158,7 +152,7 @@ class Corpus:
         Returns a structurally-shared clone: document trees and finalized
         posting buckets are shared (protected by the store's and index's
         copy-on-write rules), while every piece of mutable bookkeeping —
-        membership, frequencies, path summaries, the term dictionary — is
+        membership, frequencies, path summaries, the index's dictionary — is
         copied.  Mutating the clone never changes what this corpus serves,
         so a writer can build the next generation while in-flight readers
         finish against this one, then publish the clone with one reference
@@ -167,13 +161,11 @@ class Corpus:
         Cost is proportional to membership size (dict copies), not to corpus
         content — no tree, posting or record is duplicated.
         """
-        dictionary = self.dictionary.clone()
         store = self.store.clone()
         return Corpus._restore(
             store=store,
-            dictionary=dictionary,
-            index=self.index.clone(dictionary),
-            statistics=self.statistics.clone(dictionary),
+            index=self.index.clone(),
+            statistics=self.statistics.clone(),
             name=self.name,
             version=self.version,
             structure=self.structure.clone(lambda doc_id: store.get(doc_id).root),
@@ -255,13 +247,12 @@ class Corpus:
     def refresh(self) -> None:
         """Rebuild the index and statistics after the store was modified.
 
-        A fresh :class:`TermDictionary` is built as well, so term ids are
+        The rebuilt index interns into a fresh dictionary, so term ids are
         *not* stable across a refresh — nothing outside the corpus holds ids
         across mutations (the engine's cache is version-guarded).
         """
-        self.dictionary = TermDictionary()
-        self.index = InvertedIndex.build(self.store, dictionary=self.dictionary)
-        self.statistics = CorpusStatistics.build(self.store, dictionary=self.dictionary)
+        self.index = InvertedIndex.build(self.store)
+        self.statistics = CorpusStatistics.build(self.store)
         # Structural indexes derive from the store too: start a fresh lazy
         # table so edited trees cannot serve stale pre/post windows.
         self.structure = StructuralTable(self._document_root)

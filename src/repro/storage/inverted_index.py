@@ -16,9 +16,10 @@ string.  Tokens are interned once at ingestion (via the batch
 and attribute values); the query side resolves each keyword through the
 dictionary exactly once per call and then works on ids.  The public API stays
 string-based — callers hand in keywords, the index resolves them — while the
-hot loops never hash a string per posting.  A
-:class:`~repro.storage.corpus.Corpus` passes a dictionary shared with its
-:class:`~repro.storage.statistics.CorpusStatistics` so both agree on ids.
+hot loops never hash a string per posting.  The index is the one owner of
+term statistics in a :class:`~repro.storage.corpus.Corpus`: its document
+frequencies feed TF-IDF ranking, and nothing else interns into its
+dictionary.
 
 Build strategy
 --------------
@@ -87,9 +88,9 @@ class InvertedIndex:
     Parameters
     ----------
     dictionary:
-        The :class:`TermDictionary` to intern tokens into.  Pass the corpus's
-        shared dictionary so index and statistics agree on term ids; when
-        omitted the index owns a private one.
+        The :class:`TermDictionary` to intern tokens into, for callers that
+        build into an already-populated one; when omitted the index owns a
+        fresh one.
     """
 
     def __init__(self, dictionary: Optional[TermDictionary] = None) -> None:
@@ -187,7 +188,7 @@ class InvertedIndex:
         index._documents_indexed = len(doc_terms)
         return index
 
-    def clone(self, dictionary: Optional[TermDictionary] = None) -> "InvertedIndex":
+    def clone(self) -> "InvertedIndex":
         """Structurally-shared copy for generation-swap writes.
 
         Finalizes first, so every shared bucket is protected by the same
@@ -196,13 +197,11 @@ class InvertedIndex:
         bucket — on either copy — works on a fresh list.  The per-document
         offset maps are likewise safe to share because mutations only ever
         *replace* inner dicts (at finalize) or pop outer keys, never edit an
-        inner dict in place.  Pass the owning corpus's cloned dictionary so
-        the clone interns new terms privately; when omitted the dictionary is
-        shared (ids are append-only and stable, so sharing is safe, but the
-        original's dictionary then grows with the clone's ingests).
+        inner dict in place.  The dictionary is cloned, so the copy interns
+        new terms without the original observing them.
         """
         self.finalize()
-        index = InvertedIndex(dictionary if dictionary is not None else self._dictionary)
+        index = InvertedIndex(self._dictionary.clone())
         index._postings = dict(self._postings)
         index._document_frequency = dict(self._document_frequency)
         index._doc_ranges = dict(self._doc_ranges)

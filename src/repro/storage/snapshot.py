@@ -5,7 +5,7 @@ tokenisation (~60% of build time after PR 2) — every node's tag, text and
 attribute values pass through the regex tokenizer and the interning
 dictionary.  For an interactive system the corpus must be *available* before
 the first query can run, so cold-start latency is user-facing.  A snapshot
-serialises a whole corpus — document trees, shared
+serialises a whole corpus — document trees, the index's
 :class:`~repro.storage.term_dictionary.TermDictionary`, finalized
 :class:`~repro.storage.inverted_index.InvertedIndex` posting lists with their
 per-document offset maps, and
@@ -578,12 +578,13 @@ def _read_index(
     )
 
 
-def _write_statistics(writer: _Writer, statistics: CorpusStatistics) -> None:
+def _write_statistics(writer: _Writer, statistics: CorpusStatistics, index: InvertedIndex) -> None:
     """Statistics section.
 
     Paths are stored against a local tag table; max_siblings and
     distinct_values are derived on load from the exact sibling-run and
-    value-occurrence bookkeeping, as in a fresh build.
+    value-occurrence bookkeeping, as in a fresh build.  The term-frequency
+    table is the index's document frequencies.
     """
     tag_refs: Dict[str, int] = {}
     for summary_path in statistics._paths:
@@ -610,7 +611,8 @@ def _write_statistics(writer: _Writer, statistics: CorpusStatistics) -> None:
         for run_size, observations in sibling_runs.items():
             writer.varint(run_size)
             writer.varint(observations)
-    term_frequency = statistics._term_document_frequency
+    # Kept in the layout so files cross-load with builds that read it.
+    term_frequency = index._document_frequency
     writer.varint(len(term_frequency))
     for term_id, frequency in term_frequency.items():
         writer.varint(term_id)
@@ -619,7 +621,7 @@ def _write_statistics(writer: _Writer, statistics: CorpusStatistics) -> None:
     writer.varint(statistics._total_elements)
 
 
-def _read_statistics(reader: _Reader, dictionary: TermDictionary) -> CorpusStatistics:
+def _read_statistics(reader: _Reader) -> CorpusStatistics:
     tag_table = [reader.string() for _ in range(reader.varint())]
     paths: Dict[Tuple[str, ...], PathSummary] = {}
     path_values: Dict[Tuple[str, ...], Dict[str, int]] = {}
@@ -648,18 +650,15 @@ def _read_statistics(reader: _Reader, dictionary: TermDictionary) -> CorpusStati
             path_sibling_runs[path] = sibling_runs
     except IndexError:
         raise SnapshotFormatError("malformed snapshot: path refers to unknown tag") from None
-    term_document_frequency: Dict[int, int] = {}
-    for _ in range(reader.varint()):
-        term_id = reader.varint()
-        term_document_frequency[term_id] = reader.varint()
+    # The index derives df from its run counts: skip the term-frequency table.
+    for _ in range(2 * reader.varint()):
+        reader.varint()
     stats_document_count = reader.varint()
     total_elements = reader.varint()
     return CorpusStatistics._restore(
-        dictionary,
         paths=paths,
         path_values=path_values,
         path_sibling_runs=path_sibling_runs,
-        term_document_frequency=term_document_frequency,
         document_count=stats_document_count,
         total_elements=total_elements,
     )
@@ -910,7 +909,7 @@ def _build_payload(corpus: "Corpus", *, compress: bool) -> Tuple[bytes, bytes]:
     """
     writer = _Writer()
     writer.varint(_tokenizer_fingerprint())
-    _write_dictionary(writer, corpus.dictionary)
+    _write_dictionary(writer, corpus.index.dictionary)
 
     doc_ids = corpus.store.document_ids()
     doc_refs = {doc_id: position for position, doc_id in enumerate(doc_ids)}
@@ -954,7 +953,7 @@ def _build_payload(corpus: "Corpus", *, compress: bool) -> Tuple[bytes, bytes]:
         label_indices[document.doc_id] = label_index
 
     _write_index(writer, corpus.index, doc_refs, label_indices)
-    _write_statistics(writer, corpus.statistics)
+    _write_statistics(writer, corpus.statistics, corpus.index)
     _write_structure(writer, doc_ids, doc_tag_ids, list(section_tags))
     return writer.getvalue(), bytes(records)
 
@@ -1165,7 +1164,7 @@ def _load(
     store = _open_store(handle, records, payload_offset + header.payload_length, max_materialised)
 
     index = _read_index(reader, dictionary, doc_ids, doc_labels)
-    statistics = _read_statistics(reader, dictionary)
+    statistics = _read_statistics(reader)
 
     def document_root(doc_id: str) -> XMLNode:
         return store.get(doc_id).root
@@ -1175,7 +1174,6 @@ def _load(
         raise SnapshotFormatError("malformed snapshot: trailing bytes inside payload")
     return Corpus._restore(
         store=store,
-        dictionary=dictionary,
         index=index,
         statistics=statistics,
         name=header.name,

@@ -1,18 +1,12 @@
-"""Corpus statistics: a DataGuide-style structural summary plus term statistics.
+"""Corpus statistics: a DataGuide-style structural summary.
 
-Two consumers need these statistics:
-
-* the entity classifier (:mod:`repro.entity`) decides whether a tag denotes an
-  entity by looking at how often nodes with that tag occur as repeating
-  siblings, which is a per-path aggregate computed here;
-* the ranking module (:mod:`repro.search.ranking`) needs document frequencies
-  and average document sizes for TF-IDF style scores.
-
-Term document frequencies are keyed by interned term ids from a
-:class:`~repro.storage.term_dictionary.TermDictionary` — the same dictionary
-the :class:`~repro.storage.inverted_index.InvertedIndex` interns into when the
-two live inside one :class:`~repro.storage.corpus.Corpus` — so the ranking hot
-path resolves each query keyword to an id once and reads ints thereafter.
+The entity classifier (:mod:`repro.entity`) decides whether a tag denotes an
+entity by looking at how often nodes with that tag occur as repeating
+siblings, which is a per-path aggregate computed here; XSeek's return-node
+inference and the feature extractor read the same summaries.  Term document
+frequencies for ranking are not kept here: the
+:class:`~repro.storage.inverted_index.InvertedIndex` owns them, so building
+statistics never tokenises a node.
 
 Statistics support incremental *removal* as well as addition: every per-path
 aggregate is backed by bookkeeping rich enough to subtract one document
@@ -28,11 +22,9 @@ cannot resurrect values the capped collection never recorded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.storage.document_store import DocumentStore
-from repro.storage.term_dictionary import TermDictionary
-from repro.storage.tokenizer import tokenize, tokenize_many
 from repro.xmlmodel.node import XMLNode
 
 __all__ = ["PathSummary", "CorpusStatistics"]
@@ -81,20 +73,11 @@ class PathSummary:
 
 
 class CorpusStatistics:
-    """Structural and term statistics over a document store.
-
-    Parameters
-    ----------
-    dictionary:
-        The :class:`TermDictionary` to intern tokens into; pass the corpus's
-        shared dictionary so statistics and index agree on term ids.  When
-        omitted the statistics own a private one.
-    """
+    """Structural statistics over a document store."""
 
     _MAX_TRACKED_VALUES = 1000
 
-    def __init__(self, dictionary: Optional[TermDictionary] = None) -> None:
-        self._dictionary = dictionary if dictionary is not None else TermDictionary()
+    def __init__(self) -> None:
         self._paths: Dict[Tuple[str, ...], PathSummary] = {}
         # value -> occurrence count per path; len() is distinct_values, the
         # counts make removal exact (a value disappears only when its last
@@ -104,24 +87,16 @@ class CorpusStatistics:
         # max_siblings, the multiset makes removal exact (the max survives
         # unless its last witness run is removed).
         self._path_sibling_runs: Dict[Tuple[str, ...], Dict[int, int]] = {}
-        self._term_document_frequency: Dict[int, int] = {}
         self._document_count = 0
         self._total_elements = 0
-
-    @property
-    def dictionary(self) -> TermDictionary:
-        """The term dictionary these statistics intern into."""
-        return self._dictionary
 
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
     @classmethod
-    def build(
-        cls, store: DocumentStore, dictionary: Optional[TermDictionary] = None
-    ) -> "CorpusStatistics":
+    def build(cls, store: DocumentStore) -> "CorpusStatistics":
         """Collect statistics over every document in ``store``."""
-        stats = cls(dictionary)
+        stats = cls()
         for document in store:
             stats.add_document(document.root)
         return stats
@@ -129,12 +104,10 @@ class CorpusStatistics:
     @classmethod
     def _restore(
         cls,
-        dictionary: TermDictionary,
         *,
         paths: Dict[Tuple[str, ...], PathSummary],
         path_values: Dict[Tuple[str, ...], Dict[str, int]],
         path_sibling_runs: Dict[Tuple[str, ...], Dict[int, int]],
-        term_document_frequency: Dict[int, int],
         document_count: int,
         total_elements: int,
     ) -> "CorpusStatistics":
@@ -144,16 +117,15 @@ class CorpusStatistics:
         so incremental :meth:`add_document` / :meth:`remove_document` keep
         working exactly as they would on a freshly built instance.
         """
-        stats = cls(dictionary)
+        stats = cls()
         stats._paths = paths
         stats._path_values = path_values
         stats._path_sibling_runs = path_sibling_runs
-        stats._term_document_frequency = term_document_frequency
         stats._document_count = document_count
         stats._total_elements = total_elements
         return stats
 
-    def clone(self, dictionary: Optional[TermDictionary] = None) -> "CorpusStatistics":
+    def clone(self) -> "CorpusStatistics":
         """Independent deep-enough copy for generation-swap writes.
 
         Unlike the index, the statistics mutate their aggregates *in place*
@@ -161,11 +133,9 @@ class CorpusStatistics:
         counters), so sharing them across generations is unsafe: every
         summary dataclass and every inner counter dict is copied.  Cost is
         proportional to the number of distinct paths, not corpus size —
-        DataGuide summaries are small by construction.  Pass the owning
-        corpus's cloned dictionary so term interning stays private.
+        DataGuide summaries are small by construction.
         """
         return CorpusStatistics._restore(
-            dictionary if dictionary is not None else self._dictionary,
             paths={
                 path: PathSummary(
                     path=summary.path,
@@ -180,7 +150,6 @@ class CorpusStatistics:
             path_sibling_runs={
                 path: dict(runs) for path, runs in self._path_sibling_runs.items()
             },
-            term_document_frequency=dict(self._term_document_frequency),
             document_count=self._document_count,
             total_elements=self._total_elements,
         )
@@ -188,11 +157,7 @@ class CorpusStatistics:
     def add_document(self, root: XMLNode) -> None:
         """Fold one document tree into the statistics."""
         self._document_count += 1
-        document_terms: Set[int] = set()
-        self._fold(root, (), document_terms, +1)
-        frequency = self._term_document_frequency
-        for term_id in document_terms:
-            frequency[term_id] = frequency.get(term_id, 0) + 1
+        self._fold(root, (), +1)
 
     def remove_document(self, root: XMLNode) -> None:
         """Subtract one previously-added document tree from the statistics.
@@ -203,15 +168,7 @@ class CorpusStatistics:
         ``distinct_values`` tracking cap.
         """
         self._document_count -= 1
-        document_terms: Set[int] = set()
-        self._fold(root, (), document_terms, -1)
-        frequency = self._term_document_frequency
-        for term_id in document_terms:
-            remaining = frequency.get(term_id, 0) - 1
-            if remaining > 0:
-                frequency[term_id] = remaining
-            else:
-                frequency.pop(term_id, None)
+        self._fold(root, (), -1)
 
     def _summary(self, path: Tuple[str, ...]) -> PathSummary:
         summary = self._paths.get(path)
@@ -222,13 +179,7 @@ class CorpusStatistics:
             self._path_sibling_runs[path] = {}
         return summary
 
-    def _fold(
-        self,
-        node: XMLNode,
-        parent_path: Tuple[str, ...],
-        document_terms: Set[int],
-        sign: int,
-    ) -> None:
+    def _fold(self, node: XMLNode, parent_path: Tuple[str, ...], sign: int) -> None:
         """Add (``sign=+1``) or subtract (``sign=-1``) one subtree."""
         if not node.is_element:
             return
@@ -253,17 +204,6 @@ class CorpusStatistics:
                     else:
                         del values[value]
             summary.distinct_values = len(self._path_values[path])
-        # Keep term extraction aligned with InvertedIndex._node_term_ids: tag
-        # names, direct text and attribute values all produce postings, so all
-        # three must count towards document frequencies or TF-IDF would treat
-        # attribute-only terms as absent from the corpus.
-        texts = [node.tag or ""]
-        direct = node.direct_text()
-        if direct:
-            texts.append(direct)
-        if node.attributes:
-            texts.extend(node.attributes.values())
-        document_terms.update(self._dictionary.intern_many(tokenize_many(texts)))
 
         # Sibling repetition: group the element children by tag.
         tag_counts: Dict[str, int] = {}
@@ -284,7 +224,7 @@ class CorpusStatistics:
             child_summary.max_siblings = max(runs) if runs else 1
 
         for child in node.element_children():
-            self._fold(child, path, document_terms, sign)
+            self._fold(child, path, sign)
 
         if sign < 0 and summary.count <= 0:
             # Last node with this path is gone: drop the summary entirely so
@@ -311,20 +251,6 @@ class CorpusStatistics:
     def iter_paths(self) -> Iterator[PathSummary]:
         """Iterate over every path summary."""
         return iter(self._paths.values())
-
-    def document_frequency(self, term: str) -> int:
-        """Number of documents containing the (tokenised) term."""
-        tokens = tokenize(term)
-        if not tokens:
-            return 0
-        term_id = self._dictionary.lookup(tokens[0])
-        if term_id is None:
-            return 0
-        return self._term_document_frequency.get(term_id, 0)
-
-    def document_frequency_id(self, term_id: int) -> int:
-        """Document frequency for an already-resolved term id."""
-        return self._term_document_frequency.get(term_id, 0)
 
     @property
     def document_count(self) -> int:

@@ -1,13 +1,12 @@
 """Interning dictionary mapping search tokens to dense integer term ids.
 
-Every token that enters the storage layer — via index construction or
-statistics collection — is *interned* exactly once: the first occurrence is
-assigned the next free integer id, later occurrences resolve to the same id
-through one dictionary probe.  Everything downstream of tokenisation
-(:class:`~repro.storage.inverted_index.InvertedIndex` posting buckets, document
-frequency tables in both the index and
-:class:`~repro.storage.statistics.CorpusStatistics`) then keys its tables by
-these small ints instead of by the token strings, which
+Every token that enters the storage layer through index construction is
+*interned* exactly once: the first occurrence is assigned the next free
+integer id, later occurrences resolve to the same id through one dictionary
+probe.  Everything downstream of tokenisation (the
+:class:`~repro.storage.inverted_index.InvertedIndex` posting buckets and its
+document-frequency table) then keys its tables by these small ints instead of
+by the token strings, which
 
 * shrinks every per-term table key to a machine word,
 * turns repeated per-posting string hashing into integer hashing, and
@@ -16,10 +15,10 @@ these small ints instead of by the token strings, which
 
 Ids are dense (``0..len-1``), stable for the lifetime of the dictionary, and
 never recycled: removing every document containing a term keeps the term's id
-reserved so that any id held by a consumer stays valid.  A
-:class:`~repro.storage.corpus.Corpus` owns one dictionary shared by its index
-and its statistics, so both agree on every id; a standalone
-:class:`~repro.storage.inverted_index.InvertedIndex` creates a private one.
+reserved so that any id held by a consumer stays valid.  Each
+:class:`~repro.storage.inverted_index.InvertedIndex` owns its dictionary
+unless it is built into a given one, and a generation-swap clone of the index
+clones the dictionary with it.
 
 Query-side resolution uses :meth:`lookup` (non-inserting) so that searching
 for absent keywords does not grow the dictionary.

@@ -256,6 +256,61 @@ class TestCliOnSavedCorpus:
         assert process.returncode == 0
         assert "cache:" in remaining  # shutdown log surfaces hit/miss counters
 
+    def test_serve_waits_for_background_snapshot_on_interrupt(
+        self, corpus_dir, tmp_path, monkeypatch
+    ):
+        # Regression: a Ctrl-C while the background snapshot was writing
+        # returned at once, and the daemon save died with the process, losing
+        # a mutation that had already been answered 201.
+        import time
+
+        import repro.cli
+        from repro.service.protocol import IngestRequest
+        from repro.storage.corpus import Corpus
+
+        snapshot = tmp_path / "live.snap"
+        save = Corpus.save
+
+        def slow_save(self, path, **kwargs):
+            time.sleep(0.5)
+            return save(self, path, **kwargs)
+
+        class InterruptedServer:
+            server_address = ("127.0.0.1", 0)
+
+            def __init__(self, service):
+                self.service = service
+
+            def serve_forever(self):
+                self.service.ingest(
+                    IngestRequest(doc_id="late", xml="<product><name>Late GPS</name></product>")
+                )
+                raise KeyboardInterrupt
+
+            def server_close(self):
+                pass
+
+        monkeypatch.setattr(Corpus, "save", slow_save)
+        monkeypatch.setattr(
+            repro.cli, "create_server", lambda service, **_: InterruptedServer(service)
+        )
+        code = main(
+            [
+                "serve",
+                "--corpus-dir",
+                str(corpus_dir),
+                "--writable",
+                "--snapshot-every",
+                "1",
+                "--snapshot-path",
+                str(snapshot),
+            ],
+            out=io.StringIO(),
+        )
+        assert code == 0
+        assert snapshot.exists()
+        assert "late" in Corpus.load(snapshot).store
+
 
 def sample_rows():
     return [

@@ -28,6 +28,7 @@ from repro.errors import (
     ReadOnlyServiceError,
     ServiceError,
 )
+from repro.service import service as service_module
 from repro.service.protocol import IngestRequest, SearchRequest
 from repro.service.service import SearchService
 from repro.storage.corpus import Corpus
@@ -223,10 +224,9 @@ class TestReadOnlyAndFeedValidation:
         with pytest.raises(ServiceError, match="ahead of the corpus"):
             service.updated_since(small_product_corpus.version + 1)
 
-    def test_feed_trims_to_limit_and_reports_incomplete(self, tmp_path):
-        service = SearchService(
-            make_corpus("eager", 2, tmp_path), writable=True, change_log_limit=2
-        )
+    def test_feed_trims_to_limit_and_reports_incomplete(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(service_module, "CHANGE_LOG_LIMIT", 2)
+        service = SearchService(make_corpus("eager", 2, tmp_path), writable=True)
         for index in range(4):
             service.ingest(IngestRequest(doc_id=f"n{index}", xml=product_xml(index)))
         feed = service.updated_since(0)

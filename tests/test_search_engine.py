@@ -136,7 +136,7 @@ class TestRanking:
         corpus = product_corpus()
         query = KeywordQuery.parse("tomtom gps")
         results = root_results(corpus, ("p2", "p1"))
-        ranked = rank_results(results, query, corpus.statistics, corpus.index)
+        ranked = rank_results(results, query, corpus.index)
         assert [result.doc_id for result in ranked] == ["p1", "p2"]
         assert ranked[0].score > ranked[1].score
 
@@ -144,7 +144,7 @@ class TestRanking:
         corpus = product_corpus()
         query = KeywordQuery.parse("gps")
         results = root_results(corpus, ("p2", "p1"))
-        ranked = rank_results(results, query, corpus.statistics, corpus.index)
+        ranked = rank_results(results, query, corpus.index)
         assert [result.doc_id for result in ranked] in (["p1", "p2"], ["p2", "p1"])
         assert ranked[0].score >= ranked[1].score
 

@@ -21,6 +21,7 @@ from repro.errors import (
 )
 from repro.search.engine import SearchEngine
 from repro.search.semantics import available_semantics, get_registration
+from repro.service import service as service_module
 from repro.service.cursor import Cursor, decode_cursor, encode_cursor
 from repro.service.protocol import CompareRequest, SearchRequest
 from repro.service.service import SearchService
@@ -194,18 +195,15 @@ class TestPagination:
         with pytest.raises(ServiceError, match="page_size must be positive"):
             service.search(SearchRequest(query="gps", page_size=0))
 
-    def test_page_size_clamped_to_max(self, small_product_corpus):
-        service = SearchService(
-            small_product_corpus, default_page_size=1, max_page_size=2
-        )
+    def test_page_size_clamped_to_max(self, small_product_corpus, monkeypatch):
+        monkeypatch.setattr(service_module, "DEFAULT_MAX_PAGE_SIZE", 2)
+        service = SearchService(small_product_corpus, default_page_size=1)
         response = service.search(SearchRequest(query="gps", page_size=50))
         assert len(response.items) == 2
 
     def test_bad_service_page_configuration_rejected(self, small_product_corpus):
         with pytest.raises(ServiceError):
             SearchService(small_product_corpus, default_page_size=0)
-        with pytest.raises(ServiceError):
-            SearchService(small_product_corpus, default_page_size=10, max_page_size=5)
 
 
 class TestCursorCodec:
@@ -315,30 +313,6 @@ class TestBatchExecution:
         assert responses[0].total == responses[1].total
         # Every batched request counts as a served search request.
         assert service.stats()["requests"]["search"] == 4
-
-    def test_search_many_dedupes_even_without_engine_cache(
-        self, small_product_corpus, monkeypatch
-    ):
-        service = SearchService(small_product_corpus, cache_size=0)
-        evaluations = []
-        original = SearchEngine._evaluate
-
-        def counting_evaluate(self, query):
-            evaluations.append(query.cache_key)
-            return original(self, query)
-
-        monkeypatch.setattr(SearchEngine, "_evaluate", counting_evaluate)
-        service.search_many(
-            [
-                SearchRequest(query="gps"),
-                SearchRequest(query="gps"),
-                # A different page window must not force a re-evaluation
-                # either — the batch memoises the ranked set, not windows,
-                # when the engine cache cannot dedup for it.
-                SearchRequest(query="gps", page_size=1),
-            ]
-        )
-        assert len(evaluations) == 1
 
     def test_search_many_matches_individual_searches(self, service):
         batch = service.search_many(

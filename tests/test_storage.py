@@ -215,6 +215,16 @@ class TestInvertedIndex:
         index = InvertedIndex.build(store)
         assert index.collection_frequency("waterproof") == 1
 
+    def test_attribute_values_counted_in_document_frequency(self):
+        # Regression: the index must count attribute values towards document
+        # frequencies as it posts them, or attribute-only terms get a df of 0
+        # and the maximum possible idf.
+        store = DocumentStore()
+        store.add("d1", parse_xml('<item kind="waterproof"><name>x</name></item>'))
+        store.add("d2", parse_xml('<item kind="waterproof"><name>y</name></item>'))
+        index = InvertedIndex.build(store)
+        assert index.document_frequency("waterproof") == 2
+
     def test_duplicate_doc_id_rejected_without_side_effects(self):
         # Regression: re-adding a doc_id used to duplicate postings and
         # double-count document frequencies.
@@ -385,26 +395,11 @@ class TestCorpusStatistics:
         assert not stats.tag_is_repeating("other")
         assert not stats.tag_is_repeating("missing")
 
-    def test_document_frequency(self):
-        stats = CorpusStatistics.build(sample_store())
-        assert stats.document_frequency("gps") == 2
-        assert stats.document_frequency("tomtom") == 1
-
     def test_document_and_element_counts(self):
         stats = CorpusStatistics.build(sample_store())
         assert stats.document_count == 2
         assert stats.total_elements == 6
         assert stats.average_document_elements == 3.0
-
-    def test_attribute_values_counted_in_document_frequency(self):
-        # Regression: statistics must tokenise attribute values like the
-        # inverted index does, or attribute-only terms get a df of 0 and the
-        # maximum possible idf.
-        store = DocumentStore()
-        store.add("d1", parse_xml('<item kind="waterproof"><name>x</name></item>'))
-        store.add("d2", parse_xml('<item kind="waterproof"><name>y</name></item>'))
-        stats = CorpusStatistics.build(store)
-        assert stats.document_frequency("waterproof") == 2
 
     def test_distinct_values_tracked(self):
         stats = CorpusStatistics.build(sample_store())
@@ -415,12 +410,6 @@ class TestCorpusStatistics:
         stats = CorpusStatistics()
         assert stats.document_count == 0
         assert stats.average_document_elements == 0.0
-
-    def test_document_frequency_id(self):
-        stats = CorpusStatistics.build(sample_store())
-        term_id = stats.dictionary.lookup("gps")
-        assert stats.document_frequency_id(term_id) == 2
-        assert stats.document_frequency_id(10**6) == 0
 
 
 class TestCorpusStatisticsRemoval:
@@ -445,8 +434,6 @@ class TestCorpusStatisticsRemoval:
         assert self._snapshot(stats) == self._snapshot(fresh)
         assert stats.document_count == fresh.document_count
         assert stats.total_elements == fresh.total_elements
-        assert stats.document_frequency("gps") == 1
-        assert stats.document_frequency("tomtom") == 0
 
     def test_max_siblings_recomputed_from_surviving_runs(self):
         store = DocumentStore()
@@ -519,12 +506,6 @@ class TestCorpus:
         assert corpus.statistics.document_count == 3
         assert [p.doc_id for p in corpus.index.postings("gps")] == ["d1", "d2", "d3"]
 
-    def test_index_and_statistics_share_the_corpus_dictionary(self):
-        corpus = Corpus(sample_store())
-        assert corpus.index.dictionary is corpus.dictionary
-        assert corpus.statistics.dictionary is corpus.dictionary
-        assert corpus.dictionary.lookup("gps") is not None
-
     def test_incremental_remove_document_updates_everything(self):
         corpus = Corpus(sample_store())
         version_before = corpus.version
@@ -534,7 +515,6 @@ class TestCorpus:
         assert corpus.index.document_frequency("tomtom") == 0
         assert corpus.index.document_frequency("gps") == 1
         assert corpus.statistics.document_count == 1
-        assert corpus.statistics.document_frequency("tomtom") == 0
         assert [p.doc_id for p in corpus.index.postings("gps")] == ["d2"]
 
     def test_remove_unknown_document_raises_without_mutation(self):
