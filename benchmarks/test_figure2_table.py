@@ -8,15 +8,15 @@ several feature types in their DFSs and the majority of table rows are
 differentiating.
 """
 
-from repro.comparison.pipeline import Xsact
 from repro.core.config import DFSConfig
+from repro.service import SearchService
 
 
 def test_figure2_comparison_table(benchmark, product_corpus, report):
-    xsact = Xsact(product_corpus, config=DFSConfig(size_limit=6))
+    service = SearchService(product_corpus, config=DFSConfig(size_limit=6))
 
     def build_table():
-        return xsact.search_and_compare("tomtom gps", top=2, size_limit=6)
+        return service.search_and_compare("tomtom gps", top=2, size_limit=6)
 
     outcome = benchmark.pedantic(build_table, rounds=3, iterations=1)
 

@@ -7,16 +7,16 @@ material, ...) whose dominant values differ across brands — the "Marmot sells
 rain jackets, Columbia insulated ski jackets" effect.
 """
 
-from repro.comparison.pipeline import Xsact
 from repro.core.config import DFSConfig
+from repro.service import SearchService
 
 
 def test_outdoor_brand_comparison(benchmark, outdoor_corpus, report):
-    xsact = Xsact(outdoor_corpus, config=DFSConfig(size_limit=6))
+    service = SearchService(outdoor_corpus, config=DFSConfig(size_limit=6))
     brand_ids = outdoor_corpus.store.document_ids()[:3]
 
     def compare_brands():
-        return xsact.compare_documents(brand_ids, query="men jackets", size_limit=6)
+        return service.compare_documents(brand_ids, query="men jackets", size_limit=6)
 
     outcome = benchmark.pedantic(compare_brands, rounds=3, iterations=1)
 

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro import DFSConfig, SearchEngine, generate_outdoor_corpus
-from repro.comparison.pipeline import Xsact
+from repro import DFSConfig, SearchEngine, SearchService, generate_outdoor_corpus
 
 
 def main() -> None:
@@ -35,8 +34,8 @@ def main() -> None:
     if len(selected) < 2:
         selected = corpus.store.document_ids()[:3]
 
-    xsact = Xsact(corpus, config=DFSConfig(size_limit=6))
-    outcome = xsact.compare_documents(selected, query="men jackets", size_limit=6)
+    service = SearchService(corpus, config=DFSConfig(size_limit=6))
+    outcome = service.compare_documents(selected, query="men jackets", size_limit=6)
     print(f"\nBrand comparison table (DoD = {outcome.dod}):\n")
     print(outcome.to_text())
 

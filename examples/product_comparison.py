@@ -18,8 +18,14 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro import DFSConfig, DFSGenerator, FeatureExtractor, SearchEngine, generate_product_reviews_corpus
-from repro.comparison.pipeline import Xsact
+from repro import (
+    DFSConfig,
+    DFSGenerator,
+    FeatureExtractor,
+    SearchEngine,
+    SearchService,
+    generate_product_reviews_corpus,
+)
 from repro.experiments.report import format_rows
 from repro.snippets import snippet_dod
 from repro.workloads.queries import PRODUCT_QUERIES
@@ -51,8 +57,8 @@ def main() -> None:
     print(format_rows(rows, title="Snippets vs XSACT on the Product Reviews corpus (L=6)"))
 
     # The Figure 2 walk-through for the paper's running query.
-    xsact = Xsact(corpus, config=config)
-    outcome = xsact.search_and_compare("tomtom gps", top=2, size_limit=6)
+    service = SearchService(corpus, config=config)
+    outcome = service.search_and_compare("tomtom gps", top=2, size_limit=6)
     print(f"\nComparison table for {{TomTom, GPS}} (DoD = {outcome.dod}):\n")
     print(outcome.to_text())
 

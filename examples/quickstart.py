@@ -12,17 +12,17 @@ table of the top two — the programmatic equivalent of the demo's web UI flow.
 
 from __future__ import annotations
 
-from repro import DFSConfig, Xsact, generate_product_reviews_corpus
+from repro import DFSConfig, SearchService, generate_product_reviews_corpus
 
 
 def main() -> None:
     corpus = generate_product_reviews_corpus()
     print(f"Corpus: {corpus.name} — {corpus.describe()}")
 
-    xsact = Xsact(corpus, config=DFSConfig(size_limit=6))
+    service = SearchService(corpus, config=DFSConfig(size_limit=6))
 
     # Step 1: keyword search (the "Search Engine" box of the architecture).
-    result_set = xsact.search("tomtom gps")
+    result_set = service.search_results("tomtom gps")
     print(f'\nResults for query "{result_set.query}":')
     for result in result_set:
         print(f"  [{result.result_id}] {result.title}  (score {result.score:.3f})")
@@ -32,7 +32,7 @@ def main() -> None:
         return
 
     # Steps 2-5: select results, extract features, generate DFSs, build the table.
-    outcome = xsact.compare(result_set, result_ids=["R1", "R2"], size_limit=6)
+    outcome = service.compare_selected(result_set, result_ids=["R1", "R2"], size_limit=6)
     print(f"\nComparison table (DoD = {outcome.dod}, algorithm = {outcome.generation.algorithm}):\n")
     print(outcome.to_text())
 

@@ -14,20 +14,20 @@ This package implements the complete system described by the paper:
 * the result processor (entity identification and feature extraction),
 * the DFS construction algorithms (single-swap and multi-swap local
   optimality) plus baselines,
-* the comparison-table front end and an end-to-end pipeline,
+* the comparison-table front end and the service that runs the end-to-end
+  pipeline (:class:`~repro.service.service.SearchService`),
 * synthetic substitutes for the paper's datasets and the Figure 4 evaluation
   harness.
 
 Quickstart
 ----------
->>> from repro import Xsact, generate_product_reviews_corpus
+>>> from repro import SearchService, generate_product_reviews_corpus
 >>> corpus = generate_product_reviews_corpus()
->>> xsact = Xsact(corpus)
->>> outcome = xsact.search_and_compare("tomtom gps", top=2)
+>>> outcome = SearchService(corpus).search_and_compare("tomtom gps", top=2)
 >>> print(outcome.to_text())  # doctest: +SKIP
 """
 
-from repro.comparison import ComparisonOutcome, ComparisonTable, Xsact
+from repro.comparison import ComparisonTable
 from repro.core import (
     ALGORITHMS,
     DFS,
@@ -65,6 +65,7 @@ from repro.search import (
 from repro.service import (
     CompareRequest,
     CompareResponse,
+    ComparisonOutcome,
     ResultItem,
     SearchRequest,
     SearchResponse,
@@ -78,8 +79,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "__version__",
-    # Pipeline / front end
-    "Xsact",
+    # Comparison front end
     "ComparisonOutcome",
     "ComparisonTable",
     # Core DFS machinery

@@ -2,13 +2,12 @@
 
 One :class:`Analyzer` holds a list of :class:`Rule` instances and runs them
 over Python sources.  Each file is parsed once and walked once; the walker
-maintains a lexical scope stack (module / class / function frames plus a
-``typing.TYPE_CHECKING`` flag) and dispatches every AST node to every rule
-that declared interest in its type.  Rules report through
-:meth:`FileContext.report`, which applies inline suppressions
-(``# repro: ignore[rule-id]`` on the flagged line, or alone on the line
-directly above) before a :class:`~repro.analysis.findings.Finding` is
-recorded — a suppressed finding never reaches the baseline or the report.
+tracks whether it is inside an ``if typing.TYPE_CHECKING:`` block and
+dispatches every AST node to every rule that declared interest in its type.
+Rules report through :meth:`FileContext.report`, which applies inline
+suppressions (``# repro: ignore[rule-id]`` on the flagged line, or alone on
+the line directly above) before a :class:`~repro.analysis.findings.Finding`
+is recorded — a suppressed finding never reaches the baseline or the report.
 
 Rules are registered in a module-level registry keyed by ``rule_id`` so the
 CLI can enable subsets by name and the documentation can enumerate the
@@ -31,7 +30,6 @@ from repro.errors import AnalysisError
 __all__ = [
     "Rule",
     "Scope",
-    "ScopeFrame",
     "FileContext",
     "Analyzer",
     "register_rule",
@@ -46,45 +44,14 @@ _SUPPRESSION_PATTERN = re.compile(r"#\s*repro:\s*ignore\[([A-Za-z0-9_,\- ]+)\]")
 
 
 @dataclass(frozen=True)
-class ScopeFrame:
-    """One lexical frame of the walk: the module, a class or a function."""
-
-    kind: str  # "module" | "class" | "function"
-    name: str
-    node: ast.AST
-
-
-@dataclass(frozen=True)
 class Scope:
-    """The lexical position of the node currently being visited.
+    """Where the node currently being visited sits.
 
-    ``frames`` always starts with the module frame.  ``type_checking`` is
-    true inside ``if typing.TYPE_CHECKING:`` blocks, where imports exist for
-    annotations only and never execute at runtime.
+    ``type_checking`` is true inside ``if typing.TYPE_CHECKING:`` blocks,
+    where imports exist for annotations only and never execute at runtime.
     """
 
-    frames: Tuple[ScopeFrame, ...]
     type_checking: bool = False
-
-    @property
-    def enclosing_class(self) -> Optional[ast.ClassDef]:
-        """The innermost enclosing class definition, if any."""
-        for frame in reversed(self.frames):
-            if frame.kind == "class" and isinstance(frame.node, ast.ClassDef):
-                return frame.node
-        return None
-
-    @property
-    def enclosing_function(self) -> Optional[ast.AST]:
-        """The innermost enclosing function definition, if any."""
-        for frame in reversed(self.frames):
-            if frame.kind == "function":
-                return frame.node
-        return None
-
-    def qualified_name(self) -> str:
-        """Dotted path of the current scope, e.g. ``Corpus.save``."""
-        return ".".join(frame.name for frame in self.frames[1:]) or "<module>"
 
 
 class FileContext:
@@ -292,9 +259,7 @@ class Analyzer:
     def _run_file(self, context: FileContext) -> None:
         for rule in self.rules:
             rule.begin_file(context)
-        module_scope = Scope(
-            frames=(ScopeFrame(kind="module", name=context.module, node=context.tree),)
-        )
+        module_scope = Scope()
         for node in context.tree.body:
             self._visit(node, module_scope, context)
         for rule in self.rules:
@@ -307,18 +272,8 @@ class Analyzer:
 
     def _visit(self, node: ast.AST, scope: Scope, context: FileContext) -> None:
         self._dispatch(node, scope, context)
-        if isinstance(node, ast.ClassDef):
-            frame = ScopeFrame(kind="class", name=node.name, node=node)
-            inner = Scope(scope.frames + (frame,), scope.type_checking)
-            for child in ast.iter_child_nodes(node):
-                self._visit(child, inner, context)
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            frame = ScopeFrame(kind="function", name=node.name, node=node)
-            inner = Scope(scope.frames + (frame,), scope.type_checking)
-            for child in ast.iter_child_nodes(node):
-                self._visit(child, inner, context)
-        elif isinstance(node, ast.If) and _is_type_checking_test(node.test):
-            guarded = Scope(scope.frames, type_checking=True)
+        if isinstance(node, ast.If) and _is_type_checking_test(node.test):
+            guarded = Scope(type_checking=True)
             self._visit(node.test, scope, context)
             for child in node.body:
                 self._visit(child, guarded, context)

@@ -44,6 +44,7 @@ Examples
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 from typing import Callable, Dict, Optional, Sequence
 
@@ -54,8 +55,8 @@ from repro.datasets.outdoor_retailer import generate_outdoor_corpus
 from repro.datasets.product_reviews import generate_product_reviews_corpus
 from repro.errors import ReproError
 from repro.experiments.figure4 import run_figure4
-from repro.search.structural import AXES, StructuredQuery, parse_tag_path
 from repro.experiments.report import format_measurements
+from repro.search.structural import AXES, StructuredQuery, parse_tag_path
 from repro.service.http import create_server
 from repro.service.service import SearchService
 from repro.storage.corpus import Corpus
@@ -358,11 +359,15 @@ def _command_serve(arguments: argparse.Namespace, out) -> int:
         file=out,
         flush=True,
     )
+    # Service managers stop a server with SIGTERM: take the Ctrl-C path, so
+    # the shutdown below runs for it too.
+    previous_handler = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
+        signal.signal(signal.SIGTERM, previous_handler)
         server.server_close()
         # Mutations already answered 201 must reach the snapshot being
         # written; its thread is a daemon and would die with the process.

@@ -14,7 +14,7 @@ breaking it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set
+from typing import List, Optional, Set
 
 from repro.core.dfs import DFS
 from repro.errors import InvalidDFSError
@@ -106,8 +106,13 @@ def removable_types(dfs: DFS) -> List[FeatureStatistics]:
     row), so that what remains is still a top-k prefix.
     """
     candidates: List[FeatureStatistics] = []
-    for entity in {row.feature.entity for row in dfs.rows()}:
+    # Single-swap keeps the first of equally good moves, so the candidates
+    # follow the source's entity order: a set's order would vary with the
+    # hash seed.
+    for entity in dfs.source.entities():
         selected_rows = dfs.rows_for_entity(entity)
+        if not selected_rows:
+            continue
         worst = min(row.occurrences for row in selected_rows)
         candidates.extend(row for row in selected_rows if row.occurrences == worst)
     return candidates

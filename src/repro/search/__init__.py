@@ -15,7 +15,7 @@ scratch:
   stable, relevance-flavoured order.
 * :mod:`~repro.search.structural` — :class:`StructuredQuery` (keywords plus
   axis constraints and tag-path filters) and the ``slca_struct`` semantics,
-  which filters SLCA matches through those constraints on the pre/post
+  which filters SLCA matches through those constraints on the pre-order
   structural encoding of :mod:`repro.structure`.
 * :mod:`~repro.search.semantics` — the fixed table of the three match
   semantics (``slca``, ``elca``, ``slca_struct``).

@@ -17,7 +17,7 @@ optional structural constraints:
 
 The ``"slca_struct"`` semantics computes the SLCA matches with
 :func:`~repro.search.slca.compute_slca` and then evaluates the constraints on
-the pre/post encoding — window-bounded integer interval tests instead of
+the pre-order encoding — window-bounded integer interval tests instead of
 Dewey label walks.  On a pure keyword query (no constraints) it returns
 ``compute_slca``'s matches unchanged.  It is a context-aware semantics
 (``accepts_context=True``): the engine hands it a

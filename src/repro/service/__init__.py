@@ -7,8 +7,10 @@ serving surface — the reproduction of the demo paper's web application tier:
   JSON codecs (plain data across the boundary, never live tree nodes);
 * :mod:`~repro.service.cursor` — opaque, corpus-version-guarded pagination
   cursors;
-* :mod:`~repro.service.service` — the thread-safe :class:`SearchService`
-  façade (per-request semantics, batch execution, cache statistics);
+* :mod:`~repro.service.service` — the thread-safe :class:`SearchService`,
+  the one entry point that runs search and comparison (per-request
+  semantics, batch execution, cache statistics) and returns
+  :class:`ComparisonOutcome` objects to in-process callers;
 * :mod:`~repro.service.http` — the stdlib HTTP JSON front-end behind
   ``repro-xsact serve``.
 """
@@ -24,10 +26,11 @@ from repro.service.protocol import (
     SearchRequest,
     SearchResponse,
 )
-from repro.service.service import SearchService
+from repro.service.service import ComparisonOutcome, SearchService
 
 __all__ = [
     "SearchService",
+    "ComparisonOutcome",
     # Protocol types
     "SearchRequest",
     "SearchResponse",

@@ -3,9 +3,10 @@
 The paper's demo is a web application: users issue keyword queries, page
 through ranked results, tick checkboxes and request comparison tables.  This
 module is the serving surface behind that interaction, designed so every
-front-end — the HTTP JSON API (:mod:`repro.service.http`), the CLI and the
-:class:`~repro.comparison.pipeline.Xsact` Python facade — goes through the
-same object:
+front-end — the HTTP JSON API (:mod:`repro.service.http`), the CLI and
+in-process Python callers — goes through the same object, which runs the
+whole Figure 3 pipeline (search engine → result selection → feature
+extraction → DFS generation → comparison table):
 
 * one shared **read-only corpus**, one lazily-created
   :class:`~repro.search.engine.SearchEngine` per *semantics* (engines pin
@@ -30,12 +31,14 @@ from __future__ import annotations
 
 import re
 import threading
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.comparison.render import render_html, render_markdown, render_text
 from repro.comparison.table import ComparisonTable
 from repro.core.config import DFSConfig
-from repro.core.generator import DFSGenerator
+from repro.core.generator import DFSGenerator, GenerationOutcome
 from repro.errors import (
     ComparisonError,
     InvalidCursorError,
@@ -47,11 +50,12 @@ from repro.errors import (
     ServiceError,
 )
 from repro.features.extractor import FeatureExtractor
+from repro.features.statistics import ResultFeatures
 from repro.search.engine import SearchEngine
 from repro.search.query import KeywordQuery
-from repro.search.structural import StructuredQuery, parse_tag_path
 from repro.search.result import SearchResult, SearchResultSet
 from repro.search.semantics import available_semantics
+from repro.search.structural import StructuredQuery, parse_tag_path
 from repro.service.cursor import decode_cursor, encode_cursor
 from repro.service.protocol import (
     BulkIngestError,
@@ -73,7 +77,7 @@ from repro.xmlmodel.node import XMLNode
 from repro.xmlmodel.parser import parse_xml
 from repro.xmlmodel.serializer import serialize
 
-__all__ = ["SearchService", "DEFAULT_PAGE_SIZE", "DEFAULT_MAX_PAGE_SIZE"]
+__all__ = ["SearchService", "ComparisonOutcome", "DEFAULT_PAGE_SIZE", "DEFAULT_MAX_PAGE_SIZE"]
 
 DEFAULT_PAGE_SIZE = 10
 # Ceiling on a request's page size, raised to the service's default page size
@@ -94,6 +98,48 @@ def _rank_of(result_id: str) -> int:
     """The rank a result id names, or 0 when it names none."""
     match = _RESULT_ID.fullmatch(result_id)
     return int(match.group(1)) if match else 0
+
+
+@dataclass
+class ComparisonOutcome:
+    """Everything produced by one comparison request.
+
+    Attributes
+    ----------
+    query:
+        The keyword query the results came from.
+    results:
+        The selected results, in the order the user picked them.
+    features:
+        The extracted feature statistics, aligned with ``results``.
+    generation:
+        The DFS generation outcome (DFS set, DoD, timing).
+    table:
+        The comparison table built from the DFS set.
+    """
+
+    query: KeywordQuery
+    results: List[SearchResult]
+    features: List[ResultFeatures]
+    generation: GenerationOutcome
+    table: ComparisonTable
+
+    @property
+    def dod(self) -> int:
+        """Total degree of differentiation of the generated DFSs."""
+        return self.generation.dod
+
+    def to_text(self) -> str:
+        """Plain-text rendering of the comparison table."""
+        return render_text(self.table)
+
+    def to_markdown(self) -> str:
+        """Markdown rendering of the comparison table."""
+        return render_markdown(self.table)
+
+    def to_html(self) -> str:
+        """HTML rendering of the comparison table."""
+        return render_html(self.table, title=f"XSACT comparison for query: {self.query}")
 
 
 class _Generation:
@@ -263,7 +309,7 @@ class SearchService:
         return self._generation.engine_for(semantics)
 
     # ------------------------------------------------------------------ #
-    # Rich API (Python callers: Xsact, CLI, tests)
+    # Rich API (in-process Python callers: the CLI, examples, tests)
     # ------------------------------------------------------------------ #
     def search_results(
         self,
@@ -285,18 +331,18 @@ class SearchService:
         result_ids: Optional[Sequence[str]] = None,
         size_limit: Optional[int] = None,
         algorithm: Optional[str] = None,
-    ):
+    ) -> ComparisonOutcome:
         """Compare selected results of a result set (the checkbox flow).
 
-        Returns a :class:`~repro.comparison.pipeline.ComparisonOutcome`.
+        ``result_ids`` are the ticked checkboxes (every result when omitted);
+        ``size_limit`` and ``algorithm`` override the service defaults for
+        this comparison only.
 
         Raises
         ------
         ComparisonError
             When fewer than two results are selected.
         """
-        from repro.comparison.pipeline import ComparisonOutcome
-
         selected = (
             result_set.select(result_ids) if result_ids is not None else list(result_set)
         )
@@ -337,7 +383,7 @@ class SearchService:
         size_limit: Optional[int] = None,
         algorithm: Optional[str] = None,
         query: "str | KeywordQuery" = "document comparison",
-    ):
+    ) -> ComparisonOutcome:
         """Compare whole documents (the Outdoor Retailer brand scenario)."""
         if len(doc_ids) < 2:
             raise ComparisonError("select at least two documents to compare")
@@ -368,7 +414,7 @@ class SearchService:
         size_limit: Optional[int] = None,
         algorithm: Optional[str] = None,
         semantics: str = "slca",
-    ):
+    ) -> ComparisonOutcome:
         """Convenience: search and compare the top ``top`` results."""
         return self.compare_selected(
             self._top_results(query, semantics, top),

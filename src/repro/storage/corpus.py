@@ -254,17 +254,19 @@ class Corpus:
         self.index = InvertedIndex.build(self.store)
         self.statistics = CorpusStatistics.build(self.store)
         # Structural indexes derive from the store too: start a fresh lazy
-        # table so edited trees cannot serve stale pre/post windows.
+        # table so edited trees cannot serve stale pre-order windows.
         self.structure = StructuralTable(self._document_root)
         self.version += 1
 
     def describe(self) -> Dict[str, float]:
         """Return a small summary dictionary (used by reports and examples)."""
+        documents = len(self.store)
+        elements = self.store.total_elements()
         return {
-            "documents": float(len(self.store)),
-            "elements": float(self.store.total_elements()),
+            "documents": float(documents),
+            "elements": float(elements),
             "distinct_terms": float(len(self.index)),
-            "avg_elements_per_document": self.statistics.average_document_elements,
+            "avg_elements_per_document": elements / documents if documents else 0.0,
         }
 
     def __repr__(self) -> str:

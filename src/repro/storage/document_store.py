@@ -20,8 +20,9 @@ Each document is held in one of two forms:
 
 The store is format-agnostic: the snapshot layer injects a ``loader`` that
 turns a record into a root node (slicing the mmap, verifying the record
-checksum, optionally inflating zlib) and a ``closer`` that releases the
-mapping.  Nothing here knows about byte layouts.
+checksum, optionally inflating zlib).  Nothing here knows about byte layouts.
+The loader closure holds the mapping, so the mapping is freed together with
+the last store (or clone) that holds the loader.
 
 The record section is immutable and mutations never write through to it.
 :meth:`~DocumentStore.add` stores a resident document, and
@@ -128,35 +129,6 @@ class DocumentRecord:
     metadata: Mapping[str, str]
 
 
-class _SharedCloser:
-    """Refcounted wrapper letting generation clones share one mmap closer.
-
-    Each store holding a reference calls the closer exactly once (via
-    :meth:`DocumentStore.close`); the wrapped resource is only released
-    when the last holder has done so.  Without this, discarding a clone of a
-    failed mutation would close the mapping still serving the live store.
-    """
-
-    def __init__(self, closer: Callable[[], None]) -> None:
-        self._closer: Optional[Callable[[], None]] = closer
-        self._refs = 1
-        self._lock = threading.Lock()
-
-    def acquire(self) -> "_SharedCloser":
-        with self._lock:
-            self._refs += 1
-        return self
-
-    def __call__(self) -> None:
-        with self._lock:
-            self._refs -= 1
-            if self._refs > 0:
-                return
-            closer, self._closer = self._closer, None
-        if closer is not None:
-            closer()
-
-
 class DocumentStore:
     """An ordered collection of XML documents addressable by id.
 
@@ -169,9 +141,6 @@ class DocumentStore:
         supplied by the snapshot layer and raises
         :class:`~repro.errors.SnapshotError` on damaged records.  Required
         whenever ``records`` is not empty.
-    closer:
-        Optional callable releasing the underlying resources (mmap + file
-        handle); invoked by :meth:`close` exactly once.
     max_materialised:
         LRU bound on concurrently decoded records.  ``None`` disables
         eviction (every decoded record stays in memory).  Must be positive
@@ -182,7 +151,6 @@ class DocumentStore:
         self,
         records: Iterable[DocumentRecord] = (),
         loader: Optional[Callable[[DocumentRecord], XMLNode]] = None,
-        closer: Optional[Callable[[], None]] = None,
         max_materialised: Optional[int] = DEFAULT_MAX_MATERIALISED,
     ) -> None:
         if max_materialised is not None and max_materialised <= 0:
@@ -198,8 +166,6 @@ class DocumentStore:
                 raise StorageError(f"duplicate document id: {record.doc_id!r}")
             self._documents[record.doc_id] = record
         self._loader = loader
-        self._closer = closer
-        self._closed = False
         self.max_materialised = max_materialised
         # Decoded records, LRU order (least recent first).  Keys are always
         # record entries of self._documents.
@@ -370,55 +336,26 @@ class DocumentStore:
             self._lru.clear()
 
     # ------------------------------------------------------------------ #
-    # Generations and lifecycle
+    # Generations
     # ------------------------------------------------------------------ #
     def clone(self) -> "DocumentStore":
         """Return a structurally-shared copy safe to mutate independently.
 
-        The copy shares the records (and their mmap, through a refcounted
-        closer) and every tree, resident or decoded, but owns its membership,
-        LRU and counters, so adds/removes on one never show through the
-        other.  Generation-swap writes rely on this: the served store keeps
+        The copy shares the records, the loader (with the mapping it holds)
+        and every tree, resident or decoded, but owns its membership, LRU and
+        counters, so adds/removes on one never show through the other.
+        Generation-swap writes rely on this: the served store keeps
         answering from the old membership while a writer mutates the clone.
         Whole-document mutation only: editing a shared tree *in place* would
         be visible across generations.
         """
         with self._lock:
-            if self._closed:
-                raise StorageError("cannot clone a closed document store")
-            closer: Optional[Callable[[], None]] = None
-            if self._closer is not None:
-                if not isinstance(self._closer, _SharedCloser):
-                    self._closer = _SharedCloser(self._closer)
-                closer = self._closer.acquire()
-            copy = DocumentStore(
-                loader=self._loader, closer=closer, max_materialised=self.max_materialised
-            )
+            copy = DocumentStore(loader=self._loader, max_materialised=self.max_materialised)
             copy._documents = dict(self._documents)
             copy._lru = OrderedDict(self._lru)
             copy._decode_count = self._decode_count
             copy._eviction_count = self._eviction_count
             return copy
-
-    def close(self) -> None:
-        """Release the underlying mapping.
-
-        After closing, records that are not decoded can no longer be
-        decoded; call only when the corpus is done with.  Idempotent.
-        """
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            closer, self._closer = self._closer, None
-        if closer is not None:
-            closer()
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
-        try:
-            self.close()
-        except Exception:
-            pass
 
     # ------------------------------------------------------------------ #
     # Persistence

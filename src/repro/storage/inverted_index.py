@@ -102,7 +102,6 @@ class InvertedIndex:
         # as the membership set and as the removal work list.
         self._doc_terms: Dict[str, Tuple[int, ...]] = {}
         self._dirty_terms: Set[int] = set()
-        self._documents_indexed = 0
 
     @property
     def dictionary(self) -> TermDictionary:
@@ -161,7 +160,6 @@ class InvertedIndex:
             frequency[term_id] = frequency.get(term_id, 0) + 1
         self._dirty_terms.update(seen_terms)
         self._doc_terms[doc_id] = tuple(sorted(seen_terms))
-        self._documents_indexed += 1
 
     @classmethod
     def _restore(
@@ -185,7 +183,6 @@ class InvertedIndex:
         index._doc_ranges = doc_ranges
         index._document_frequency = document_frequency
         index._doc_terms = doc_terms
-        index._documents_indexed = len(doc_terms)
         return index
 
     def clone(self) -> "InvertedIndex":
@@ -206,7 +203,6 @@ class InvertedIndex:
         index._document_frequency = dict(self._document_frequency)
         index._doc_ranges = dict(self._doc_ranges)
         index._doc_terms = dict(self._doc_terms)
-        index._documents_indexed = self._documents_indexed
         return index
 
     def remove_document(self, doc_id: str) -> None:
@@ -248,7 +244,6 @@ class InvertedIndex:
             postings[term_id] = remaining
             frequency[term_id] = remaining_frequency
             dirty.add(term_id)
-        self._documents_indexed -= 1
 
     def finalize(self) -> None:
         """Order dirty posting lists and rebuild their per-document offsets.
@@ -383,7 +378,7 @@ class InvertedIndex:
     @property
     def documents_indexed(self) -> int:
         """Number of documents added to the index."""
-        return self._documents_indexed
+        return len(self._doc_terms)
 
     def __contains__(self, keyword: str) -> bool:
         tokens = tokenize(keyword)

@@ -26,7 +26,7 @@ term dictionary, a **document directory** (per document: id, metadata, record
 offset/length/checksum/compression flag, element count), per-document **label
 tables** (each element's Dewey label, delta-encoded against pre-order), the
 inverted-index run tables resolved against those labels, the statistics, and
-the structural section (per-element tags for the pre/post encoding).  The
+the structural section (per-element tags for the pre-order encoding).  The
 *record section* is the bulk: one varint-encoded tree record per document,
 offset-addressed, optionally zlib-deflated per record.  Loads ``mmap`` the
 file, decode only the head, and open a
@@ -578,13 +578,20 @@ def _read_index(
     )
 
 
-def _write_statistics(writer: _Writer, statistics: CorpusStatistics, index: InvertedIndex) -> None:
+def _write_statistics(
+    writer: _Writer,
+    statistics: CorpusStatistics,
+    index: InvertedIndex,
+    document_count: int,
+    element_count: int,
+) -> None:
     """Statistics section.
 
     Paths are stored against a local tag table; max_siblings and
     distinct_values are derived on load from the exact sibling-run and
     value-occurrence bookkeeping, as in a fresh build.  The term-frequency
-    table is the index's document frequencies.
+    table is the index's document frequencies; the document and element
+    counts are the directory's.
     """
     tag_refs: Dict[str, int] = {}
     for summary_path in statistics._paths:
@@ -611,14 +618,15 @@ def _write_statistics(writer: _Writer, statistics: CorpusStatistics, index: Inve
         for run_size, observations in sibling_runs.items():
             writer.varint(run_size)
             writer.varint(observations)
-    # Kept in the layout so files cross-load with builds that read it.
+    # Nothing here reads the df table or the two counts back; they stay in
+    # the layout so files cross-load with builds that read them.
     term_frequency = index._document_frequency
     writer.varint(len(term_frequency))
     for term_id, frequency in term_frequency.items():
         writer.varint(term_id)
         writer.varint(frequency)
-    writer.varint(statistics._document_count)
-    writer.varint(statistics._total_elements)
+    writer.varint(document_count)
+    writer.varint(element_count)
 
 
 def _read_statistics(reader: _Reader) -> CorpusStatistics:
@@ -650,22 +658,17 @@ def _read_statistics(reader: _Reader) -> CorpusStatistics:
             path_sibling_runs[path] = sibling_runs
     except IndexError:
         raise SnapshotFormatError("malformed snapshot: path refers to unknown tag") from None
-    # The index derives df from its run counts: skip the term-frequency table.
-    for _ in range(2 * reader.varint()):
+    # The index derives df from its run counts and the store counts its
+    # documents and elements: skip the term-frequency table and both counts.
+    for _ in range(2 * reader.varint() + 2):
         reader.varint()
-    stats_document_count = reader.varint()
-    total_elements = reader.varint()
     return CorpusStatistics._restore(
-        paths=paths,
-        path_values=path_values,
-        path_sibling_runs=path_sibling_runs,
-        document_count=stats_document_count,
-        total_elements=total_elements,
+        paths=paths, path_values=path_values, path_sibling_runs=path_sibling_runs
     )
 
 
 # --------------------------------------------------------------------------- #
-# Structural section (pre/post encoding tag tables)
+# Structural section (pre-order encoding tag tables)
 # --------------------------------------------------------------------------- #
 def _write_structure(
     writer: _Writer,
@@ -676,7 +679,7 @@ def _write_structure(
     """Append the structural section: one tag dictionary + per-doc tag arrays.
 
     Everything else a :class:`~repro.structure.encoding.DocumentStructure`
-    needs — pre, post, level, parent links and subtree windows — derives in
+    needs — pre, level, parent links and subtree windows — derives in
     ``O(n)`` from the label tables the directory already stores, so the
     section only persists what the labels cannot express: which *tag* each
     element carries.  Tag ids are section-local (first-seen order over the
@@ -953,7 +956,8 @@ def _build_payload(corpus: "Corpus", *, compress: bool) -> Tuple[bytes, bytes]:
         label_indices[document.doc_id] = label_index
 
     _write_index(writer, corpus.index, doc_refs, label_indices)
-    _write_statistics(writer, corpus.statistics, corpus.index)
+    element_count = sum(len(label_index) for label_index in label_indices.values())
+    _write_statistics(writer, corpus.statistics, corpus.index, len(doc_ids), element_count)
     _write_structure(writer, doc_ids, doc_tag_ids, list(section_tags))
     return writer.getvalue(), bytes(records)
 
@@ -1191,8 +1195,9 @@ def _open_store(
     """Map the snapshot and open the document store over its record section.
 
     The mapping covers the whole file (the record base is added per access),
-    so it is never empty, stays valid after the caller closes its file
-    handle, and is released by the store's ``closer``.
+    so it is never empty and stays valid after the caller closes its file
+    handle.  Only the loader holds it: the mapping is freed together with the
+    last store (or clone) holding the loader.
     """
     if max_materialised is None:
         bound: Optional[int] = DEFAULT_MAX_MATERIALISED
@@ -1208,7 +1213,7 @@ def _open_store(
     def loader(record: DocumentRecord) -> XMLNode:
         return _decode_record(mapped, record, base=record_base)
 
-    return DocumentStore(records, loader, closer=mapped.close, max_materialised=bound)
+    return DocumentStore(records, loader, max_materialised=bound)
 
 
 def _check_fingerprint(reader: _Reader) -> None:

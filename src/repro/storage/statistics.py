@@ -87,8 +87,6 @@ class CorpusStatistics:
         # max_siblings, the multiset makes removal exact (the max survives
         # unless its last witness run is removed).
         self._path_sibling_runs: Dict[Tuple[str, ...], Dict[int, int]] = {}
-        self._document_count = 0
-        self._total_elements = 0
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -108,8 +106,6 @@ class CorpusStatistics:
         paths: Dict[Tuple[str, ...], PathSummary],
         path_values: Dict[Tuple[str, ...], Dict[str, int]],
         path_sibling_runs: Dict[Tuple[str, ...], Dict[int, int]],
-        document_count: int,
-        total_elements: int,
     ) -> "CorpusStatistics":
         """Rebuild statistics directly from their tables (snapshot loading).
 
@@ -121,8 +117,6 @@ class CorpusStatistics:
         stats._paths = paths
         stats._path_values = path_values
         stats._path_sibling_runs = path_sibling_runs
-        stats._document_count = document_count
-        stats._total_elements = total_elements
         return stats
 
     def clone(self) -> "CorpusStatistics":
@@ -150,13 +144,10 @@ class CorpusStatistics:
             path_sibling_runs={
                 path: dict(runs) for path, runs in self._path_sibling_runs.items()
             },
-            document_count=self._document_count,
-            total_elements=self._total_elements,
         )
 
     def add_document(self, root: XMLNode) -> None:
         """Fold one document tree into the statistics."""
-        self._document_count += 1
         self._fold(root, (), +1)
 
     def remove_document(self, root: XMLNode) -> None:
@@ -167,7 +158,6 @@ class CorpusStatistics:
         a fresh build over the remaining documents would produce, up to the
         ``distinct_values`` tracking cap.
         """
-        self._document_count -= 1
         self._fold(root, (), -1)
 
     def _summary(self, path: Tuple[str, ...]) -> PathSummary:
@@ -186,7 +176,6 @@ class CorpusStatistics:
         path = parent_path + (node.tag,)
         summary = self._summary(path)
         summary.count += sign
-        self._total_elements += sign
         if node.is_leaf_element:
             summary.leaf_count += sign
             value = node.direct_text()
@@ -251,20 +240,3 @@ class CorpusStatistics:
     def iter_paths(self) -> Iterator[PathSummary]:
         """Iterate over every path summary."""
         return iter(self._paths.values())
-
-    @property
-    def document_count(self) -> int:
-        """Number of documents summarised."""
-        return self._document_count
-
-    @property
-    def total_elements(self) -> int:
-        """Total element nodes summarised."""
-        return self._total_elements
-
-    @property
-    def average_document_elements(self) -> float:
-        """Mean number of element nodes per document."""
-        if not self._document_count:
-            return 0.0
-        return self._total_elements / self._document_count

@@ -1,6 +1,6 @@
 """Structural index subsystem: the XPath-accelerator encoding.
 
-Assigns every element node of every document ``(pre, post, level, tag_id)``
+Assigns every element node of every document ``(pre, end, level, tag_id)``
 so that ancestor/descendant tests are two integer comparisons and axis scans
 are binary searches over per-tag occurrence lists — see
 :mod:`repro.structure.encoding` for the encoding and

@@ -1,4 +1,4 @@
-"""Pre/post-order structural encoding of one document tree.
+"""Pre-order interval encoding of one document tree.
 
 The search layer climbs Dewey labels: an ancestor test compares component
 prefixes (``O(depth)``) and "all descendants with tag t" walks the subtree.
@@ -6,26 +6,25 @@ The XPath-accelerator encoding replaces both with integer arithmetic.  Every
 *element* node of a document gets
 
 * ``pre`` — its position in the pre-order walk (0 is the root),
-* ``post`` — its position in the post-order walk,
+* ``end`` — the exclusive end of its subtree's pre-order window,
 * ``level`` — its depth (``len(label)``),
 * ``tag_id`` — its tag name interned through a :class:`TagDictionary`,
 
-and the classic interval characterisation holds:
+and, because ``b``'s subtree is exactly the contiguous pre range
+``[pre_b, end_b)``, the interval characterisation holds:
 
-    ``a`` is a proper descendant of ``b``  ⇔  ``pre_a > pre_b ∧ post_a < post_b``
-                                           ⇔  ``pre_b < pre_a < end_b``
+    ``a`` is a proper descendant of ``b``  ⇔  ``pre_b < pre_a < end_b``
 
-where ``end_b`` is the exclusive end of ``b``'s pre-order window (``b``'s
-subtree is exactly the contiguous pre range ``[pre_b, end_b)``).  Containment
-becomes two integer comparisons, and "descendants of ``b`` with tag ``t``"
-becomes a binary search over ``t``'s sorted occurrence list restricted to the
-window ``(pre_b, end_b)`` — no tree walk, no label prefix comparisons.
+Containment becomes two integer comparisons, and "descendants of ``b`` with
+tag ``t``" becomes a binary search over ``t``'s sorted occurrence list
+restricted to the window ``(pre_b, end_b)`` — no tree walk, no label prefix
+comparisons.
 
 A key economy of this module: *everything except the tag ids derives from the
 Dewey label table alone*.  The labels arrive in pre-order (document order), so
 ``pre`` is the list position and ``level`` the label length, and one stack
-pass over the depths reconstructs ``parent``, ``post`` and the subtree
-windows in ``O(n)``.  Snapshots therefore persist only the tag dictionary and
+pass over the depths reconstructs ``parent`` and the subtree windows in
+``O(n)``.  Snapshots therefore persist only the tag dictionary and
 per-document tag-id arrays (see :mod:`repro.storage.snapshot`); the rest is
 recomputed from the label tables that v2 files already store eagerly, keeping
 lazy corpora lazy.
@@ -111,7 +110,6 @@ class DocumentStructure:
     equals the position in the snapshot label table):
 
     * ``labels[pre]`` — the element's Dewey label (document order);
-    * ``post[pre]`` — its post-order number;
     * ``level[pre]`` — its depth (``len(label)``);
     * ``parent[pre]`` — the parent's pre number, ``-1`` for the root;
     * ``end[pre]`` — exclusive end of the subtree's pre window;
@@ -122,10 +120,9 @@ class DocumentStructure:
     are built idempotently and published with atomic assignments).
     """
 
-    __slots__ = ("labels", "post", "level", "parent", "end", "tag_ids", "_pre_by_label", "_occurrences")
+    __slots__ = ("labels", "level", "parent", "end", "tag_ids", "_pre_by_label", "_occurrences")
 
     labels: List[DeweyLabel]
-    post: List[int]
     level: List[int]
     parent: List[int]
     end: List[int]
@@ -159,8 +156,8 @@ class DocumentStructure:
 
         This is the snapshot-restore path: the label table is exactly what a
         v2 directory entry stores, so only the tag ids need to travel in the
-        file.  One stack pass over the depths recovers parent links, subtree
-        windows and post-order numbers in ``O(n)``.
+        file.  One stack pass over the depths recovers parent links and
+        subtree windows in ``O(n)``.
 
         Raises
         ------
@@ -183,17 +180,12 @@ class DocumentStructure:
         level = [0] * count
         parent = [-1] * count
         end = [count] * count
-        post = [0] * count
         stack: List[int] = []
-        counter = 0
         for pre, label in enumerate(structure.labels):
             depth = len(label)
             level[pre] = depth
             while stack and level[stack[-1]] >= depth:
-                closed = stack.pop()
-                end[closed] = pre
-                post[closed] = counter
-                counter += 1
+                end[stack.pop()] = pre
             if stack:
                 parent[pre] = stack[-1]
                 top = structure.labels[stack[-1]]
@@ -209,15 +201,9 @@ class DocumentStructure:
             elif depth != 0:
                 raise StructureError(f"first label must be the document root, got {label}")
             stack.append(pre)
-        while stack:
-            closed = stack.pop()
-            end[closed] = count
-            post[closed] = counter
-            counter += 1
         structure.level = level
         structure.parent = parent
         structure.end = end
-        structure.post = post
         return structure
 
     # ------------------------------------------------------------------ #
@@ -252,13 +238,6 @@ class DocumentStructure:
                 occurrences.setdefault(tag, []).append(pre)
             self._occurrences = occurrences
         return occurrences.get(tag_id, ())
-
-    # ------------------------------------------------------------------ #
-    # Interval predicates (the O(1) tests)
-    # ------------------------------------------------------------------ #
-    def is_descendant(self, a: int, b: int) -> bool:
-        """Whether ``a`` is a *proper* descendant of ``b``: two comparisons."""
-        return a > b and self.post[a] < self.post[b]
 
     # ------------------------------------------------------------------ #
     # Axis scans (window-bounded — no tree walks)
@@ -322,7 +301,7 @@ class DocumentStructure:
     def signature(self) -> Tuple[Tuple[int, int, int, int], ...]:
         """The full per-element encoding, for equality checks in tests."""
         return tuple(
-            (self.post[pre], self.level[pre], self.parent[pre], self.tag_ids[pre])
+            (self.end[pre], self.level[pre], self.parent[pre], self.tag_ids[pre])
             for pre in range(len(self.labels))
         )
 

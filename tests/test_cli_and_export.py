@@ -194,10 +194,12 @@ class TestCliOnSavedCorpus:
         assert code == 1
         assert "unknown result semantics" in out.getvalue()
 
-    def test_serve_command_end_to_end(self, corpus_dir):
+    @pytest.mark.parametrize("signal_name", ["SIGINT", "SIGTERM"])
+    def test_serve_command_end_to_end(self, corpus_dir, signal_name):
         # Boot the real `serve` subcommand in a subprocess (port 0 = pick a
-        # free port), hit /healthz and /search over real sockets, then check
-        # the shutdown log surfaces the cache counters.
+        # free port), hit /healthz and /search over real sockets, then stop
+        # it the way Ctrl-C or a service manager does and check the orderly
+        # shutdown ran: exit 0 and a log that surfaces the cache counters.
         import json
         import os
         import re
@@ -247,7 +249,7 @@ class TestCliOnSavedCorpus:
                 payload = json.loads(response.read())
             assert payload["items"][0]["result_id"] == "R1"
         finally:
-            process.send_signal(signal.SIGINT)
+            process.send_signal(getattr(signal, signal_name))
             try:
                 remaining, _ = process.communicate(timeout=30)
             except subprocess.TimeoutExpired:

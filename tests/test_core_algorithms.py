@@ -1,5 +1,10 @@
 """Tests for the DFS construction algorithms and the generator facade."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.config import DFSConfig
@@ -217,3 +222,47 @@ class TestGeneratorFacade:
             "exhaustive",
         }
         assert DFSGenerator().available_algorithms() == list(ALGORITHMS)
+
+
+# Prints one digest over every answer of the sample; run once per hash seed.
+_CROSS_SEED_SCRIPT = """
+import hashlib, json
+from repro.datasets.product_reviews import generate_product_reviews_corpus
+from repro.errors import ReproError
+from repro.service import CompareRequest, SearchService
+from repro.workloads.queries import PRODUCT_QUERIES
+
+service = SearchService(generate_product_reviews_corpus())
+digest = hashlib.sha256()
+for algorithm in ("single_swap", "multi_swap"):
+    for spec in PRODUCT_QUERIES:
+        for top in (2, 3, 4):
+            request = CompareRequest(query=spec.text, top=top, algorithm=algorithm)
+            try:
+                answer = service.compare(request).to_dict()
+            except ReproError as error:
+                answer = type(error).__name__
+            digest.update(json.dumps(answer, sort_keys=True).encode())
+print(digest.hexdigest())
+"""
+
+
+class TestHashSeedIndependence:
+    def test_compare_answers_alike_under_every_hash_seed(self):
+        # Ties between equally good moves must not be broken by set order,
+        # which changes with PYTHONHASHSEED.
+        source = str(Path(__file__).resolve().parent.parent / "src")
+        digests = set()
+        for seed in range(4):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed))
+            env["PYTHONPATH"] = source + os.pathsep + env.get("PYTHONPATH", "")
+            completed = subprocess.run(
+                [sys.executable, "-c", _CROSS_SEED_SCRIPT],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+                check=True,
+            )
+            digests.add(completed.stdout.strip())
+        assert len(digests) == 1, digests

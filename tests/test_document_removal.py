@@ -104,8 +104,6 @@ class TestRemovalEqualsFreshBuild:
 
         # Structural statistics agree path by path.
         assert _statistics_snapshot(corpus.statistics) == _statistics_snapshot(fresh.statistics)
-        assert corpus.statistics.document_count == fresh.statistics.document_count
-        assert corpus.statistics.total_elements == fresh.statistics.total_elements
 
         # Ranked search results — scores included — agree for every term in
         # the surviving vocabulary (sampled to keep the test fast).

@@ -7,12 +7,12 @@ numbers.
 
 import pytest
 
-from repro.comparison.pipeline import Xsact
 from repro.core.config import DFSConfig
 from repro.core.generator import DFSGenerator
 from repro.experiments.figure4 import run_figure4
 from repro.features.extractor import FeatureExtractor
 from repro.search.engine import SearchEngine
+from repro.service import SearchService
 from repro.snippets import snippet_dod
 from repro.workloads.queries import imdb_workload
 from repro.workloads.runner import WorkloadRunner
@@ -54,8 +54,8 @@ class TestProductReviewScenario:
 
     @pytest.fixture(scope="class")
     def outcome(self, small_product_corpus):
-        xsact = Xsact(small_product_corpus, config=DFSConfig(size_limit=6))
-        return xsact.search_and_compare("gps", top=2, size_limit=6)
+        service = SearchService(small_product_corpus, config=DFSConfig(size_limit=6))
+        return service.search_and_compare("gps", top=2, size_limit=6)
 
     def test_results_are_products_with_review_statistics(self, outcome):
         for features in outcome.features:
@@ -83,9 +83,9 @@ class TestOutdoorRetailerScenario:
     """E5: the "men, jackets" brand-focus walk-through."""
 
     def test_brand_comparison_reveals_different_focuses(self, small_outdoor_corpus):
-        xsact = Xsact(small_outdoor_corpus, config=DFSConfig(size_limit=6))
+        service = SearchService(small_outdoor_corpus, config=DFSConfig(size_limit=6))
         doc_ids = small_outdoor_corpus.store.document_ids()[:3]
-        outcome = xsact.compare_documents(doc_ids, query="men jackets")
+        outcome = service.compare_documents(doc_ids, query="men jackets")
         assert outcome.dod > 0
         labels = {row.label() for row in outcome.table.rows}
         # The table exposes item-level focus attributes of the brands.

@@ -343,13 +343,6 @@ class TestLazyStoreUnit:
         )
         assert store.get("a").metadata == {"k": "v"}
 
-    def test_close_is_idempotent(self):
-        calls = []
-        store = DocumentStore([_record("a")], _loader, closer=lambda: calls.append(1))
-        store.close()
-        store.close()
-        assert calls == [1]
-
     def test_stats_shape(self):
         store = DocumentStore([_record("a")], _loader, max_materialised=7)
         stats = store.stats()

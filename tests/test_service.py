@@ -462,14 +462,11 @@ class TestEngineCacheStats:
 
 class TestXsactDelegation:
     def test_xsact_routes_through_service(self, small_product_corpus):
-        from repro.comparison.pipeline import Xsact
-
-        xsact = Xsact(small_product_corpus)
-        assert isinstance(xsact.service, SearchService)
-        assert xsact.engine is xsact.service.engine_for("slca")
-        xsact.search("gps")
-        outcome = xsact.search_and_compare("gps", top=2)
+        # The in-process pipeline calls count as requests like wire calls do.
+        service = SearchService(small_product_corpus)
+        service.search_results("gps")
+        outcome = service.search_and_compare("gps", top=2)
         assert outcome.dod >= 0
-        stats = xsact.service.stats()
+        stats = service.stats()
         assert stats["requests"]["search"] == 1  # search_and_compare counts as compare
         assert stats["requests"]["compare"] == 1

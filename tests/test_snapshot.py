@@ -89,8 +89,7 @@ def assert_equivalent(original: Corpus, loaded: Corpus, queries) -> None:
         for s in loaded.statistics.iter_paths()
     }
     assert summaries_a == summaries_b
-    assert loaded.statistics.document_count == original.statistics.document_count
-    assert loaded.statistics.total_elements == original.statistics.total_elements
+    assert loaded.store.total_elements() == original.store.total_elements()
     # Ranked query results, both semantics.
     for query in queries:
         for semantics in ("slca", "elca"):
@@ -127,7 +126,7 @@ class TestRoundTrip:
         loaded = Corpus.load(path)
         assert len(loaded.store) == 0
         assert len(loaded.index) == 0
-        assert loaded.statistics.document_count == 0
+        assert loaded.index.documents_indexed == 0
 
     def test_version_counter_round_trips(self, tmp_path):
         corpus = small_corpus()

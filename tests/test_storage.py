@@ -396,10 +396,10 @@ class TestCorpusStatistics:
         assert not stats.tag_is_repeating("missing")
 
     def test_document_and_element_counts(self):
-        stats = CorpusStatistics.build(sample_store())
-        assert stats.document_count == 2
-        assert stats.total_elements == 6
-        assert stats.average_document_elements == 3.0
+        description = Corpus(sample_store()).describe()
+        assert description["documents"] == 2.0
+        assert description["elements"] == 6.0
+        assert description["avg_elements_per_document"] == 3.0
 
     def test_distinct_values_tracked(self):
         stats = CorpusStatistics.build(sample_store())
@@ -407,9 +407,9 @@ class TestCorpusStatistics:
         assert summary.distinct_values == 2
 
     def test_empty_statistics(self):
-        stats = CorpusStatistics()
-        assert stats.document_count == 0
-        assert stats.average_document_elements == 0.0
+        description = Corpus(DocumentStore()).describe()
+        assert description["documents"] == 0.0
+        assert description["avg_elements_per_document"] == 0.0
 
 
 class TestCorpusStatisticsRemoval:
@@ -432,8 +432,6 @@ class TestCorpusStatisticsRemoval:
         rest.add("d2", parse_xml("<product><name>Garmin GPS</name><price>200</price></product>"))
         fresh = CorpusStatistics.build(rest)
         assert self._snapshot(stats) == self._snapshot(fresh)
-        assert stats.document_count == fresh.document_count
-        assert stats.total_elements == fresh.total_elements
 
     def test_max_siblings_recomputed_from_surviving_runs(self):
         store = DocumentStore()
@@ -461,7 +459,7 @@ class TestCorpus:
     def test_corpus_bundles_store_index_statistics(self):
         corpus = Corpus(sample_store(), name="sample")
         assert corpus.index.document_frequency("gps") == 2
-        assert corpus.statistics.document_count == 2
+        assert corpus.index.documents_indexed == 2
         description = corpus.describe()
         assert description["documents"] == 2.0
         assert "sample" in repr(corpus)
@@ -503,7 +501,7 @@ class TestCorpus:
         assert corpus.version == version_before + 1
         assert corpus.index.document_frequency("magellan") == 1
         assert corpus.index.document_frequency("gps") == 3
-        assert corpus.statistics.document_count == 3
+        assert corpus.index.documents_indexed == 3
         assert [p.doc_id for p in corpus.index.postings("gps")] == ["d1", "d2", "d3"]
 
     def test_incremental_remove_document_updates_everything(self):
@@ -514,7 +512,7 @@ class TestCorpus:
         assert "d1" not in corpus.store
         assert corpus.index.document_frequency("tomtom") == 0
         assert corpus.index.document_frequency("gps") == 1
-        assert corpus.statistics.document_count == 1
+        assert corpus.index.documents_indexed == 1
         assert [p.doc_id for p in corpus.index.postings("gps")] == ["d2"]
 
     def test_remove_unknown_document_raises_without_mutation(self):

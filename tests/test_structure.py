@@ -2,7 +2,7 @@
 
 Four layers of guarantees are pinned here:
 
-* **Encoding differentials** — the pre/post interval predicates, window
+* **Encoding differentials** — the pre-order interval windows, window
   scans and LCA of :class:`~repro.structure.encoding.DocumentStructure`
   agree with a brute-force Dewey-label oracle on hypothesis-generated trees.
 * **Semantics differentials** — ``slca_struct`` returns exactly what
@@ -168,7 +168,6 @@ class TestEncodingDifferential:
         structure = DocumentStructure.from_tree(tree, TagDictionary())
         labels = structure.labels
         count = len(labels)
-        assert sorted(structure.post) == list(range(count))  # post is a permutation
         for a in range(count):
             assert structure.level[a] == len(labels[a])
             assert structure.pre_of(labels[a]) == a
@@ -179,7 +178,7 @@ class TestEncodingDifferential:
             descendants = sum(1 for b in range(count) if labels[b].is_descendant_of(labels[a]))
             assert structure.end[a] - a == 1 + descendants  # window = subtree
             for b in range(count):
-                assert structure.is_descendant(a, b) == labels[a].is_descendant_of(labels[b])
+                assert (b < a < structure.end[b]) == labels[a].is_descendant_of(labels[b])
 
     @given(tree=xml_trees())
     @settings(max_examples=30, deadline=None)
@@ -664,7 +663,7 @@ def portable_signature(corpus, doc_id):
     return [
         (
             str(structure.labels[pre]),
-            structure.post[pre],
+            structure.end[pre],
             structure.level[pre],
             structure.parent[pre],
             tags.tag(structure.tag_ids[pre]),
