@@ -9,7 +9,7 @@ both the timing statistics and the paper-style result tables.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 import pytest
 

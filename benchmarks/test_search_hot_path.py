@@ -6,10 +6,9 @@ dominant pattern under real traffic, served by the engine's LRU result cache.
 These benchmarks pin all three on the substrate-performance corpus so that
 regressions in the bulk build, the stack-merge match algorithms or the cache
 show up separately, and they register a cold-vs-cached comparison table with
-the shared :func:`report` fixture.  Two storage-core cases ride along: a
-build into a shared (pre-populated) term dictionary, as a corpus rebuild
-would do, and incremental document removal followed by a cold query —
-the case a full index rebuild used to dominate.
+the shared :func:`report` fixture.  One storage-core case rides along:
+incremental document removal followed by a cold query — the case a full
+index rebuild used to dominate.
 """
 
 import gc
@@ -19,34 +18,14 @@ import pytest
 
 from repro.search.engine import SearchEngine
 from repro.storage.inverted_index import InvertedIndex
-from repro.storage.term_dictionary import TermDictionary
 
 HOT_QUERIES = ("drama war", "action revenge", "comedy family")
 
 
 def test_bulk_index_build(benchmark, imdb_corpus):
-    """Append-then-finalize build over the full IMDB store (fresh dictionary)."""
+    """Append-then-finalize build over the full IMDB store."""
     index = benchmark.pedantic(
         InvertedIndex.build, args=(imdb_corpus.store,), rounds=3, iterations=1
-    )
-    assert index.documents_indexed == len(imdb_corpus.store)
-
-
-def test_bulk_index_build_with_interned_dictionary(benchmark, imdb_corpus):
-    """Build into an already-populated shared dictionary (warm interning).
-
-    This is the rebuild path of a long-lived corpus: every token already has
-    an id, so interning is pure dictionary probes with no insertions.
-    """
-    dictionary = TermDictionary()
-    InvertedIndex.build(imdb_corpus.store, dictionary=dictionary)  # pre-populate
-
-    index = benchmark.pedantic(
-        InvertedIndex.build,
-        args=(imdb_corpus.store,),
-        kwargs={"dictionary": dictionary},
-        rounds=3,
-        iterations=1,
     )
     assert index.documents_indexed == len(imdb_corpus.store)
 
@@ -54,8 +33,8 @@ def test_bulk_index_build_with_interned_dictionary(benchmark, imdb_corpus):
 def test_remove_document_then_cold_query(benchmark, imdb_corpus):
     """Incremental removal of one document plus a cold query on the remainder.
 
-    Pre-interned-ids, this required a full index + statistics rebuild; now it
-    touches only the removed document's posting runs.  The removed document is
+    A full index + statistics rebuild used to dominate this; now it touches
+    only the removed document's posting runs.  The removed document is
     re-added after each round, so the session-scoped corpus is unchanged.
     """
     victim = imdb_corpus.store.document_ids()[len(imdb_corpus.store) // 2]

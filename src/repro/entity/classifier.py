@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.errors import EntityInferenceError
-from repro.storage.statistics import CorpusStatistics
+from repro.storage.statistics import CorpusStatistics, repeating_groups
 from repro.xmlmodel.dewey import DeweyLabel
 from repro.xmlmodel.node import XMLNode
 
@@ -54,7 +54,7 @@ class NodeClassifier:
         if not root.is_element:
             raise EntityInferenceError("can only classify element-rooted trees")
 
-        local_repeating = self._locally_repeating_tags(root)
+        local_repeating = repeating_groups(root)
         categories: Dict[DeweyLabel, NodeCategory] = {}
         for node in root.iter_elements():
             categories[node.label] = self._classify_node(node, root, local_repeating)
@@ -67,7 +67,7 @@ class NodeClassifier:
         self,
         node: XMLNode,
         root: XMLNode,
-        local_repeating: Dict[str, bool],
+        local_repeating: Dict[str, int],
     ) -> NodeCategory:
         if node.is_leaf_element:
             # A leaf element names an attribute and carries its value.  We
@@ -93,24 +93,12 @@ class NodeClassifier:
         # they connect an entity to its attributes or sub-entities.
         return NodeCategory.CONNECTION
 
-    def _tag_repeats(self, tag: Optional[str], local_repeating: Dict[str, bool]) -> bool:
+    def _tag_repeats(self, tag: Optional[str], local_repeating: Dict[str, int]) -> bool:
         if tag is None:
             return False
         if self.statistics is not None and self.statistics.tag_is_repeating(tag):
             return True
-        return local_repeating.get(tag, False)
-
-    @staticmethod
-    def _locally_repeating_tags(root: XMLNode) -> Dict[str, bool]:
-        repeating: Dict[str, bool] = {}
-        for node in root.iter_elements():
-            counts: Dict[str, int] = {}
-            for child in node.element_children():
-                counts[child.tag] = counts.get(child.tag, 0) + 1
-            for tag, count in counts.items():
-                if count > 1:
-                    repeating[tag] = True
-        return repeating
+        return tag in local_repeating
 
     # ------------------------------------------------------------------ #
     # Convenience queries

@@ -7,7 +7,6 @@ these functions in pytest-benchmark targets; the ``examples/`` scripts call
 them directly.
 """
 
-from repro.experiments.figure4 import Figure4Row, run_figure4
 from repro.experiments.ablations import (
     AblationRow,
     run_algorithm_field,
@@ -17,6 +16,7 @@ from repro.experiments.ablations import (
     run_threshold_ablation,
 )
 from repro.experiments.export import read_json, rows_to_dicts, write_csv, write_json
+from repro.experiments.figure4 import Figure4Row, run_figure4
 from repro.experiments.instances import micro_instance, micro_result
 from repro.experiments.report import format_measurements, format_rows, series_by_algorithm
 

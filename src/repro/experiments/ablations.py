@@ -15,12 +15,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.config import DFSConfig
-from repro.errors import UnknownQueryError
-from repro.core.dod import total_dod
 from repro.core.generator import DFSGenerator
+from repro.errors import UnknownQueryError
 from repro.features.statistics import ResultFeatures
-from repro.storage.corpus import Corpus
-from repro.workloads.queries import QuerySpec, Workload, imdb_workload
+from repro.workloads.queries import imdb_workload
 from repro.workloads.runner import WorkloadRunner
 
 __all__ = [
@@ -167,7 +165,6 @@ def run_optimality_gap(
     optimum, aggregated over several seeds.
     """
     from repro.experiments.instances import micro_instance
-    from repro.core.generator import ALGORITHMS
 
     rows: List[AblationRow] = []
     algorithms = ("top_significance", "greedy", "single_swap", "multi_swap", "exhaustive")

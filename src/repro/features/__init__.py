@@ -11,9 +11,9 @@ which is what the validity desideratum's significance ordering is computed
 from.
 """
 
+from repro.features.extractor import FeatureExtractor, extract_features
 from repro.features.feature import Feature, FeatureType
 from repro.features.statistics import FeatureStatistics, ResultFeatures
-from repro.features.extractor import FeatureExtractor, extract_features
 
 __all__ = [
     "Feature",

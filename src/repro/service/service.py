@@ -272,6 +272,7 @@ class SearchService:
         self._snapshot_every = snapshot_every
         self._mutation_count = 0
         self._mutations_since_snapshot = 0
+        self._snapshot_running = False
         self._snapshot_thread: Optional[threading.Thread] = None
         self._snapshots_written = 0
         self._last_snapshot_version: Optional[int] = None
@@ -875,19 +876,20 @@ class SearchService:
         """Kick off a background save if the mutation threshold is reached.
 
         At most one snapshot thread runs at a time; if the previous save is
-        still writing, the counter keeps accumulating and the *next* install
-        triggers the save (with the newer generation).  The saved corpus is
-        a published generation — immutable by the swap discipline — so the
-        writer thread needs no lock.
+        still writing, the counter keeps accumulating and that thread saves
+        again, with the newest generation, once its save ends.  The saved
+        corpus is a published generation — immutable by the swap discipline —
+        so the writer thread needs no lock.
         """
         if self._snapshot_every is None or self._snapshot_path is None:
             return
         with self._lock:
             if self._mutations_since_snapshot < self._snapshot_every:
                 return
-            if self._snapshot_thread is not None and self._snapshot_thread.is_alive():
+            if self._snapshot_running:
                 return
             self._mutations_since_snapshot = 0
+            self._snapshot_running = True
             thread = threading.Thread(
                 target=self._write_snapshot,
                 args=(corpus,),
@@ -898,16 +900,24 @@ class SearchService:
         thread.start()
 
     def _write_snapshot(self, corpus: Corpus) -> None:
-        try:
-            corpus.save(self._snapshot_path)
-        except (ReproError, OSError) as exc:
+        """Save ``corpus``, then catch up with writes installed meanwhile."""
+        while True:
+            try:
+                corpus.save(self._snapshot_path)
+            except (ReproError, OSError) as exc:
+                with self._lock:
+                    self._last_snapshot_error = str(exc)
+                    self._snapshot_running = False
+                return
             with self._lock:
-                self._last_snapshot_error = str(exc)
-            return
-        with self._lock:
-            self._snapshots_written += 1
-            self._last_snapshot_version = corpus.version
-            self._last_snapshot_error = None
+                self._snapshots_written += 1
+                self._last_snapshot_version = corpus.version
+                self._last_snapshot_error = None
+                if self._mutations_since_snapshot < self._snapshot_every:
+                    self._snapshot_running = False
+                    return
+                self._mutations_since_snapshot = 0
+                corpus = self._generation.corpus
 
     def wait_for_snapshot(self, timeout: Optional[float] = None) -> bool:
         """Block until the in-flight background snapshot (if any) finishes.

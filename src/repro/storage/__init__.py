@@ -11,18 +11,16 @@ paper).  That engine needs three storage-level services, all provided here:
   index, where each posting identifies a node by ``(document id, Dewey label)``;
   this is the structure the SLCA / ELCA algorithms consume, and the one owner
   of term statistics (the document frequencies ranking reads).
-* :class:`~repro.storage.statistics.CorpusStatistics` — tag-path summaries (a
-  DataGuide-style structural summary) used by XSeek and the entity
-  classifier; it never tokenises.
-* :class:`~repro.storage.term_dictionary.TermDictionary` — interns tokens to
-  dense integer term ids; the index keys every per-term table by its
-  dictionary's ints, not by strings.
+* :class:`~repro.storage.statistics.CorpusStatistics` — per tag, the number
+  of elements with two or more children of that tag: the repeating-tag
+  signal XSeek and the entity classifier read; it never tokenises.
 * :mod:`repro.storage.snapshot` — one-file binary persistence of a whole
-  :class:`~repro.storage.corpus.Corpus` (store + index with its dictionary +
-  statistics), so cold start is a sequential read instead of re-parsing and
+  :class:`~repro.storage.corpus.Corpus` (store + index + statistics), so
+  cold start is a sequential read instead of re-parsing and
   re-tokenising the corpus; see :meth:`Corpus.save` / :meth:`Corpus.load`.
 """
 
+from repro.storage.corpus import Corpus
 from repro.storage.document_store import (
     DEFAULT_MAX_MATERIALISED,
     DocumentRecord,
@@ -31,11 +29,8 @@ from repro.storage.document_store import (
 )
 from repro.storage.inverted_index import InvertedIndex, Posting
 from repro.storage.snapshot import FORMAT_VERSION, SnapshotHeader, read_snapshot_header
-from repro.storage.statistics import CorpusStatistics, PathSummary
-from repro.storage.term_dictionary import TermDictionary
+from repro.storage.statistics import CorpusStatistics
 from repro.storage.tokenizer import STOPWORDS, tokenize, tokenize_many
-
-from repro.storage.corpus import Corpus
 
 __all__ = [
     "DocumentStore",
@@ -45,8 +40,6 @@ __all__ = [
     "InvertedIndex",
     "Posting",
     "CorpusStatistics",
-    "PathSummary",
-    "TermDictionary",
     "Corpus",
     "SnapshotHeader",
     "read_snapshot_header",

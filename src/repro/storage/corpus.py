@@ -2,10 +2,10 @@
 
 A corpus ties together the storage-layer pieces that the search engine and the
 experiments always use together: the document store, its inverted index and
-its structural statistics.  Only the index tokenises: it owns the term
-dictionary and the document frequencies ranking reads, while the statistics
-summarise tag paths and never see a term.  Building the index and statistics
-eagerly keeps the rest of the code free of "is the index stale?"
+its statistics.  Only the index tokenises: it owns the document frequencies
+ranking reads, while the statistics count, per tag, the elements with two or
+more children of that tag and never see a term.  Building the index and
+statistics eagerly keeps the rest of the code free of "is the index stale?"
 bookkeeping — dataset generators produce a store, wrap it in a corpus once,
 and hand the corpus around.
 
@@ -119,7 +119,7 @@ class Corpus:
         """Reconstruct a corpus from a snapshot without re-tokenising anything.
 
         The loaded corpus is equivalent to a fresh build over the same
-        documents (same postings, document frequencies, path summaries and
+        documents (same postings, document frequencies, repeat table and
         ranked query results).  Its store keeps trees in the ``mmap``-ed
         record section until first access, decoding them into an LRU bounded
         by ``max_materialised`` (``0`` disables eviction).
@@ -152,11 +152,11 @@ class Corpus:
         Returns a structurally-shared clone: document trees and finalized
         posting buckets are shared (protected by the store's and index's
         copy-on-write rules), while every piece of mutable bookkeeping —
-        membership, frequencies, path summaries, the index's dictionary — is
-        copied.  Mutating the clone never changes what this corpus serves,
-        so a writer can build the next generation while in-flight readers
-        finish against this one, then publish the clone with one reference
-        swap.  A failed mutation is discarded by dropping the clone.
+        membership, offset maps, the repeat table — is copied.  Mutating the
+        clone never changes what this corpus serves, so a writer can build
+        the next generation while in-flight readers finish against this one,
+        then publish the clone with one reference swap.  A failed mutation is
+        discarded by dropping the clone.
 
         Cost is proportional to membership size (dict copies), not to corpus
         content — no tree, posting or record is duplicated.
@@ -206,9 +206,9 @@ class Corpus:
         try:
             self.statistics.add_document(document.root)
         except Exception:
-            # Statistics folding is the one step with no incremental undo
-            # (it may fail mid-document), so drop the document and rebuild
-            # both derived structures from the still-consistent store.
+            # Statistics folding has no incremental undo, so drop the
+            # document and rebuild both derived structures from the
+            # still-consistent store.
             self.store.remove(doc_id)
             self.refresh()
             raise
@@ -219,7 +219,7 @@ class Corpus:
 
         The mirror image of :meth:`add_document`, with the same atomic and
         version semantics: on success the index postings, document
-        frequencies and path summaries are exactly what a fresh build over
+        frequencies and repeat table are exactly what a fresh build over
         the remaining documents would produce, and :attr:`version` is bumped
         so cached query results are invalidated.  On failure the corpus is
         left consistent (falling back to a full :meth:`refresh` if an
@@ -245,12 +245,7 @@ class Corpus:
         self.version += 1
 
     def refresh(self) -> None:
-        """Rebuild the index and statistics after the store was modified.
-
-        The rebuilt index interns into a fresh dictionary, so term ids are
-        *not* stable across a refresh — nothing outside the corpus holds ids
-        across mutations (the engine's cache is version-guarded).
-        """
+        """Rebuild the index and statistics after the store was modified."""
         self.index = InvertedIndex.build(self.store)
         self.statistics = CorpusStatistics.build(self.store)
         # Structural indexes derive from the store too: start a fresh lazy

@@ -7,19 +7,15 @@ ancestor matches are implied by the Dewey labels and are resolved by the SLCA /
 ELCA algorithms rather than stored, which keeps the index linear in corpus size
 (the classic XML keyword-search index layout).
 
-Term interning
---------------
-Internally every table is keyed by a dense integer term id from a
-:class:`~repro.storage.term_dictionary.TermDictionary`, not by the token
-string.  Tokens are interned once at ingestion (via the batch
-:func:`~repro.storage.tokenizer.tokenize_many` pass over a node's tag, text
-and attribute values); the query side resolves each keyword through the
-dictionary exactly once per call and then works on ids.  The public API stays
-string-based — callers hand in keywords, the index resolves them — while the
-hot loops never hash a string per posting.  The index is the one owner of
-term statistics in a :class:`~repro.storage.corpus.Corpus`: its document
-frequencies feed TF-IDF ranking, and nothing else interns into its
-dictionary.
+Token-keyed tables
+------------------
+Every table is keyed by the token itself.  A node's tag, text and attribute
+values are tokenised once at ingestion by one batch
+:func:`~repro.storage.tokenizer.tokenize_many` pass; the query side tokenises
+each keyword and looks its bucket up directly.  The index is the one owner
+of term statistics in a :class:`~repro.storage.corpus.Corpus`: a term's
+document frequency, which TF-IDF ranking reads, is the size of its
+per-document offset map.
 
 Build strategy
 --------------
@@ -40,26 +36,24 @@ overall instead of the ``O(n^2)`` a per-posting ``insort`` would cost:
 Removal
 -------
 :meth:`remove_document` is the inverse of :meth:`add_document` and is likewise
-incremental: the index remembers which term ids each document touched, so
-removal visits only that document's terms, slices the document's contiguous
-posting run out of each finalized bucket (or filters a dirty one), and
-decrements document frequencies — no full rebuild, cost proportional to the
-removed document's postings.  Buckets whose last document disappears are
-dropped; their term ids stay reserved in the dictionary.
+incremental: the index remembers which terms each document touched, so
+removal visits only that document's terms and slices the document's
+contiguous posting run out of each finalized bucket (or filters a dirty one)
+— no full rebuild, cost proportional to the removed document's postings.  A
+bucket that the removal leaves empty is dropped.
 
 Re-adding an existing ``doc_id`` raises
 :class:`~repro.errors.IndexError_` before any state is touched, so a failed
-call never duplicates postings or double-counts document frequencies.
+call never duplicates postings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.errors import IndexError_
 from repro.storage.document_store import DocumentStore
-from repro.storage.term_dictionary import TermDictionary
 from repro.storage.tokenizer import tokenize, tokenize_many
 from repro.xmlmodel.dewey import DeweyLabel
 from repro.xmlmodel.node import XMLNode
@@ -83,40 +77,23 @@ _EMPTY: List[Posting] = []
 
 
 class InvertedIndex:
-    """Keyword → posting list index with frequency statistics.
+    """Keyword → posting list index with frequency statistics."""
 
-    Parameters
-    ----------
-    dictionary:
-        The :class:`TermDictionary` to intern tokens into, for callers that
-        build into an already-populated one; when omitted the index owns a
-        fresh one.
-    """
-
-    def __init__(self, dictionary: Optional[TermDictionary] = None) -> None:
-        self._dictionary = dictionary if dictionary is not None else TermDictionary()
-        self._postings: Dict[int, List[Posting]] = {}
-        self._document_frequency: Dict[int, int] = {}
-        self._doc_ranges: Dict[int, Dict[str, Tuple[int, int]]] = {}
-        # doc_id -> sorted tuple of the term ids the document posted; doubles
-        # as the membership set and as the removal work list.
-        self._doc_terms: Dict[str, Tuple[int, ...]] = {}
-        self._dirty_terms: Set[int] = set()
-
-    @property
-    def dictionary(self) -> TermDictionary:
-        """The term dictionary this index interns into."""
-        return self._dictionary
+    def __init__(self) -> None:
+        self._postings: Dict[str, List[Posting]] = {}
+        self._doc_ranges: Dict[str, Dict[str, Tuple[int, int]]] = {}
+        # doc_id -> sorted tuple of the terms the document posted; doubles as
+        # the membership set and as the removal work list.
+        self._doc_terms: Dict[str, Tuple[str, ...]] = {}
+        self._dirty_terms: Set[str] = set()
 
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
     @classmethod
-    def build(
-        cls, store: DocumentStore, dictionary: Optional[TermDictionary] = None
-    ) -> "InvertedIndex":
+    def build(cls, store: DocumentStore) -> "InvertedIndex":
         """Index every document currently in ``store`` and finalize."""
-        index = cls(dictionary)
+        index = cls()
         for document in store:
             index.add_document(document.doc_id, document.root)
         index.finalize()
@@ -135,41 +112,36 @@ class InvertedIndex:
             raise IndexError_(f"document {doc_id!r} is already indexed")
         postings = self._postings
         dirty = self._dirty_terms
-        seen_terms: Set[int] = set()
+        seen_terms: Set[str] = set()
         for node in root.iter_elements():
-            term_ids = self._node_term_ids(node)
-            if not term_ids:
+            terms = self._node_terms(node)
+            if not terms:
                 continue
             # One frozen Posting per node, shared by every term bucket the
             # node lands in — construction cost is per node, not per term.
             posting = Posting(doc_id=doc_id, label=node.label)
-            for term_id in term_ids:
-                bucket = postings.get(term_id)
+            for term in terms:
+                bucket = postings.get(term)
                 if bucket is None:
-                    bucket = postings[term_id] = []
-                elif term_id not in dirty and term_id not in seen_terms:
+                    bucket = postings[term] = []
+                elif term not in dirty and term not in seen_terms:
                     # Copy-on-write: finalized buckets may be aliased by
                     # earlier keyword_node_lists() callers, so the first
                     # mutation after a finalize works on a fresh list and
                     # handed-out lists stay stable snapshots.
-                    bucket = postings[term_id] = list(bucket)
+                    bucket = postings[term] = list(bucket)
                 bucket.append(posting)
-            seen_terms.update(term_ids)
-        frequency = self._document_frequency
-        for term_id in seen_terms:
-            frequency[term_id] = frequency.get(term_id, 0) + 1
+            seen_terms.update(terms)
         self._dirty_terms.update(seen_terms)
         self._doc_terms[doc_id] = tuple(sorted(seen_terms))
 
     @classmethod
     def _restore(
         cls,
-        dictionary: TermDictionary,
         *,
-        postings: Dict[int, List[Posting]],
-        doc_ranges: Dict[int, Dict[str, Tuple[int, int]]],
-        document_frequency: Dict[int, int],
-        doc_terms: Dict[str, Tuple[int, ...]],
+        postings: Dict[str, List[Posting]],
+        doc_ranges: Dict[str, Dict[str, Tuple[int, int]]],
+        doc_terms: Dict[str, Tuple[str, ...]],
     ) -> "InvertedIndex":
         """Rebuild an index directly from finalized tables (snapshot loading).
 
@@ -178,10 +150,9 @@ class InvertedIndex:
         establishes — so the restored index starts with no dirty terms and
         never re-sorts anything.
         """
-        index = cls(dictionary)
+        index = cls()
         index._postings = postings
         index._doc_ranges = doc_ranges
-        index._document_frequency = document_frequency
         index._doc_terms = doc_terms
         return index
 
@@ -194,13 +165,11 @@ class InvertedIndex:
         bucket — on either copy — works on a fresh list.  The per-document
         offset maps are likewise safe to share because mutations only ever
         *replace* inner dicts (at finalize) or pop outer keys, never edit an
-        inner dict in place.  The dictionary is cloned, so the copy interns
-        new terms without the original observing them.
+        inner dict in place.
         """
         self.finalize()
-        index = InvertedIndex(self._dictionary.clone())
+        index = InvertedIndex()
         index._postings = dict(self._postings)
-        index._document_frequency = dict(self._document_frequency)
         index._doc_ranges = dict(self._doc_ranges)
         index._doc_terms = dict(self._doc_terms)
         return index
@@ -220,30 +189,26 @@ class InvertedIndex:
         IndexError_
             If ``doc_id`` was never indexed.  The index is unchanged.
         """
-        term_ids = self._doc_terms.pop(doc_id, None)
-        if term_ids is None:
+        terms = self._doc_terms.pop(doc_id, None)
+        if terms is None:
             raise IndexError_(f"document {doc_id!r} is not indexed")
         postings = self._postings
-        frequency = self._document_frequency
         ranges = self._doc_ranges
         dirty = self._dirty_terms
-        for term_id in term_ids:
-            bucket = postings[term_id]
-            remaining_frequency = frequency[term_id] - 1
-            if remaining_frequency == 0:
-                del postings[term_id]
-                del frequency[term_id]
-                ranges.pop(term_id, None)
-                dirty.discard(term_id)
-                continue
-            if term_id in dirty:
+        for term in terms:
+            bucket = postings[term]
+            if term in dirty:
                 remaining = [posting for posting in bucket if posting.doc_id != doc_id]
             else:
-                start, end = ranges[term_id][doc_id]
+                start, end = ranges[term][doc_id]
                 remaining = bucket[:start] + bucket[end:]
-            postings[term_id] = remaining
-            frequency[term_id] = remaining_frequency
-            dirty.add(term_id)
+            if remaining:
+                postings[term] = remaining
+                dirty.add(term)
+            else:
+                del postings[term]
+                ranges.pop(term, None)
+                dirty.discard(term)
 
     def finalize(self) -> None:
         """Order dirty posting lists and rebuild their per-document offsets.
@@ -264,8 +229,8 @@ class InvertedIndex:
         """
         if not self._dirty_terms:
             return
-        for term_id in self._dirty_terms:
-            bucket = self._postings[term_id]
+        for term in self._dirty_terms:
+            bucket = self._postings[term]
             runs: List[Tuple[str, int, int]] = []
             in_order = True
             run_doc = None
@@ -292,16 +257,16 @@ class InvertedIndex:
                     merged_start = len(merged)
                     merged.extend(bucket[start:end])
                     ranges[doc_id] = (merged_start, len(merged))
-                self._postings[term_id] = merged
-            self._doc_ranges[term_id] = ranges
+                self._postings[term] = merged
+            self._doc_ranges[term] = ranges
         self._dirty_terms.clear()
 
-    def _node_term_ids(self, node: XMLNode) -> Set[int]:
-        """Distinct term ids a node posts: tag, direct text, attribute values.
+    def _node_terms(self, node: XMLNode) -> Set[str]:
+        """Distinct terms a node posts: tag, direct text, attribute values.
 
         All the node's text fragments are tokenised by one batch
-        :func:`tokenize_many` pass and interned in one bulk call — this is the
-        tokenisation hot loop of index construction.
+        :func:`tokenize_many` pass — this is the tokenisation hot loop of
+        index construction.
         """
         texts = [node.tag or ""]
         direct = node.direct_text()
@@ -310,10 +275,7 @@ class InvertedIndex:
         attributes = node.attributes
         if attributes:
             texts.extend(attributes.values())
-        tokens = tokenize_many(texts)
-        if not tokens:
-            return set()
-        return set(self._dictionary.intern_many(tokens))
+        return set(tokenize_many(texts))
 
     # ------------------------------------------------------------------ #
     # Lookup
@@ -324,12 +286,7 @@ class InvertedIndex:
         if token is None:
             return []
         self.finalize()
-        return list(self._bucket_for_token(token))
-
-    def postings_by_id(self, term_id: int) -> List[Posting]:
-        """Return the posting list for an already-resolved term id."""
-        self.finalize()
-        return list(self._postings.get(term_id, _EMPTY))
+        return list(self._postings.get(token, _EMPTY))
 
     def postings_for_document(self, keyword: str, doc_id: str) -> List[Posting]:
         """Return the postings of a keyword restricted to one document.
@@ -341,39 +298,33 @@ class InvertedIndex:
         token = self._single_token(keyword)
         if token is None:
             return []
-        term_id = self._dictionary.lookup(token)
-        if term_id is None:
-            return []
         self.finalize()
-        ranges = self._doc_ranges.get(term_id)
+        ranges = self._doc_ranges.get(token)
         if not ranges:
             return []
         span = ranges.get(doc_id)
         if span is None:
             return []
-        return self._postings[term_id][span[0]:span[1]]
+        return self._postings[token][span[0]:span[1]]
 
     def document_frequency(self, keyword: str) -> int:
         """Number of documents containing the keyword at least once."""
         tokens = tokenize(keyword)
         if not tokens:
             return 0
-        term_id = self._dictionary.lookup(tokens[0])
-        if term_id is None:
-            return 0
-        return self._document_frequency.get(term_id, 0)
+        self.finalize()
+        return len(self._doc_ranges.get(tokens[0], ()))
 
     def collection_frequency(self, keyword: str) -> int:
         """Total number of node postings of the keyword across the corpus."""
         tokens = tokenize(keyword)
         if not tokens:
             return 0
-        return len(self._bucket_for_token(tokens[0]))
+        return len(self._postings.get(tokens[0], _EMPTY))
 
     def vocabulary(self) -> List[str]:
         """Return the indexed terms in sorted order."""
-        term = self._dictionary.term
-        return sorted(term(term_id) for term_id in self._postings)
+        return sorted(self._postings)
 
     @property
     def documents_indexed(self) -> int:
@@ -384,8 +335,7 @@ class InvertedIndex:
         tokens = tokenize(keyword)
         if not tokens:
             return False
-        term_id = self._dictionary.lookup(tokens[0])
-        return term_id is not None and term_id in self._postings
+        return tokens[0] in self._postings
 
     def __len__(self) -> int:
         return len(self._postings)
@@ -398,13 +348,6 @@ class InvertedIndex:
             raise IndexError_(f"postings() expects a single keyword, got {keyword!r}")
         return tokens[0]
 
-    def _bucket_for_token(self, token: str) -> List[Posting]:
-        """Internal bucket for one already-tokenised token (may be shared)."""
-        term_id = self._dictionary.lookup(token)
-        if term_id is None:
-            return _EMPTY
-        return self._postings.get(term_id, _EMPTY)
-
     # ------------------------------------------------------------------ #
     # Query-side helpers used by the search algorithms
     # ------------------------------------------------------------------ #
@@ -413,8 +356,8 @@ class InvertedIndex:
     ) -> List[List[Posting]]:
         """Return one posting list per query keyword, preserving query order.
 
-        Each keyword is resolved through the term dictionary exactly once;
-        keywords that tokenise to nothing are dropped; a keyword absent from
+        Each keyword is tokenised once; keywords that tokenise to nothing
+        are dropped; a keyword absent from
         the corpus yields an empty list, which the caller interprets as an
         empty result set (conjunctive keyword semantics).
 
@@ -426,26 +369,21 @@ class InvertedIndex:
         corrupt the index, hence copies are the default.
         """
         self.finalize()
-        lookup = self._dictionary.lookup
         buckets = self._postings
         lists: List[List[Posting]] = []
         for keyword in keywords:
             for token in tokenize(keyword):
-                term_id = lookup(token)
-                bucket = _EMPTY if term_id is None else buckets.get(term_id, _EMPTY)
+                bucket = buckets.get(token, _EMPTY)
                 lists.append(list(bucket) if copy else bucket)
         return lists
 
     def documents_containing_all(self, keywords: Iterable[str]) -> List[str]:
         """Return ids of documents containing every query keyword."""
         self.finalize()
-        lookup = self._dictionary.lookup
         doc_sets: List[set] = []
         for keyword in keywords:
             for token in tokenize(keyword):
-                term_id = lookup(token)
-                ranges = {} if term_id is None else self._doc_ranges.get(term_id, {})
-                doc_sets.append(set(ranges))
+                doc_sets.append(set(self._doc_ranges.get(token, {})))
         if not doc_sets:
             return []
         common = set.intersection(*doc_sets)

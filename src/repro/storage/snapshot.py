@@ -1,37 +1,36 @@
 """Binary corpus snapshots: tokenisation-free cold start, lazy documents.
 
 Building a :class:`~repro.storage.corpus.Corpus` from XML is dominated by
-tokenisation (~60% of build time after PR 2) — every node's tag, text and
-attribute values pass through the regex tokenizer and the interning
-dictionary.  For an interactive system the corpus must be *available* before
-the first query can run, so cold-start latency is user-facing.  A snapshot
-serialises a whole corpus — document trees, the index's
-:class:`~repro.storage.term_dictionary.TermDictionary`, finalized
+tokenisation — every node's tag, text and attribute values pass through the
+regex tokenizer.  For an interactive system the corpus must be *available*
+before the first query can run, so cold start latency is user-facing.  A
+snapshot serialises a whole corpus — document trees, finalized
 :class:`~repro.storage.inverted_index.InvertedIndex` posting lists with their
-per-document offset maps, and
-:class:`~repro.storage.statistics.CorpusStatistics` tables — into one compact
-versioned binary file, reconstructed with *zero* tokenisation, regex work or
-posting sorts.
+per-document offset maps, and the
+:class:`~repro.storage.statistics.CorpusStatistics` repeat table — into one
+compact versioned binary file, reconstructed with *zero* tokenisation, regex
+work or posting sorts.
 
-Layout (format 2) — eager head + lazy record section
+Layout (format 3) — eager head + lazy record section
 ----------------------------------------------------
 ::
 
-    magic "XSACTSNAP\\0" | format=2 u16 | corpus version u64 | head crc32 u32
+    magic "XSACTSNAP\\0" | format=3 u16 | corpus version u64 | head crc32 u32
     | head length u64 | record section length u64 | name length u16
     | name utf-8 | header crc32 u32 | head | record section
 
 The *head* is everything queries need before touching a document tree: the
-term dictionary, a **document directory** (per document: id, metadata, record
-offset/length/checksum/compression flag, element count), per-document **label
-tables** (each element's Dewey label, delta-encoded against pre-order), the
-inverted-index run tables resolved against those labels, the statistics, and
-the structural section (per-element tags for the pre-order encoding).  The
-*record section* is the bulk: one varint-encoded tree record per document,
-offset-addressed, optionally zlib-deflated per record.  Loads ``mmap`` the
-file, decode only the head, and open a
-:class:`~repro.storage.document_store.DocumentStore` over the record section
-that decodes trees on first access into a bounded LRU — cold start is
+tokenizer fingerprint, a **document directory** (per document: id, metadata,
+record offset/length/checksum/compression flag, element count), per-document
+**label tables** (each element's Dewey label, delta-encoded against
+pre-order), the inverted index (its terms in sorted order, then run tables
+resolved against those labels), the statistics (per tag, its count of
+repeating groups, sorted by tag), and the structural section (per-element
+tags for the pre-order encoding).  The *record section* is the bulk: one
+varint-encoded tree record per document, offset-addressed, optionally
+zlib-deflated per record.  Loads ``mmap`` the file, decode only the head, and
+open a :class:`~repro.storage.document_store.DocumentStore` over the record
+section that decodes trees on first access into a bounded LRU — cold start is
 near-constant in the number of *touched* documents and a host can serve
 corpora larger than RAM.
 
@@ -46,10 +45,11 @@ corpus:
 * :class:`~repro.errors.SnapshotFormatError` — bad magic, unsupported format
   version, truncation (truncation inside the record section names the first
   document whose record is cut), CRC mismatch, trailing bytes, a head without
-  its structural section, or a tokenizer configuration different from the one
-  the snapshot was built with (postings bake in the tokenisation rules, so
-  loading across a tokenizer change would silently disagree with query-side
-  tokenisation).
+  its structural section, an index that lists a term twice, a statistics
+  table with a repeated tag or a zero count, or a tokenizer configuration
+  different from the one the snapshot was built with (postings bake in the
+  tokenisation rules, so loading across a tokenizer change would silently
+  disagree with query-side tokenisation).
 * :class:`~repro.errors.SnapshotVersionError` — the snapshot's recorded
   :attr:`Corpus.version` differs from the version the caller expects, i.e.
   the corpus was mutated after the snapshot was taken.
@@ -88,8 +88,7 @@ from repro.storage.document_store import (
     DocumentStore,
 )
 from repro.storage.inverted_index import InvertedIndex, Posting
-from repro.storage.statistics import CorpusStatistics, PathSummary
-from repro.storage.term_dictionary import TermDictionary
+from repro.storage.statistics import CorpusStatistics
 from repro.storage.tokenizer import fingerprint as _tokenizer_fingerprint
 from repro.structure.encoding import DocumentStructure, TagDictionary
 from repro.structure.table import StructuralTable
@@ -108,7 +107,7 @@ __all__ = [
 ]
 
 #: The one format version this build writes and reads.
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 _MAGIC = b"XSACTSNAP\x00"
 # Format version u16, corpus version u64, head crc32 u32, head length u64,
@@ -464,57 +463,47 @@ def _decode_record(data, record: DocumentRecord, base: int = 0) -> XMLNode:
 
 
 # --------------------------------------------------------------------------- #
-# Shared sections (dictionary, index, statistics)
+# Shared sections (index, statistics)
 # --------------------------------------------------------------------------- #
-def _write_dictionary(writer: _Writer, dictionary: TermDictionary) -> None:
-    """Term dictionary section (id of the i-th term is i)."""
-    terms = list(dictionary)
-    writer.varint(len(terms))
-    for term in terms:
-        writer.string(term)
-
-
-def _read_dictionary(reader: _Reader) -> TermDictionary:
-    term_count = reader.varint()
-    return TermDictionary._restore(reader.string() for _ in range(term_count))
-
-
 def _write_index(
     writer: _Writer,
     index: InvertedIndex,
     doc_refs: Dict[str, int],
     label_indices: Dict[str, Dict[DeweyLabel, int]],
 ) -> None:
-    """Inverted-index section: three flat u32 tables.
+    """Inverted-index section: the terms, then three flat u32 tables.
 
-    Per-term metadata (term id, run count), per-run metadata (document ref,
-    posting count) and the posting element indices themselves — bucket order
-    is preserved, so the loader rebuilds identical posting lists and offset
-    maps without a single comparison.
+    The terms are written in sorted order, so the bytes do not depend on the
+    order buckets were created in.  The tables hold the run count per term,
+    per-run metadata (document ref, posting count) and the posting element
+    indices themselves — bucket order is preserved, so the loader rebuilds
+    identical posting lists and offset maps without a single comparison.
     """
     postings_map = index._postings
     ranges_map = index._doc_ranges
-    term_meta: List[int] = []
+    terms = sorted(postings_map)
+    run_counts: List[int] = []
     run_meta: List[int] = []
     element_refs: List[int] = []
-    writer.varint(len(postings_map))
-    for term_id, bucket in postings_map.items():
-        runs = sorted(ranges_map[term_id].items(), key=lambda item: item[1][0])
-        term_meta.append(term_id)
-        term_meta.append(len(runs))
+    writer.varint(len(terms))
+    for term in terms:
+        writer.string(term)
+    for term in terms:
+        bucket = postings_map[term]
+        runs = sorted(ranges_map[term].items(), key=lambda item: item[1][0])
+        run_counts.append(len(runs))
         for doc_id, (start, end) in runs:
             run_meta.append(doc_refs[doc_id])
             run_meta.append(end - start)
             label_index = label_indices[doc_id]
             element_refs.extend(label_index[posting.label] for posting in bucket[start:end])
-    writer.u32_array(term_meta)
+    writer.u32_array(run_counts)
     writer.u32_array(run_meta)
     writer.u32_array(element_refs)
 
 
 def _read_index(
     reader: _Reader,
-    dictionary: TermDictionary,
     doc_ids: List[str],
     doc_labels: Dict[str, List[DeweyLabel]],
 ) -> InvertedIndex:
@@ -523,16 +512,15 @@ def _read_index(
     ``doc_labels`` comes from the head's label tables (equal by value to any
     later-decoded tree's labels).
     """
-    bucket_count = reader.varint()
-    term_meta = reader.u32_array()
+    terms = [reader.string() for _ in range(reader.varint())]
+    run_counts = reader.u32_array()
     run_meta = reader.u32_array()
     element_refs = reader.u32_array()
-    if len(term_meta) != 2 * bucket_count or len(run_meta) % 2:
+    if len(run_counts) != len(terms) or len(run_meta) % 2:
         raise SnapshotFormatError("malformed snapshot: index table sizes disagree")
-    postings_map: Dict[int, List[Posting]] = {}
-    ranges_map: Dict[int, Dict[str, Tuple[int, int]]] = {}
-    document_frequency: Dict[int, int] = {}
-    doc_term_lists: Dict[str, List[int]] = {doc_id: [] for doc_id in doc_ids}
+    postings_map: Dict[str, List[Posting]] = {}
+    ranges_map: Dict[str, Dict[str, Tuple[int, int]]] = {}
+    doc_term_lists: Dict[str, List[str]] = {doc_id: [] for doc_id in doc_ids}
     # One shared Posting per (document, element) across every bucket it
     # appears in, mirroring add_document's per-node sharing.
     posting_cache: Dict[str, List[Optional[Posting]]] = {
@@ -541,9 +529,9 @@ def _read_index(
     run_cursor = 0
     element_cursor = 0
     try:
-        for meta_cursor in range(0, len(term_meta), 2):
-            term_id = term_meta[meta_cursor]
-            run_count = term_meta[meta_cursor + 1]
+        for term, run_count in zip(terms, run_counts):
+            if term in postings_map:
+                raise SnapshotFormatError(f"malformed snapshot: index lists term {term!r} twice")
             bucket: List[Posting] = []
             ranges: Dict[str, Tuple[int, int]] = {}
             for _ in range(run_count):
@@ -560,111 +548,39 @@ def _read_index(
                     bucket.append(posting)
                 element_cursor += posting_count
                 ranges[doc_id] = (start, len(bucket))
-                doc_term_lists[doc_id].append(term_id)
-            postings_map[term_id] = bucket
-            ranges_map[term_id] = ranges
-            document_frequency[term_id] = run_count
+                doc_term_lists[doc_id].append(term)
+            postings_map[term] = bucket
+            ranges_map[term] = ranges
     except IndexError:
         raise SnapshotFormatError("malformed snapshot: index refers to unknown documents or nodes") from None
     if run_cursor != len(run_meta) or element_cursor != len(element_refs):
         raise SnapshotFormatError("malformed snapshot: index tables have unread entries")
-    doc_terms = {doc_id: tuple(sorted(terms)) for doc_id, terms in doc_term_lists.items()}
+    doc_terms = {doc_id: tuple(sorted(posted)) for doc_id, posted in doc_term_lists.items()}
     return InvertedIndex._restore(
-        dictionary,
-        postings=postings_map,
-        doc_ranges=ranges_map,
-        document_frequency=document_frequency,
-        doc_terms=doc_terms,
+        postings=postings_map, doc_ranges=ranges_map, doc_terms=doc_terms
     )
 
 
-def _write_statistics(
-    writer: _Writer,
-    statistics: CorpusStatistics,
-    index: InvertedIndex,
-    document_count: int,
-    element_count: int,
-) -> None:
-    """Statistics section.
-
-    Paths are stored against a local tag table; max_siblings and
-    distinct_values are derived on load from the exact sibling-run and
-    value-occurrence bookkeeping, as in a fresh build.  The term-frequency
-    table is the index's document frequencies; the document and element
-    counts are the directory's.
-    """
-    tag_refs: Dict[str, int] = {}
-    for summary_path in statistics._paths:
-        for tag in summary_path:
-            if tag not in tag_refs:
-                tag_refs[tag] = len(tag_refs)
-    writer.varint(len(tag_refs))
-    for tag in tag_refs:
+def _write_statistics(writer: _Writer, statistics: CorpusStatistics) -> None:
+    """Statistics section: (tag, group count) pairs sorted by tag."""
+    groups = statistics.groups
+    writer.varint(len(groups))
+    for tag in sorted(groups):
         writer.string(tag)
-    writer.varint(len(statistics._paths))
-    for summary_path, summary in statistics._paths.items():
-        writer.varint(len(summary_path))
-        for tag in summary_path:
-            writer.varint(tag_refs[tag])
-        writer.varint(summary.count)
-        writer.varint(summary.leaf_count)
-        values = statistics._path_values[summary_path]
-        writer.varint(len(values))
-        for value, occurrences in values.items():
-            writer.string(value)
-            writer.varint(occurrences)
-        sibling_runs = statistics._path_sibling_runs[summary_path]
-        writer.varint(len(sibling_runs))
-        for run_size, observations in sibling_runs.items():
-            writer.varint(run_size)
-            writer.varint(observations)
-    # Nothing here reads the df table or the two counts back; they stay in
-    # the layout so files cross-load with builds that read them.
-    term_frequency = index._document_frequency
-    writer.varint(len(term_frequency))
-    for term_id, frequency in term_frequency.items():
-        writer.varint(term_id)
-        writer.varint(frequency)
-    writer.varint(document_count)
-    writer.varint(element_count)
+        writer.varint(groups[tag])
 
 
 def _read_statistics(reader: _Reader) -> CorpusStatistics:
-    tag_table = [reader.string() for _ in range(reader.varint())]
-    paths: Dict[Tuple[str, ...], PathSummary] = {}
-    path_values: Dict[Tuple[str, ...], Dict[str, int]] = {}
-    path_sibling_runs: Dict[Tuple[str, ...], Dict[int, int]] = {}
-    try:
-        for _ in range(reader.varint()):
-            path = tuple(tag_table[reader.varint()] for _ in range(reader.varint()))
-            count = reader.varint()
-            leaf_count = reader.varint()
-            values: Dict[str, int] = {}
-            for _ in range(reader.varint()):
-                value = reader.string()
-                values[value] = reader.varint()
-            sibling_runs: Dict[int, int] = {}
-            for _ in range(reader.varint()):
-                run_size = reader.varint()
-                sibling_runs[run_size] = reader.varint()
-            paths[path] = PathSummary(
-                path=path,
-                count=count,
-                max_siblings=max(sibling_runs) if sibling_runs else 1,
-                leaf_count=leaf_count,
-                distinct_values=len(values),
-            )
-            path_values[path] = values
-            path_sibling_runs[path] = sibling_runs
-    except IndexError:
-        raise SnapshotFormatError("malformed snapshot: path refers to unknown tag") from None
-    # The index derives df from its run counts and the store counts its
-    # documents and elements: skip the term-frequency table and both counts.
-    for _ in range(2 * reader.varint() + 2):
-        reader.varint()
-    return CorpusStatistics._restore(
-        paths=paths, path_values=path_values, path_sibling_runs=path_sibling_runs
-    )
+    groups: Dict[str, int] = {}
+    for _ in range(reader.varint()):
+        tag = reader.string()
+        count = reader.varint()
+        if tag in groups:
+            raise SnapshotFormatError(f"malformed snapshot: statistics list tag {tag!r} twice")
+        if not count:
+            raise SnapshotFormatError(f"malformed snapshot: statistics give tag {tag!r} no groups")
+        groups[tag] = count
+    return CorpusStatistics(groups)
 
 
 # --------------------------------------------------------------------------- #
@@ -827,8 +743,6 @@ def _record_truncation_error(head: bytes, header: SnapshotHeader, available: int
     try:
         reader = _Reader(head)
         reader.varint()  # tokenizer fingerprint
-        for _ in range(reader.varint()):  # term dictionary
-            reader.string()
         for _ in range(reader.varint()):
             record, _ = _read_directory_entry(reader)
             if record.offset + record.stored_length > available:
@@ -912,7 +826,6 @@ def _build_payload(corpus: "Corpus", *, compress: bool) -> Tuple[bytes, bytes]:
     """
     writer = _Writer()
     writer.varint(_tokenizer_fingerprint())
-    _write_dictionary(writer, corpus.index.dictionary)
 
     doc_ids = corpus.store.document_ids()
     doc_refs = {doc_id: position for position, doc_id in enumerate(doc_ids)}
@@ -956,8 +869,7 @@ def _build_payload(corpus: "Corpus", *, compress: bool) -> Tuple[bytes, bytes]:
         label_indices[document.doc_id] = label_index
 
     _write_index(writer, corpus.index, doc_refs, label_indices)
-    element_count = sum(len(label_index) for label_index in label_indices.values())
-    _write_statistics(writer, corpus.statistics, corpus.index, len(doc_ids), element_count)
+    _write_statistics(writer, corpus.statistics)
     _write_structure(writer, doc_ids, doc_tag_ids, list(section_tags))
     return writer.getvalue(), bytes(records)
 
@@ -1065,7 +977,7 @@ def load_corpus(
     """Reconstruct a :class:`Corpus` from a snapshot file.
 
     The loaded corpus answers every query exactly like a fresh build over the
-    same documents — same postings, frequencies, path summaries and ranked
+    same documents — same postings, frequencies, repeat table and ranked
     results — and carries the saved :attr:`Corpus.version`.  What differs is
     *residency*: trees stay in the ``mmap``-ed record section and the
     :class:`~repro.storage.document_store.DocumentStore` decodes them on
@@ -1150,7 +1062,6 @@ def _load(
 
     reader = _Reader(head)
     _check_fingerprint(reader)
-    dictionary = _read_dictionary(reader)
 
     records: List[DocumentRecord] = []
     doc_ids: List[str] = []
@@ -1167,7 +1078,7 @@ def _load(
 
     store = _open_store(handle, records, payload_offset + header.payload_length, max_materialised)
 
-    index = _read_index(reader, dictionary, doc_ids, doc_labels)
+    index = _read_index(reader, doc_ids, doc_labels)
     statistics = _read_statistics(reader)
 
     def document_root(doc_id: str) -> XMLNode:

@@ -26,7 +26,7 @@ Dewey label table alone*.  The labels arrive in pre-order (document order), so
 pass over the depths reconstructs ``parent`` and the subtree windows in
 ``O(n)``.  Snapshots therefore persist only the tag dictionary and
 per-document tag-id arrays (see :mod:`repro.storage.snapshot`); the rest is
-recomputed from the label tables that v2 files already store eagerly, keeping
+recomputed from the label tables that snapshots already store eagerly, keeping
 lazy corpora lazy.
 """
 
@@ -155,7 +155,7 @@ class DocumentStructure:
         """Derive the full encoding from a pre-order label table plus tag ids.
 
         This is the snapshot-restore path: the label table is exactly what a
-        v2 directory entry stores, so only the tag ids need to travel in the
+        snapshot directory entry stores, so only the tag ids need to travel in the
         file.  One stack pass over the depths recovers parent links and
         subtree windows in ``O(n)``.
 

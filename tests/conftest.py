@@ -7,8 +7,6 @@ All fixtures are session-scoped because the corpora are immutable once built.
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from repro.core.config import DFSConfig

@@ -1,18 +1,21 @@
-"""Brute-force SLCA/ELCA reference implementations for the differential tests.
+"""Brute-force reference implementations for the differential tests.
 
-Both oracles follow the definitions directly — enumerate every
+The SLCA/ELCA oracles follow the definitions directly — enumerate every
 ancestor-or-self candidate of the keyword occurrences and re-check
 containment per keyword — so they are quadratic and only suitable for small
 inputs, but they share no logic with the stack merge in
 :mod:`repro.search.linear_merge` that :func:`~repro.search.slca.compute_slca`
-and :func:`~repro.search.elca.compute_elca` run.
+and :func:`~repro.search.elca.compute_elca` run.  :func:`tag_repeats_scan`
+re-reads whole trees for the repeating-tag signal that
+:class:`~repro.storage.statistics.CorpusStatistics` keeps incrementally.
 """
 
-from typing import List, Sequence, Set
+from typing import Iterable, List, Sequence, Set
 
 from repro.search.linear_merge import collect_per_document
 from repro.storage.inverted_index import Posting
 from repro.xmlmodel.dewey import DeweyLabel
+from repro.xmlmodel.node import XMLNode
 
 
 def compute_slca_scan(keyword_postings: Sequence[Sequence[Posting]]) -> List[Posting]:
@@ -109,3 +112,13 @@ def _elca_single_document(label_lists: List[List[DeweyLabel]]) -> List[DeweyLabe
             elcas.append(node)
     elcas.sort()
     return elcas
+
+
+def tag_repeats_scan(roots: Iterable[XMLNode], tag: str) -> bool:
+    """Brute-force repeat test: some element has two or more children tagged ``tag``."""
+    for root in roots:
+        for node in root.walk():
+            same_tag = [child for child in node.children if child.is_element and child.tag == tag]
+            if len(same_tag) > 1:
+                return True
+    return False

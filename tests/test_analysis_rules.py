@@ -11,7 +11,6 @@ import io
 import json
 import textwrap
 from collections import Counter
-from pathlib import Path
 
 import pytest
 

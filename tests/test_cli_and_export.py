@@ -258,6 +258,88 @@ class TestCliOnSavedCorpus:
         assert process.returncode == 0
         assert "cache:" in remaining  # shutdown log surfaces hit/miss counters
 
+    def test_sigterm_keeps_writes_acknowledged_during_a_snapshot(self, corpus_dir, tmp_path):
+        # A write installed while a background save runs must reach disk
+        # even when no later write comes: the snapshot thread saves again
+        # once its save ends, and SIGTERM waits for it.  Saves are slowed to
+        # 2 s so the second write lands inside the first save.
+        import json
+        import os
+        import re
+        import signal
+        import subprocess
+        import sys
+        import threading
+        import urllib.request
+        from pathlib import Path
+
+        from repro.storage.corpus import Corpus
+
+        snapshot = tmp_path / "live.snap"
+        script = (
+            "import sys, time\n"
+            "import repro.storage.snapshot as snapshot\n"
+            "from repro.cli import main\n"
+            "save = snapshot.save_corpus\n"
+            "def slow_save(*args, **kwargs):\n"
+            "    time.sleep(2)\n"
+            "    return save(*args, **kwargs)\n"
+            "snapshot.save_corpus = slow_save\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        repo_root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(repo_root / "src") + os.pathsep + env.get("PYTHONPATH", "")
+        process = subprocess.Popen(
+            [
+                sys.executable, "-c", script, "serve", "--corpus-dir", str(corpus_dir),
+                "--port", "0", "--writable", "--snapshot-every", "1",
+                "--snapshot-path", str(snapshot),
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env=env,
+            cwd=str(repo_root),
+        )
+        lines = []
+
+        def read_line():
+            lines.append(process.stdout.readline())
+
+        acknowledged = []
+        try:
+            reader = threading.Thread(target=read_line, daemon=True)
+            reader.start()
+            reader.join(timeout=60)
+            assert lines and lines[0], "serve did not print its listening line"
+            match = re.search(r"http://[^:]+:(\d+)", lines[0])
+            assert match, f"no port in serve banner: {lines[0]!r}"
+            for doc_id in ("late-1", "late-2"):
+                body = json.dumps(
+                    {"doc_id": doc_id, "xml": f"<product><name>{doc_id} GPS</name></product>"}
+                ).encode()
+                request = urllib.request.Request(
+                    f"http://127.0.0.1:{match.group(1)}/documents", data=body, method="POST"
+                )
+                with urllib.request.urlopen(request, timeout=10) as response:
+                    assert response.status == 201
+                    acknowledged.append(json.loads(response.read())["corpus_version"])
+        finally:
+            process.send_signal(signal.SIGTERM)
+            try:
+                remaining, _ = process.communicate(timeout=60)
+            except subprocess.TimeoutExpired:
+                process.kill()
+                remaining, _ = process.communicate()
+        assert process.returncode == 0, remaining
+        assert re.search(r"^served .* request\(s\)", remaining, re.MULTILINE), remaining
+        saved = Corpus.load(snapshot)
+        assert saved.version == acknowledged[-1], (
+            f"snapshot stopped at version {saved.version}, acknowledged {acknowledged[-1]}"
+        )
+        assert {"late-1", "late-2"} <= set(saved.store.document_ids())
+
     def test_serve_waits_for_background_snapshot_on_interrupt(
         self, corpus_dir, tmp_path, monkeypatch
     ):

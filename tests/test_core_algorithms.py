@@ -21,7 +21,7 @@ from repro.core.topk import top_significance_dfs
 from repro.core.validity import is_valid_selection, validate_dfs
 from repro.errors import DFSConstructionError
 from repro.experiments.instances import micro_instance
-from repro.features.feature import Feature, FeatureType
+from repro.features.feature import Feature
 from repro.features.statistics import FeatureStatistics, ResultFeatures
 
 
@@ -224,15 +224,17 @@ class TestGeneratorFacade:
         assert DFSGenerator().available_algorithms() == list(ALGORITHMS)
 
 
-# Prints one digest over every answer of the sample; run once per hash seed.
+# Prints one digest over every answer of the sample and the bytes of two
+# snapshots (fresh, then after 3 removes and 1 add); run once per hash seed.
 _CROSS_SEED_SCRIPT = """
-import hashlib, json
+import hashlib, json, os, tempfile
 from repro.datasets.product_reviews import generate_product_reviews_corpus
 from repro.errors import ReproError
 from repro.service import CompareRequest, SearchService
 from repro.workloads.queries import PRODUCT_QUERIES
 
-service = SearchService(generate_product_reviews_corpus())
+corpus = generate_product_reviews_corpus()
+service = SearchService(corpus)
 digest = hashlib.sha256()
 for algorithm in ("single_swap", "multi_swap"):
     for spec in PRODUCT_QUERIES:
@@ -243,6 +245,19 @@ for algorithm in ("single_swap", "multi_swap"):
             except ReproError as error:
                 answer = type(error).__name__
             digest.update(json.dumps(answer, sort_keys=True).encode())
+with tempfile.TemporaryDirectory() as directory:
+    path = os.path.join(directory, "products.snap")
+    corpus.save(path)
+    with open(path, "rb") as handle:
+        digest.update(handle.read())
+    doc_ids = corpus.store.document_ids()
+    added = corpus.store.get(doc_ids[0])
+    for doc_id in doc_ids[:3]:
+        corpus.remove_document(doc_id)
+    corpus.add_document("readded", added.root, metadata=added.metadata)
+    corpus.save(path)
+    with open(path, "rb") as handle:
+        digest.update(handle.read())
 print(digest.hexdigest())
 """
 
@@ -250,7 +265,8 @@ print(digest.hexdigest())
 class TestHashSeedIndependence:
     def test_compare_answers_alike_under_every_hash_seed(self):
         # Ties between equally good moves must not be broken by set order,
-        # which changes with PYTHONHASHSEED.
+        # which changes with PYTHONHASHSEED; nor may the snapshot bytes
+        # depend on the order the index's token-keyed buckets were created in.
         source = str(Path(__file__).resolve().parent.parent / "src")
         digests = set()
         for seed in range(4):

@@ -10,9 +10,11 @@ contract (removal bumps ``Corpus.version``, which evicts cached query results).
 
 from hypothesis import given, settings, strategies as st
 
+from oracles import tag_repeats_scan
 from repro.search.engine import SearchEngine
 from repro.storage.corpus import Corpus
 from repro.storage.document_store import DocumentStore
+from repro.storage.statistics import CorpusStatistics
 from repro.xmlmodel.builder import TreeBuilder
 from repro.xmlmodel.parser import parse_xml
 
@@ -20,7 +22,8 @@ from repro.xmlmodel.parser import parse_xml
 # --------------------------------------------------------------------------- #
 # Strategies: random small corpora (same shape as test_property_xml_and_search)
 # --------------------------------------------------------------------------- #
-tag_names = st.sampled_from(["product", "review", "name", "pros", "rating", "item"])
+TAGS = ["product", "review", "name", "pros", "rating", "item"]
+tag_names = st.sampled_from(TAGS)
 text_values = st.text(
     alphabet=st.characters(whitelist_categories=("Lu", "Ll", "Nd"), max_codepoint=0x7F),
     min_size=0,
@@ -55,6 +58,18 @@ def corpora_with_victims(draw):
     return trees, doc_ids, victims
 
 
+@st.composite
+def trees_with_toggles(draw):
+    """Random trees plus a random add/remove sequence over them.
+
+    Each toggle names a tree: it is added when absent and removed when
+    present, so the sequence interleaves adds and removes freely.
+    """
+    trees = draw(st.lists(xml_trees(), min_size=1, max_size=4))
+    toggles = draw(st.lists(st.integers(0, len(trees) - 1), min_size=1, max_size=10))
+    return trees, toggles
+
+
 def _index_snapshot(index):
     return {
         term: [
@@ -62,18 +77,6 @@ def _index_snapshot(index):
             for posting in index.postings(term)
         ]
         for term in index.vocabulary()
-    }
-
-
-def _statistics_snapshot(statistics):
-    return {
-        summary.path: (
-            summary.count,
-            summary.max_siblings,
-            summary.leaf_count,
-            summary.distinct_values,
-        )
-        for summary in statistics.iter_paths()
     }
 
 
@@ -96,14 +99,13 @@ class TestRemovalEqualsFreshBuild:
                 rest_store.add(doc_id, tree)
         fresh = Corpus(rest_store)
 
-        # Index postings and frequencies agree term by term (compared through
-        # the string API: the two corpora assign different term ids).
+        # Index postings and frequencies agree term by term.
         assert _index_snapshot(corpus.index) == _index_snapshot(fresh.index)
         for term in fresh.index.vocabulary():
             assert corpus.index.document_frequency(term) == fresh.index.document_frequency(term)
 
-        # Structural statistics agree path by path.
-        assert _statistics_snapshot(corpus.statistics) == _statistics_snapshot(fresh.statistics)
+        # The repeat tables agree.
+        assert corpus.statistics == fresh.statistics
 
         # Ranked search results — scores included — agree for every term in
         # the surviving vocabulary (sampled to keep the test fast).
@@ -117,6 +119,29 @@ class TestRemovalEqualsFreshBuild:
                 (result.doc_id, result.match_label, result.score)
                 for result in fresh_results
             ]
+
+
+class TestRepeatTable:
+    @settings(max_examples=200, deadline=None)
+    @given(trees_with_toggles())
+    def test_repeat_table_matches_oracle_and_fresh_build(self, data):
+        trees, toggles = data
+        statistics = CorpusStatistics()
+        present = {}
+        for position in toggles:
+            if position in present:
+                statistics.remove_document(present.pop(position))
+            else:
+                present[position] = trees[position]
+                statistics.add_document(trees[position])
+            for tag in TAGS + ["absent"]:
+                assert statistics.tag_is_repeating(tag) == tag_repeats_scan(
+                    present.values(), tag
+                )
+            store = DocumentStore()
+            for doc_position, tree in present.items():
+                store.add(f"doc{doc_position}", tree)
+            assert statistics == CorpusStatistics.build(store)
 
 
 class TestRemovalCacheCoherence:

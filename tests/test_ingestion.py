@@ -265,6 +265,49 @@ class TestBackgroundSnapshot:
         assert stats["last_snapshot_version"] == 2
         assert stats["last_snapshot_error"] is None
 
+    def test_concurrent_writes_all_reach_the_snapshot(self, tmp_path, monkeypatch):
+        # Writes keep landing while saves run: the snapshot thread must save
+        # again until it holds the last generation, and no install may fall
+        # between its decision to stop and its exit.
+        import sys
+        import time
+
+        path = tmp_path / "live.snap"
+        save = Corpus.save
+
+        def slow_save(self, target, **kwargs):
+            time.sleep(0.01)
+            return save(self, target, **kwargs)
+
+        monkeypatch.setattr(Corpus, "save", slow_save)
+        service = SearchService(
+            make_corpus("eager", 2, tmp_path),
+            writable=True,
+            snapshot_path=path,
+            snapshot_every=1,
+        )
+
+        def writer(worker):
+            for index in range(5):
+                service.ingest(
+                    IngestRequest(doc_id=f"w{worker}-{index}", xml=product_xml(index))
+                )
+
+        threads = [threading.Thread(target=writer, args=(worker,)) for worker in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert service.wait_for_snapshot(60)
+        assert service.corpus.version == 20
+        assert Corpus.load(path).version == 20
+
     def test_snapshot_failure_is_recorded_not_raised(self, tmp_path):
         service = SearchService(
             make_corpus("eager", 2, tmp_path),

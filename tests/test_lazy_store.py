@@ -9,8 +9,6 @@ inside a bounded LRU.  Shared round-trip helpers come from ``test_snapshot``.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from test_snapshot import assert_equivalent, ranked_signature, small_corpus, xml_trees
-
 from repro.errors import (
     DocumentNotFoundError,
     SnapshotFormatError,
@@ -24,6 +22,7 @@ from repro.storage.document_store import (
 )
 from repro.storage.snapshot import read_snapshot_header
 from repro.xmlmodel.parser import parse_xml
+from test_snapshot import assert_equivalent, small_corpus, xml_trees
 
 QUERIES = ["gps", "tomtom gps", "review rating", "compact"]
 

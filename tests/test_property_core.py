@@ -1,7 +1,5 @@
 """Property-based tests (hypothesis) for the DFS core: validity, DoD, algorithms."""
 
-import random
-
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import DFSConfig

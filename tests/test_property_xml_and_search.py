@@ -3,11 +3,11 @@
 from hypothesis import given, settings, strategies as st
 
 from oracles import compute_elca_scan, compute_slca_scan
+from repro.search.elca import compute_elca
+from repro.search.slca import compute_slca
 from repro.storage.document_store import DocumentStore
 from repro.storage.inverted_index import InvertedIndex, Posting
 from repro.storage.tokenizer import _TOKEN_PATTERN, _split_tokens, tokenize
-from repro.search.elca import compute_elca
-from repro.search.slca import compute_slca
 from repro.xmlmodel.builder import TreeBuilder
 from repro.xmlmodel.dewey import DeweyLabel, common_ancestor_label
 from repro.xmlmodel.parser import parse_xml

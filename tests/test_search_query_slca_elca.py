@@ -7,8 +7,8 @@ from repro.errors import QueryError
 from repro.search.elca import compute_elca
 from repro.search.query import KeywordQuery
 from repro.search.slca import compute_slca
-from repro.storage.inverted_index import InvertedIndex, Posting
 from repro.storage.document_store import DocumentStore
+from repro.storage.inverted_index import InvertedIndex, Posting
 from repro.xmlmodel.dewey import DeweyLabel
 from repro.xmlmodel.parser import parse_xml
 

@@ -5,11 +5,9 @@ import pytest
 from repro.errors import DocumentNotFoundError, IndexError_, StorageError
 from repro.storage.corpus import Corpus
 from repro.storage.document_store import DocumentStore
-from repro.storage.inverted_index import InvertedIndex, Posting
+from repro.storage.inverted_index import InvertedIndex
 from repro.storage.statistics import CorpusStatistics
-from repro.storage.term_dictionary import TermDictionary
 from repro.storage.tokenizer import STOPWORDS, tokenize, tokenize_many
-from repro.xmlmodel.builder import element
 from repro.xmlmodel.dewey import DeweyLabel
 from repro.xmlmodel.node import XMLNode
 from repro.xmlmodel.parser import parse_xml
@@ -66,39 +64,6 @@ class TestTokenizeMany:
 
     def test_accepts_generators(self):
         assert tokenize_many(text for text in ["alpha", "beta"]) == ["alpha", "beta"]
-
-
-class TestTermDictionary:
-    def test_intern_assigns_dense_stable_ids(self):
-        dictionary = TermDictionary()
-        assert dictionary.intern("gps") == 0
-        assert dictionary.intern("tomtom") == 1
-        assert dictionary.intern("gps") == 0  # idempotent
-        assert len(dictionary) == 2
-
-    def test_term_round_trip(self):
-        dictionary = TermDictionary()
-        term_id = dictionary.intern("garmin")
-        assert dictionary.term(term_id) == "garmin"
-
-    def test_lookup_never_inserts(self):
-        dictionary = TermDictionary()
-        assert dictionary.lookup("unknown") is None
-        assert len(dictionary) == 0
-        dictionary.intern("gps")
-        assert dictionary.lookup("gps") == 0
-
-    def test_intern_many_preserves_order_and_duplicates(self):
-        dictionary = TermDictionary()
-        assert dictionary.intern_many(["b", "a", "b"]) == [0, 1, 0]
-        assert list(dictionary) == ["b", "a"]
-
-    def test_contains_and_repr(self):
-        dictionary = TermDictionary()
-        dictionary.intern("gps")
-        assert "gps" in dictionary
-        assert "tomtom" not in dictionary
-        assert "terms=1" in repr(dictionary)
 
 
 def sample_store() -> DocumentStore:
@@ -297,21 +262,11 @@ class TestInvertedIndex:
 
     def test_postings_are_keyed_by_interned_term_ids(self):
         index = InvertedIndex.build(sample_store())
-        term_id = index.dictionary.lookup("gps")
-        assert isinstance(term_id, int)
-        assert index.postings_by_id(term_id) == index.postings("gps")
-        # Querying unknown keywords must not grow the dictionary.
-        size_before = len(index.dictionary)
-        index.postings("nonexistentterm")
+        vocabulary = index.vocabulary()
+        # Querying unknown keywords finds nothing and adds no term.
+        assert index.postings("nonexistentterm") == []
         assert index.keyword_node_lists(["anothermissing"]) == [[]]
-        assert len(index.dictionary) == size_before
-
-    def test_shared_dictionary_is_used(self):
-        dictionary = TermDictionary()
-        dictionary.intern("preexisting")
-        index = InvertedIndex.build(sample_store(), dictionary=dictionary)
-        assert index.dictionary is dictionary
-        assert dictionary.lookup("gps") is not None
+        assert index.vocabulary() == vocabulary
 
 
 class TestInvertedIndexRemoval:
@@ -373,20 +328,14 @@ class TestInvertedIndexRemoval:
 
     def test_removed_term_id_stays_reserved_in_dictionary(self):
         index = InvertedIndex.build(sample_store())
-        term_id = index.dictionary.lookup("tomtom")
         index.remove_document("d1")  # the only document containing "tomtom"
-        assert index.dictionary.lookup("tomtom") == term_id
-        assert index.postings_by_id(term_id) == []
+        assert "tomtom" not in index
+        assert "tomtom" not in index.vocabulary()
+        assert index.postings("tomtom") == []
+        assert index.document_frequency("tomtom") == 0
 
 
 class TestCorpusStatistics:
-    def test_path_counts(self):
-        stats = CorpusStatistics.build(sample_store())
-        summary = stats.path_summary(("product", "name"))
-        assert summary.count == 2
-        assert summary.leaf_count == 2
-        assert summary.leaf_fraction == 1.0
-
     def test_repeating_detection(self):
         store = DocumentStore()
         store.add("d", parse_xml("<r><item/><item/><other/></r>"))
@@ -401,11 +350,6 @@ class TestCorpusStatistics:
         assert description["elements"] == 6.0
         assert description["avg_elements_per_document"] == 3.0
 
-    def test_distinct_values_tracked(self):
-        stats = CorpusStatistics.build(sample_store())
-        summary = stats.path_summary(("product", "price"))
-        assert summary.distinct_values == 2
-
     def test_empty_statistics(self):
         description = Corpus(DocumentStore()).describe()
         assert description["documents"] == 0.0
@@ -413,17 +357,6 @@ class TestCorpusStatistics:
 
 
 class TestCorpusStatisticsRemoval:
-    def _snapshot(self, stats):
-        return {
-            summary.path: (
-                summary.count,
-                summary.max_siblings,
-                summary.leaf_count,
-                summary.distinct_values,
-            )
-            for summary in stats.iter_paths()
-        }
-
     def test_remove_document_matches_fresh_build(self):
         store = sample_store()
         stats = CorpusStatistics.build(store)
@@ -431,28 +364,21 @@ class TestCorpusStatisticsRemoval:
         rest = DocumentStore()
         rest.add("d2", parse_xml("<product><name>Garmin GPS</name><price>200</price></product>"))
         fresh = CorpusStatistics.build(rest)
-        assert self._snapshot(stats) == self._snapshot(fresh)
+        assert stats == fresh
 
     def test_max_siblings_recomputed_from_surviving_runs(self):
         store = DocumentStore()
         store.add("many", parse_xml("<r><item/><item/><item/></r>"))
         store.add("few", parse_xml("<r><item/><item/></r>"))
         stats = CorpusStatistics.build(store)
-        assert stats.path_summary(("r", "item")).max_siblings == 3
+        assert stats.groups == {"item": 2}
         stats.remove_document(store.get("many").root)
-        assert stats.path_summary(("r", "item")).max_siblings == 2
+        # One group is left, so the tag still repeats.
+        assert stats.groups == {"item": 1}
+        assert stats.tag_is_repeating("item")
         stats.remove_document(store.get("few").root)
-        assert stats.path_summary(("r", "item")) is None
-
-    def test_distinct_values_survive_shared_occurrences(self):
-        store = DocumentStore()
-        store.add("a", parse_xml("<p><name>shared</name></p>"))
-        store.add("b", parse_xml("<p><name>shared</name></p>"))
-        stats = CorpusStatistics.build(store)
-        assert stats.path_summary(("p", "name")).distinct_values == 1
-        stats.remove_document(store.get("a").root)
-        # The value still occurs in "b", so it must not disappear.
-        assert stats.path_summary(("p", "name")).distinct_values == 1
+        assert stats.groups == {}
+        assert not stats.tag_is_repeating("item")
 
 
 class TestCorpus:

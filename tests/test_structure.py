@@ -44,11 +44,14 @@ from repro.storage.corpus import Corpus
 from repro.storage.document_store import DocumentStore
 from repro.storage.inverted_index import Posting
 from repro.storage.snapshot import (
-    FORMAT_VERSION,
     _HEADER,
     _MAGIC,
-    _Writer,
+    FORMAT_VERSION,
+    _read_directory_entry,
+    _Reader,
+    _write_statistics,
     _write_structure,
+    _Writer,
     save_corpus,
 )
 from repro.structure import DocumentStructure, TagDictionary
@@ -656,6 +659,24 @@ def structure_section(corpus):
     return writer.getvalue(), doc_ids, doc_tag_ids, list(section_tags)
 
 
+def head_sections(corpus, head):
+    """Split a head into (prefix, index, statistics, structure) byte strings.
+
+    The prefix is the tokenizer fingerprint and the document directory.
+    """
+    structure, _, _, _ = structure_section(corpus)
+    writer = _Writer()
+    _write_statistics(writer, corpus.statistics)
+    statistics = writer.getvalue()
+    reader = _Reader(head)
+    reader.varint()  # tokenizer fingerprint
+    for _ in range(reader.varint()):
+        _read_directory_entry(reader)
+    index_end = len(head) - len(statistics) - len(structure)
+    assert head[index_end:] == statistics + structure
+    return head[: reader.offset], head[reader.offset : index_end], statistics, structure
+
+
 def portable_signature(corpus, doc_id):
     """The per-element encoding with tag *names* (ids are table-local)."""
     structure = corpus.structure.get(doc_id)
@@ -776,6 +797,60 @@ class TestSnapshotStructure:
         assert "doc-d" in {result.doc_id for result in results}
         stats = loaded.structure.stats()
         assert stats["computed"] >= 1  # only the new document was computed
+
+
+class TestSnapshotHeadChecks:
+    """Byte surgery on the index and statistics sections, checksums intact."""
+
+    def _forge(self, tmp_path, replace):
+        corpus = struct_corpus()
+        path = tmp_path / "s.snap"
+        save_corpus(corpus, path)
+        version, name_bytes, head, records = carve_v2(path.read_bytes())
+        sections = list(head_sections(corpus, head))
+        replace(sections)
+        damaged = tmp_path / "damaged.snap"
+        damaged.write_bytes(forge_v2(version, name_bytes, b"".join(sections), records))
+        return damaged
+
+    def test_term_listed_twice_is_rejected(self, tmp_path):
+        def duplicate_first_term(sections):
+            reader = _Reader(sections[1])
+            terms = [reader.string() for _ in range(reader.varint())]
+            writer = _Writer()
+            writer.varint(len(terms))
+            for term in [terms[0]] + terms[:-1]:
+                writer.string(term)
+            sections[1] = writer.getvalue() + sections[1][reader.offset :]
+
+        damaged = self._forge(tmp_path, duplicate_first_term)
+        with pytest.raises(SnapshotFormatError, match="index lists term 'alerts' twice"):
+            Corpus.load(damaged)
+
+    def test_zero_group_count_is_rejected(self, tmp_path):
+        def zero_count(sections):
+            writer = _Writer()
+            writer.varint(1)
+            writer.string("review")
+            writer.varint(0)
+            sections[2] = writer.getvalue()
+
+        damaged = self._forge(tmp_path, zero_count)
+        with pytest.raises(SnapshotFormatError, match="give tag 'review' no groups"):
+            Corpus.load(damaged)
+
+    def test_repeated_tag_is_rejected(self, tmp_path):
+        def repeat_tag(sections):
+            writer = _Writer()
+            writer.varint(2)
+            for _ in range(2):
+                writer.string("review")
+                writer.varint(1)
+            sections[2] = writer.getvalue()
+
+        damaged = self._forge(tmp_path, repeat_tag)
+        with pytest.raises(SnapshotFormatError, match="list tag 'review' twice"):
+            Corpus.load(damaged)
 
 
 # --------------------------------------------------------------------------- #
