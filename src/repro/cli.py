@@ -44,6 +44,7 @@ Examples
 from __future__ import annotations
 
 import argparse
+import gc
 import signal
 import sys
 from typing import Callable, Dict, Optional, Sequence
@@ -362,11 +363,15 @@ def _command_serve(arguments: argparse.Namespace, out) -> int:
     # Service managers stop a server with SIGTERM: take the Ctrl-C path, so
     # the shutdown below runs for it too.
     previous_handler = signal.signal(signal.SIGTERM, signal.default_int_handler)
+    # The loaded corpus lives as long as the server: keep the collector from
+    # walking it again in every full collection, the first one included.
+    gc.freeze()
     try:
         server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
+        gc.unfreeze()
         signal.signal(signal.SIGTERM, previous_handler)
         server.server_close()
         # Mutations already answered 201 must reach the snapshot being

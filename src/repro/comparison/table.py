@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterator, List, Optional, Sequence
 
 from repro.core.config import DFSConfig
-from repro.core.dfs import DFS, DFSSet
+from repro.core.dfs import DFSSet
 from repro.core.dod import differentiable, total_dod
 from repro.errors import ComparisonError, ComparisonLookupError
 from repro.features.feature import FeatureType

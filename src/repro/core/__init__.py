@@ -26,7 +26,7 @@ The package contains:
 
 from repro.core.config import DFSConfig
 from repro.core.dfs import DFS, DFSSet
-from repro.core.dod import differentiable, pairwise_dod, total_dod, differentiable_types
+from repro.core.dod import differentiable, differentiable_types, pairwise_dod, total_dod
 from repro.core.exhaustive import exhaustive_dfs
 from repro.core.generator import ALGORITHMS, DFSGenerator, GenerationOutcome
 from repro.core.greedy import greedy_dfs

@@ -7,7 +7,6 @@ the unit the DoD objective and the comparison table operate on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.errors import DFSConstructionError, ResultNotFoundError

@@ -23,7 +23,7 @@ decomposition and therefore route their gain computations through
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Iterable, List, Sequence
 
 from repro.core.config import DFSConfig
 from repro.core.dfs import DFS, DFSSet

@@ -18,14 +18,12 @@ run.
 from __future__ import annotations
 
 from itertools import combinations, product
-from typing import FrozenSet, List, Sequence, Set, Tuple
+from typing import List, Set, Tuple
 
-from repro.core.config import DFSConfig
 from repro.core.dfs import DFS, DFSSet
 from repro.core.dod import total_dod
 from repro.core.problem import DFSProblem
 from repro.errors import DFSConstructionError
-from repro.features.feature import FeatureType
 from repro.features.statistics import FeatureStatistics, ResultFeatures
 
 __all__ = ["exhaustive_dfs", "enumerate_valid_selections"]

@@ -9,7 +9,7 @@ DoD and the wall-clock time spent — the two quantities plotted in Figure 4.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.config import DFSConfig

@@ -22,7 +22,7 @@ space.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Sequence
+from typing import Dict, Iterator, List
 
 from repro.core.config import DFSConfig
 from repro.errors import DFSConstructionError

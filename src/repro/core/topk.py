@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.core.config import DFSConfig
 from repro.core.dfs import DFS, DFSSet
 from repro.core.problem import DFSProblem
 

@@ -16,7 +16,7 @@ reproducible bit for bit.
 from repro.datasets.imdb import ImdbConfig, generate_imdb_corpus
 from repro.datasets.outdoor_retailer import OutdoorRetailerConfig, generate_outdoor_corpus
 from repro.datasets.product_reviews import ProductReviewsConfig, generate_product_reviews_corpus
-from repro.datasets.vocabulary import ProductVocabulary, MovieVocabulary, OutdoorVocabulary
+from repro.datasets.vocabulary import MovieVocabulary, OutdoorVocabulary, ProductVocabulary
 
 __all__ = [
     "ProductReviewsConfig",

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Optional
 
 from repro.datasets.vocabulary import MovieVocabulary
 from repro.errors import DatasetError

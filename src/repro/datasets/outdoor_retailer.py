@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.datasets.vocabulary import OutdoorVocabulary
 from repro.errors import DatasetError

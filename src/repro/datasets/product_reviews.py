@@ -18,8 +18,8 @@ Two properties of the real data matter to XSACT and are reproduced here:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence
 
 from repro.datasets.vocabulary import ProductVocabulary
 from repro.errors import DatasetError

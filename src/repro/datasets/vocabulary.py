@@ -11,7 +11,7 @@ makes the generators small and lets tests assert that query keywords (e.g.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 __all__ = ["ProductVocabulary", "OutdoorVocabulary", "MovieVocabulary"]
 

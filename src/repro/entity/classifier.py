@@ -3,20 +3,23 @@
 The classification drives feature extraction: features are (entity, attribute,
 value) triplets, so the extractor needs to know, for every leaf value, which
 ancestor is its attribute name and which higher ancestor is the owning entity.
+Nodes hold no parent pointer, so :func:`owned_leaves` finds both on one
+top-down walk of the result tree, which also keeps them inside the result
+when the tree is a node of a larger stored document.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import EntityInferenceError
 from repro.storage.statistics import CorpusStatistics, repeating_groups
 from repro.xmlmodel.dewey import DeweyLabel
 from repro.xmlmodel.node import XMLNode
 
-__all__ = ["NodeCategory", "NodeClassifier", "classify_result_tree"]
+__all__ = ["NodeCategory", "NodeClassifier", "classify_result_tree", "owned_leaves"]
 
 
 class NodeCategory(enum.Enum):
@@ -100,17 +103,28 @@ class NodeClassifier:
             return True
         return tag in local_repeating
 
-    # ------------------------------------------------------------------ #
-    # Convenience queries
-    # ------------------------------------------------------------------ #
-    def owning_entity(self, node: XMLNode, categories: Dict[DeweyLabel, NodeCategory]) -> Optional[XMLNode]:
-        """Return the nearest ancestor-or-self classified as an entity."""
-        current: Optional[XMLNode] = node
-        while current is not None:
-            if categories.get(current.label) is NodeCategory.ENTITY:
-                return current
-            current = current.parent
-        return None
+
+def owned_leaves(
+    root: XMLNode, categories: Dict[DeweyLabel, NodeCategory]
+) -> Iterator[Tuple[XMLNode, Optional[XMLNode], Optional[XMLNode]]]:
+    """Yield ``(leaf, parent, owner)`` for every leaf element of ``root``.
+
+    Leaves come in document order.  ``parent`` is the leaf's parent element,
+    ``None`` when the leaf is ``root`` itself; ``owner`` is the leaf's nearest
+    ancestor classified as an entity in ``categories``, looking no higher
+    than ``root``, or ``None`` when there is none.
+    """
+    stack: List[Tuple[XMLNode, Optional[XMLNode], Optional[XMLNode]]] = [(root, None, None)]
+    while stack:
+        node, parent, owner = stack.pop()
+        if node.is_leaf_element:
+            yield node, parent, owner
+            continue
+        if categories.get(node.label) is NodeCategory.ENTITY:
+            owner = node
+        for child in reversed(node.children):
+            if child.is_element:
+                stack.append((child, node, owner))
 
 
 def classify_result_tree(

@@ -10,9 +10,9 @@ reviews carrying pros/cons/uses, brands with products, movies with cast).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
-from repro.entity.classifier import NodeCategory, NodeClassifier
+from repro.entity.classifier import NodeCategory, NodeClassifier, owned_leaves
 from repro.storage.statistics import CorpusStatistics
 from repro.xmlmodel.node import XMLNode
 
@@ -78,8 +78,7 @@ def infer_schema(
             if category is NodeCategory.ENTITY:
                 schema = schemas.setdefault(node.tag, EntitySchema(entity_tag=node.tag))
                 schema.instance_count += 1
-        for leaf in root.iter_leaves():
-            owner = classifier.owning_entity(leaf, categories)
+        for leaf, _, owner in owned_leaves(root, categories):
             if owner is None:
                 continue
             schema = schemas.setdefault(owner.tag, EntitySchema(entity_tag=owner.tag))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Iterable, List, Mapping, Sequence, Union
+from typing import List, Mapping, Sequence, Union
 
 from repro.errors import ExperimentError
 

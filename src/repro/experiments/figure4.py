@@ -15,12 +15,12 @@ query, single-swap usually but not always faster.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.core.config import DFSConfig
 from repro.storage.corpus import Corpus
 from repro.workloads.queries import Workload, imdb_workload
-from repro.workloads.runner import QueryMeasurement, WorkloadRunner
+from repro.workloads.runner import WorkloadRunner
 
 __all__ = ["Figure4Row", "run_figure4"]
 

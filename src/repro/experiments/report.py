@@ -7,7 +7,7 @@ EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import Dict, List, Mapping, Sequence
 
 __all__ = ["format_rows", "format_measurements", "series_by_algorithm"]
 

@@ -26,9 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.entity.classifier import NodeCategory, NodeClassifier
+from repro.entity.classifier import NodeCategory, NodeClassifier, owned_leaves
 from repro.errors import FeatureExtractionError
-from repro.features.feature import Feature, FeatureType
+from repro.features.feature import Feature
 from repro.features.statistics import FeatureStatistics, ResultFeatures
 from repro.search.result import SearchResult
 from repro.storage.statistics import CorpusStatistics
@@ -87,8 +87,8 @@ class FeatureExtractor:
         # of each feature so its population can be looked up afterwards.
         occurrence_counts: Dict[Feature, int] = {}
         owner_tags: Dict[Feature, str] = {}
-        for leaf in root.iter_leaves():
-            extracted = self._leaf_to_feature(leaf, root, classifier, categories)
+        for leaf, parent, owner in owned_leaves(root, categories):
+            extracted = self._leaf_to_feature(leaf, parent, owner or root)
             if extracted is None:
                 continue
             feature, owner_tag = extracted
@@ -109,25 +109,20 @@ class FeatureExtractor:
     def _leaf_to_feature(
         self,
         leaf: XMLNode,
-        root: XMLNode,
-        classifier: NodeClassifier,
-        categories,
+        parent: Optional[XMLNode],
+        owner: XMLNode,
     ) -> Optional[Tuple[Feature, str]]:
         value = leaf.direct_text()
-        owner = classifier.owning_entity(leaf, categories)
-        if owner is None:
-            owner = root
         owner_tag = owner.tag or ""
         entity = owner_tag
 
         attribute = leaf.tag or ""
-        if self.normalise_flags and value.lower() in _FLAG_VALUES and leaf.parent is not None:
+        if self.normalise_flags and value.lower() in _FLAG_VALUES and parent is not None:
             # <pros><compact>yes</compact></pros> under a review entity becomes
             # the feature (review.pro, compact, yes): "pro: compact" in the
             # paper's notation, scoped to the review's pros group.
-            group = leaf.parent
-            if group is not owner and group.is_element and group.tag:
-                entity = f"{owner_tag}.{self._singular(group.tag)}"
+            if parent is not owner and parent.tag:
+                entity = f"{owner_tag}.{self._singular(parent.tag)}"
             value = "yes"
         if not value:
             return None

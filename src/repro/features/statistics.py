@@ -19,8 +19,8 @@ view per entity that the DFS validity constraint is defined on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.errors import FeatureExtractionError, UnknownFeatureTypeError
 from repro.features.feature import Feature, FeatureType

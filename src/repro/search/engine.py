@@ -8,19 +8,23 @@ results comes out.  The pipeline is
 2. compute SLCA (or ELCA) match nodes,
 3. infer the return subtree for each match with the XSeek rules,
 4. deduplicate results that map to the same return node,
-5. rank the results on the documents' own return nodes and assign ids,
-6. copy out the return subtree of each result the caller receives.
+5. rank the results on the documents' own return nodes into a list of
+   references (document id, match and return labels, score),
+6. resolve each reference of the requested page to its document's own return
+   node, and title it.
+
+Results are read-only views of the stored documents: a result's subtree is
+the return node inside the corpus's own tree, shared with every other caller,
+so a caller that wants to edit one edits ``result.subtree.copy()``.  A page
+resolves and titles only its own results, however many the query ranks.
 
 Repeated queries are the dominant pattern under real traffic, so the engine
-keeps a small LRU cache of ranked result lists keyed by the normalised query
-(:attr:`~repro.search.query.KeywordQuery.cache_key`) and the result semantics.
-A cache entry holds references, not trees: per ranked result the document
-id, the match and return labels, the score and the title.  Every result a
-caller receives is a fresh copy of its subtree — cloned from the node the
-call evaluated on a miss, or from ``corpus.store.get(doc_id)`` on a hit — so
-callers may annotate or prune their results freely, and a page costs subtree
-copies for its own results only.  The cache is invalidated wholesale whenever
-the corpus :attr:`~repro.storage.corpus.Corpus.version` changes.
+keeps a small LRU cache of ranked reference lists keyed by the normalised
+query (:attr:`~repro.search.query.KeywordQuery.cache_key`) and the result
+semantics.  A hit, a miss and an uncached call serve their pages from the
+same kind of list; a hit only skips the evaluation.  The cache is invalidated
+wholesale whenever the corpus :attr:`~repro.storage.corpus.Corpus.version`
+changes.
 
 The cache is bounded two ways: ``cache_size`` caps the number of entries, and
 ``cache_max_results`` caps the *total number of cached results* summed over
@@ -41,8 +45,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import replace
-from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from repro.errors import SearchError
 from repro.search.query import KeywordQuery
@@ -62,17 +65,20 @@ _TITLE_TAGS = ("name", "title", "brand_name", "product_name", "label")
 
 
 class _CachedResult(NamedTuple):
-    """A cached ranked result: where its subtree lives, not a copy of it."""
+    """A ranked result: where its subtree lives in the corpus, and its score."""
 
     doc_id: str
     match_label: DeweyLabel
     return_label: DeweyLabel
     score: float
-    title: str
 
 
 class SearchEngine:
     """Keyword search over a :class:`~repro.storage.corpus.Corpus`.
+
+    Every result's subtree is the stored document's own return node, a
+    read-only view shared with the corpus; ``result.subtree.copy()`` gives an
+    editable tree.
 
     Parameters
     ----------
@@ -87,8 +93,8 @@ class SearchEngine:
     cache_max_results:
         Maximum *total* number of cached results summed across all entries,
         so a few broad queries cannot grow the cache without bound.  A cached
-        result is a small reference (document id, labels, score, title), not
-        a subtree.  ``None`` leaves only the entry-count bound.  A single
+        result is a small reference (document id, labels, score), not a
+        subtree.  ``None`` leaves only the entry-count bound.  A single
         result list exceeding the whole budget is not cached at all.
     """
 
@@ -154,9 +160,10 @@ class SearchEngine:
         Returns ``(total, page)`` where ``total`` is the full ranked result
         count and ``page`` holds the results at ranks ``offset+1`` to
         ``offset+count`` with their rank-stable ids (``"R{rank}"``).  Only
-        the window is subtree-cloned, so the service layer's pagination and
-        top-``k`` compares stay O(page size) per request even when the
-        ranked list is huge.
+        the window is resolved to its documents' return nodes and titled, so
+        the service layer's pagination and top-``k`` compares stay O(page
+        size) per request even when the ranked list is huge.  The results
+        are read-only views of the stored documents; edit a ``copy()``.
 
         Raises
         ------
@@ -175,16 +182,13 @@ class SearchEngine:
     def _materialise_page(
         self, query: KeywordQuery, offset: int, count: Optional[int]
     ) -> Tuple[int, List[SearchResult]]:
-        """Clone-and-id the ranked results at ``[offset, offset+count)``."""
+        """Resolve and id the ranked results at ``[offset, offset+count)``."""
         ranked = self._ranked_results(query)
         selected = ranked[offset:] if count is None else ranked[offset : offset + count]
-        results: List[SearchResult] = []
-        for position, entry in enumerate(selected, start=offset + 1):
-            if isinstance(entry, _CachedResult):
-                entry = self._resolve(entry)
-            result = self._clone_result(entry)
-            result.result_id = f"R{position}"
-            results.append(result)
+        results = [
+            self._resolve(entry, f"R{position}")
+            for position, entry in enumerate(selected, start=offset + 1)
+        ]
         return len(ranked), results
 
     def clear_cache(self) -> None:
@@ -214,15 +218,11 @@ class SearchEngine:
     # ------------------------------------------------------------------ #
     # Caching
     # ------------------------------------------------------------------ #
-    def _ranked_results(
-        self, query: KeywordQuery
-    ) -> Sequence[Union[SearchResult, _CachedResult]]:
-        """Return the full ranked result list.
+    def _ranked_results(self, query: KeywordQuery) -> List[_CachedResult]:
+        """Return the full ranked list of result references.
 
         On a miss (or with caching disabled) this is the list the call just
-        evaluated, whose subtrees are the documents' own return nodes; on a
-        hit it is the cached references.  Neither may reach a caller:
-        ``_materialise_page`` clones the subtree of each selected result.
+        evaluated, which a miss also caches; on a hit it is the cached list.
         """
         if self.cache_size <= 0:
             return self._evaluate(query)
@@ -259,10 +259,7 @@ class SearchEngine:
             displaced = self._cache.pop(key, None)
             if displaced is not None:
                 self._cached_results_total -= len(displaced)
-            self._cache[key] = [
-                _CachedResult(r.doc_id, r.match_label, r.return_label, r.score, r.title)
-                for r in ranked
-            ]
+            self._cache[key] = ranked
             self._cached_results_total += len(ranked)
             while self._cache and (
                 len(self._cache) > self.cache_size
@@ -278,37 +275,32 @@ class SearchEngine:
                 self._cached_results_total -= len(evicted)
             return ranked
 
-    def _resolve(self, cached: _CachedResult) -> SearchResult:
-        """Rebuild a cached result over its document's own return node."""
-        node = self.corpus.store.get(cached.doc_id).node_at(cached.return_label)
+    def _resolve(self, entry: _CachedResult, result_id: str) -> SearchResult:
+        """Serve a ranked reference as its document's own return node."""
+        node = self.corpus.store.get(entry.doc_id).node_at(entry.return_label)
         return SearchResult(
-            result_id="",
-            doc_id=cached.doc_id,
-            match_label=cached.match_label,
-            return_label=cached.return_label,
+            result_id=result_id,
+            doc_id=entry.doc_id,
+            match_label=entry.match_label,
+            return_label=entry.return_label,
             subtree=node,
-            score=cached.score,
-            title=cached.title,
+            score=entry.score,
+            title=self._result_title(node, entry.doc_id),
         )
-
-    @staticmethod
-    def _clone_result(result: SearchResult) -> SearchResult:
-        # The one clone point for served results.  dataclasses.replace keeps
-        # the clone in sync with future SearchResult fields; only the id
-        # (assigned per page) and the subtree (a fresh, detached copy of the
-        # document's node) diverge from the ranked original.
-        return replace(result, result_id="", subtree=result.subtree.copy())
 
     # ------------------------------------------------------------------ #
     # Pipeline stages
     # ------------------------------------------------------------------ #
-    def _evaluate(self, query: KeywordQuery) -> List[SearchResult]:
+    def _evaluate(self, query: KeywordQuery) -> List[_CachedResult]:
         matches = self._compute_matches(query)
         results = self._materialise_results(matches)
         # Index-assisted scoring: posting spans already know where every
         # keyword occurs, so ranking never re-tokenises result subtrees (nor
         # forces the store to decode anything beyond the results).
-        return rank_results(results, query, self.corpus.index)
+        ranked = rank_results(results, query, self.corpus.index)
+        return [
+            _CachedResult(r.doc_id, r.match_label, r.return_label, r.score) for r in ranked
+        ]
 
     def _compute_matches(self, query: KeywordQuery) -> List[Posting]:
         # Resolve postings through the *normalised* keyword view — the same
@@ -346,14 +338,15 @@ class SearchEngine:
         return registration.fn(posting_lists)
 
     def _materialise_results(self, matches: List[Posting]) -> List[SearchResult]:
-        # The candidates hold the documents' own return nodes, not copies:
-        # they never leave the engine, and ranking only reads them.
+        # The candidates hold the documents' own return nodes for ranking to
+        # read; they are untitled, because only a served page is titled.
         seen_return_nodes: Set[Tuple[str, DeweyLabel]] = set()
         results: List[SearchResult] = []
         for match in matches:
             document = self.corpus.store.get(match.doc_id)
-            match_node = document.node_at(match.label)
-            return_node = infer_return_subtree(match_node, self.corpus.statistics)
+            return_node = infer_return_subtree(
+                document.root, match.label, self.corpus.statistics
+            )
             key = (match.doc_id, return_node.label)
             if key in seen_return_nodes:
                 continue
@@ -365,7 +358,6 @@ class SearchEngine:
                     match_label=match.label,
                     return_label=return_node.label,
                     subtree=return_node,
-                    title=self._result_title(return_node, match.doc_id),
                 )
             )
         return results

@@ -8,7 +8,7 @@ table UI can echo it back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, List, Sequence, Tuple
 
 from repro.errors import QueryError

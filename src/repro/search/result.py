@@ -10,7 +10,7 @@ their work and for the UI to link back to the source document.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence
 
 from repro.errors import ResultNotFoundError, SearchError
 from repro.search.query import KeywordQuery
@@ -35,8 +35,8 @@ class SearchResult:
     return_label:
         Dewey label of the inferred return node (root of the displayed subtree).
     subtree:
-        A detached copy of the return subtree.  Downstream modules may annotate
-        or prune it without touching the corpus.
+        The return node inside the stored document, shared with the corpus:
+        read it, and edit only a ``subtree.copy()``.
     score:
         Ranking score (higher is better).
     title:

@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.storage.statistics import CorpusStatistics
+from repro.xmlmodel.dewey import DeweyLabel
 from repro.xmlmodel.node import XMLNode
 
 __all__ = ["infer_return_subtree", "is_entity_node"]
@@ -42,13 +43,14 @@ def is_entity_node(node: XMLNode, statistics: Optional[CorpusStatistics]) -> boo
 
 
 def infer_return_subtree(
-    match_node: XMLNode,
+    root: XMLNode,
+    match_label: DeweyLabel,
     statistics: Optional[CorpusStatistics] = None,
     max_climb: int = 10,
 ) -> XMLNode:
     """Return the node whose subtree should be presented as the result.
 
-    Walks from ``match_node`` towards the root looking for the lowest
+    Walks from the match node towards the root looking for the lowest
     ancestor-or-self entity node, climbing at most ``max_climb`` levels.  When
     no entity node is found the match node's highest non-root ancestor-or-self
     within the climb window is returned (the match node itself when it is the
@@ -56,24 +58,26 @@ def infer_return_subtree(
 
     Parameters
     ----------
-    match_node:
-        The SLCA/ELCA node inside the source document.
+    root:
+        The root of the source document.
+    match_label:
+        The Dewey label of the SLCA/ELCA match node inside ``root``; the climb
+        follows the root-to-match path that the label names.
     statistics:
         Corpus statistics used for the repeating-sibling test; optional so the
         function also works on standalone trees (tests, ad-hoc usage).
     max_climb:
         Safety bound on how far towards the root the inference may walk.
     """
-    current: Optional[XMLNode] = match_node
-    climbed = 0
-    highest_non_root = match_node
-    while current is not None and climbed <= max_climb:
+    path = root.path_to(match_label)
+    highest_non_root = path[-1]
+    lowest = max(len(path) - 1 - max_climb, 0)
+    for depth in reversed(range(lowest, len(path))):
+        current = path[depth]
         if is_entity_node(current, statistics):
             return current
-        if current.parent is not None or current is match_node:
+        if depth > 0:
             highest_non_root = current
-        current = current.parent
-        climbed += 1
     # No entity found within the window: fall back to the highest non-root
     # node visited, so the result keeps as much context around the match as
     # the climb window allows without ever returning the whole document.

@@ -393,8 +393,7 @@ class SearchService:
         results: List[SearchResult] = []
         for position, doc_id in enumerate(doc_ids, start=1):
             document = self.corpus.store.get(doc_id)
-            subtree = document.root.copy()
-            subtree.relabel()
+            subtree = document.root
             results.append(
                 SearchResult(
                     result_id=f"R{position}",
@@ -428,7 +427,7 @@ class SearchService:
     ) -> SearchResultSet:
         """The top-``top`` results, the default checkbox selection.
 
-        Only these results are cloned, however many the query ranks.  Shared
+        Only these results are resolved, however many the query ranks.  Shared
         by the rich and the wire compare paths so both report identically.
 
         Raises
@@ -630,7 +629,7 @@ class SearchService:
     def compare(self, request: CompareRequest) -> CompareResponse:
         """Serve one comparison request and return the table as plain data."""
         if request.result_ids is not None:
-            # Only the ranks up to the highest selected one are cloned; an id
+            # Only the ranks up to the highest selected one are resolved; an id
             # that names no rank ("R01", "R0", "x") selects nothing.
             count = max((_rank_of(result_id) for result_id in request.result_ids), default=0)
             engine = self.engine_for(request.semantics)

@@ -359,7 +359,6 @@ def _decode_tree(reader: _Reader) -> Tuple[XMLNode, List[XMLNode]]:
                 offset = end
                 node.attributes = {}
                 node.kind = text_kind
-                node.parent = parent
                 node.children = []
                 node.label = label
                 frame[4].append(node)
@@ -400,7 +399,6 @@ def _decode_tree(reader: _Reader) -> Tuple[XMLNode, List[XMLNode]]:
                 node.text = None
                 node.attributes = attributes
                 node.kind = element_kind
-                node.parent = parent
                 node.children = children
                 node.label = label
                 append_element(node)
@@ -1024,10 +1022,10 @@ def load_corpus(
                 f"snapshot records corpus version {header.corpus_version}, "
                 f"expected {expected_version}: the corpus was mutated after this snapshot was taken"
             )
-        # Decoding allocates hundreds of thousands of objects in cyclic graphs
-        # (tree nodes point at parents and children), which makes the
-        # generational collector fire repeatedly over an ever-growing,
-        # all-live heap — ~35% of load wall time for nothing collectable.
+        # Decoding allocates hundreds of thousands of tracked objects (one
+        # posting and one label per element), which makes the generational
+        # collector fire repeatedly over an ever-growing, all-live heap —
+        # ~35% of load wall time for nothing collectable.
         # Pause it for the bulk allocation burst; the ``finally`` restores the
         # caller's setting even on a malformed snapshot.
         gc_was_enabled = gc.isenabled()

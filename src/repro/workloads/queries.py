@@ -10,8 +10,8 @@ outdoor workloads reproduce the queries the demo walkthrough names explicitly
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Tuple
 
 from repro.errors import WorkloadError
 from repro.search.query import KeywordQuery

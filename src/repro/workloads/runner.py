@@ -9,7 +9,7 @@ reports include so that the synthetic-vs-paper comparison is interpretable.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.config import DFSConfig

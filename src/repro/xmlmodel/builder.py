@@ -17,7 +17,7 @@ building subtrees from nested literals.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, Iterator, Optional, Sequence, Union
+from typing import Dict, Iterator, Optional, Union
 
 from repro.errors import ReproError
 from repro.xmlmodel.node import XMLNode

@@ -2,9 +2,14 @@
 
 An :class:`XMLNode` is an ordered, labelled tree node.  Element nodes carry a
 tag name and optional attributes; text nodes carry character data.  Every node
-knows its parent and its :class:`~repro.xmlmodel.dewey.DeweyLabel`, which is
+knows its children and its :class:`~repro.xmlmodel.dewey.DeweyLabel`, which is
 assigned when the node is attached to a tree and re-assigned by
 :meth:`XMLNode.relabel` after structural edits.
+
+Nodes hold no parent pointer, so trees are acyclic: reference counting frees
+a dropped tree at once, without waiting for a garbage collection.  The way up
+is the label: :meth:`XMLNode.path_to` returns the nodes from a root down to a
+labelled descendant, whose reversal is that node's ancestor-or-self chain.
 
 The model intentionally stays close to what the XSACT paper needs:
 
@@ -55,7 +60,7 @@ class XMLNode:
     manual surgery.
     """
 
-    __slots__ = ("tag", "text", "attributes", "kind", "parent", "children", "label")
+    __slots__ = ("tag", "text", "attributes", "kind", "children", "label")
 
     def __init__(
         self,
@@ -74,7 +79,6 @@ class XMLNode:
         self.text = text if text is not None else ("" if kind is NodeKind.TEXT else None)
         self.attributes: Dict[str, str] = dict(attributes or {})
         self.kind = kind
-        self.parent: Optional[XMLNode] = None
         self.children: List[XMLNode] = []
         self.label: DeweyLabel = DeweyLabel.root()
 
@@ -94,11 +98,11 @@ class XMLNode:
     def append_child(self, child: "XMLNode") -> "XMLNode":
         """Attach ``child`` as the last child and return it.
 
-        The child's Dewey label (and its descendants') are updated.
+        The child's Dewey label (and its descendants') are updated.  Only a
+        root may be attached: every attached node has a non-root label.
         """
-        if child.parent is not None:
+        if not child.label.is_root:
             raise ReproError("node is already attached to a parent")
-        child.parent = self
         self.children.append(child)
         child._assign_labels(self.label.child(len(self.children) - 1))
         return child
@@ -117,32 +121,14 @@ class XMLNode:
         leaf.add_text(value)
         return leaf
 
-    def detach(self) -> "XMLNode":
-        """Remove this node from its parent and return it (labels reset)."""
-        if self.parent is None:
-            return self
-        self.parent.children.remove(self)
-        self.parent = None
-        self._assign_labels(DeweyLabel.root())
-        return self
-
     def _assign_labels(self, label: DeweyLabel) -> None:
         self.label = label
         for offset, child in enumerate(self.children):
             child._assign_labels(label.child(offset))
 
-    def relabel(self, base: Optional[DeweyLabel] = None) -> None:
-        """Recompute Dewey labels for this subtree.
-
-        Parameters
-        ----------
-        base:
-            Label to assign to this node; defaults to its current label when it
-            still has a parent, or the root label otherwise.
-        """
-        if base is None:
-            base = self.label if self.parent is not None else DeweyLabel.root()
-        self._assign_labels(base)
+    def relabel(self) -> None:
+        """Recompute the Dewey labels of this subtree from this node's label."""
+        self._assign_labels(self.label)
 
     # ------------------------------------------------------------------ #
     # Predicates and accessors
@@ -161,11 +147,6 @@ class XMLNode:
     def is_leaf_element(self) -> bool:
         """Whether this element's children are text nodes only (or none)."""
         return self.is_element and all(child.is_text for child in self.children)
-
-    @property
-    def is_root(self) -> bool:
-        """Whether this node has no parent."""
-        return self.parent is None
 
     @property
     def depth(self) -> int:
@@ -227,19 +208,26 @@ class XMLNode:
         """Return every descendant element (excluding self) with the tag."""
         return [node for node in self.iter_elements() if node is not self and node.tag == tag]
 
-    def ancestors(self) -> Iterator["XMLNode"]:
-        """Yield proper ancestors from the parent up to the root."""
-        node = self.parent
-        while node is not None:
-            yield node
-            node = node.parent
+    def path_to(self, label: DeweyLabel) -> List["XMLNode"]:
+        """Return the nodes from this node down to the one labelled ``label``.
 
-    def root(self) -> "XMLNode":
-        """Return the root of the tree containing this node."""
+        The list starts with this node and ends with the target, so it is the
+        target's ancestor-or-self chain within this subtree, read top-down.
+        This node's label must be a prefix of ``label``.
+        """
+        own = self.label.components
+        target = label.components
+        if target[: len(own)] != own:
+            raise ReproError(f"label {label} is not under {self.label}")
         node = self
-        while node.parent is not None:
-            node = node.parent
-        return node
+        path = [node]
+        for offset in target[len(own):]:
+            try:
+                node = node.children[offset]
+            except IndexError as exc:
+                raise ReproError(f"no node at label {label}") from exc
+            path.append(node)
+        return path
 
     def node_at(self, label: DeweyLabel) -> "XMLNode":
         """Return the descendant node whose label is ``label``.
@@ -247,50 +235,42 @@ class XMLNode:
         The label must be relative to *this* node's label (i.e. this node's
         label must be a prefix of ``label``).
         """
-        own = self.label.components
-        target = label.components
-        if target[: len(own)] != own:
-            raise ReproError(f"label {label} is not under {self.label}")
-        node = self
-        for offset in target[len(own):]:
-            try:
-                node = node.children[offset]
-            except IndexError as exc:
-                raise ReproError(f"no node at label {label}") from exc
-        return node
+        return self.path_to(label)[-1]
 
     # ------------------------------------------------------------------ #
     # Subtree operations
     # ------------------------------------------------------------------ #
     def copy(self) -> "XMLNode":
-        """Return a deep copy of this subtree, detached and re-labelled.
+        """Return a deep copy of this subtree as a new, re-labelled root.
+
+        This is the way to get an editable tree out of a shared one, such as
+        a search result's subtree, which is the stored document's own node.
 
         Labels are assigned in a single pass (each node's label is derived
         from its already-copied parent), avoiding the repeated subtree
         relabelling that per-child :meth:`append_child` calls would cost.
         """
-        clone = self._shallow_clone(None, DeweyLabel.root())
+        clone = self._shallow_clone(DeweyLabel.root())
         stack = [(self, clone)]
         while stack:
             source, target = stack.pop()
             label = target.label
             for offset, child in enumerate(source.children):
-                child_clone = child._shallow_clone(target, label.child(offset))
+                child_clone = child._shallow_clone(label.child(offset))
                 target.children.append(child_clone)
                 if child.children:
                     stack.append((child, child_clone))
         return clone
 
-    def _shallow_clone(self, parent: Optional["XMLNode"], label: DeweyLabel) -> "XMLNode":
+    def _shallow_clone(self, label: DeweyLabel) -> "XMLNode":
         # A childless copy of a node that is already valid, so it skips
         # __init__'s kind checks and second attribute-dict copy, which would
-        # double the cost of cloning every served search result.
+        # double the cost of copying a large subtree.
         clone = XMLNode.__new__(XMLNode)
         clone.tag = self.tag
         clone.text = self.text
         clone.attributes = dict(self.attributes)
         clone.kind = self.kind
-        clone.parent = parent
         clone.children = []
         clone.label = label
         return clone
@@ -327,14 +307,6 @@ class XMLNode:
         for child in kept_children:
             clone.append_child(child)
         return clone
-
-    def path_tags(self) -> List[str]:
-        """Return the list of element tags from the root down to this node."""
-        tags = [node.tag for node in self.ancestors() if node.is_element]
-        tags.reverse()
-        if self.is_element:
-            tags.append(self.tag)
-        return [tag for tag in tags if tag is not None]
 
     # ------------------------------------------------------------------ #
     # Dunder protocol

@@ -12,7 +12,7 @@ the goal is readable navigation code, not an XPath engine:
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence
+from typing import List, Optional
 
 from repro.errors import ReproError
 from repro.xmlmodel.node import XMLNode

@@ -1,5 +1,6 @@
 """Tests for the command-line interface and the experiment export helpers."""
 
+import gc
 import io
 import json
 
@@ -113,6 +114,23 @@ class TestParser:
         assert arguments.snapshot == "x.snap"
         arguments = build_parser().parse_args(["search", "--query", "gps", "--corpus-dir", "d"])
         assert arguments.corpus_dir == "d"
+
+
+class InterruptedServer:
+    """Stands in for the HTTP server: serving runs ``during(service)``, then Ctrl-C."""
+
+    server_address = ("127.0.0.1", 0)
+
+    def __init__(self, service, during):
+        self.service = service
+        self.during = during
+
+    def serve_forever(self):
+        self.during(self.service)
+        raise KeyboardInterrupt
+
+    def server_close(self):
+        pass
 
 
 class TestCliOnSavedCorpus:
@@ -359,24 +377,16 @@ class TestCliOnSavedCorpus:
             time.sleep(0.5)
             return save(self, path, **kwargs)
 
-        class InterruptedServer:
-            server_address = ("127.0.0.1", 0)
-
-            def __init__(self, service):
-                self.service = service
-
-            def serve_forever(self):
-                self.service.ingest(
-                    IngestRequest(doc_id="late", xml="<product><name>Late GPS</name></product>")
-                )
-                raise KeyboardInterrupt
-
-            def server_close(self):
-                pass
+        def ingest_late(service):
+            service.ingest(
+                IngestRequest(doc_id="late", xml="<product><name>Late GPS</name></product>")
+            )
 
         monkeypatch.setattr(Corpus, "save", slow_save)
         monkeypatch.setattr(
-            repro.cli, "create_server", lambda service, **_: InterruptedServer(service)
+            repro.cli,
+            "create_server",
+            lambda service, **_: InterruptedServer(service, ingest_late),
         )
         code = main(
             [
@@ -394,6 +404,24 @@ class TestCliOnSavedCorpus:
         assert code == 0
         assert snapshot.exists()
         assert "late" in Corpus.load(snapshot).store
+
+    def test_serve_freezes_the_loaded_corpus_while_serving(self, corpus_dir, monkeypatch):
+        # Frozen, the loaded corpus is not walked by every full collection,
+        # the first request's included; unfrozen again once serve returns.
+        import repro.cli
+
+        freeze_counts = []
+        monkeypatch.setattr(
+            repro.cli,
+            "create_server",
+            lambda service, **_: InterruptedServer(
+                service, lambda _: freeze_counts.append(gc.get_freeze_count())
+            ),
+        )
+        code = main(["serve", "--corpus-dir", str(corpus_dir)], out=io.StringIO())
+        assert code == 0
+        assert freeze_counts and freeze_counts[0] > 0
+        assert gc.get_freeze_count() == 0
 
 
 def sample_rows():

@@ -226,25 +226,41 @@ class TestGeneratorFacade:
 
 # Prints one digest over every answer of the sample and the bytes of two
 # snapshots (fresh, then after 3 removes and 1 add); run once per hash seed.
+# The sample is every algorithm on the product queries and on two IMDB
+# queries, except exhaustive on products, which takes minutes per query.
 _CROSS_SEED_SCRIPT = """
 import hashlib, json, os, tempfile
+from repro.core.generator import ALGORITHMS
+from repro.datasets.imdb import ImdbConfig, generate_imdb_corpus
 from repro.datasets.product_reviews import generate_product_reviews_corpus
 from repro.errors import ReproError
 from repro.service import CompareRequest, SearchService
 from repro.workloads.queries import PRODUCT_QUERIES
 
 corpus = generate_product_reviews_corpus()
-service = SearchService(corpus)
 digest = hashlib.sha256()
-for algorithm in ("single_swap", "multi_swap"):
-    for spec in PRODUCT_QUERIES:
-        for top in (2, 3, 4):
-            request = CompareRequest(query=spec.text, top=top, algorithm=algorithm)
-            try:
-                answer = service.compare(request).to_dict()
-            except ReproError as error:
-                answer = type(error).__name__
-            digest.update(json.dumps(answer, sort_keys=True).encode())
+
+
+def compare(service, query, top, algorithm):
+    request = CompareRequest(query=query, top=top, algorithm=algorithm)
+    try:
+        answer = service.compare(request).to_dict()
+    except ReproError as error:
+        answer = type(error).__name__
+    digest.update(json.dumps(answer, sort_keys=True).encode())
+
+
+products = SearchService(corpus)
+for algorithm in ALGORITHMS:
+    if algorithm != "exhaustive":
+        for spec in PRODUCT_QUERIES:
+            for top in (2, 3, 4):
+                compare(products, spec.text, top, algorithm)
+imdb = SearchService(generate_imdb_corpus(ImdbConfig(num_movies=40, seed=7)))
+for algorithm in ALGORITHMS:
+    for query in ("drama war", "comedy family"):
+        for top in (2, 3):
+            compare(imdb, query, top, algorithm)
 with tempfile.TemporaryDirectory() as directory:
     path = os.path.join(directory, "products.snap")
     corpus.save(path)

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.entity.classifier import NodeCategory, NodeClassifier, classify_result_tree
+from repro.entity.classifier import (
+    NodeCategory,
+    NodeClassifier,
+    classify_result_tree,
+    owned_leaves,
+)
 from repro.entity.schema import infer_schema
 from repro.errors import EntityInferenceError, FeatureExtractionError
 from repro.features.extractor import FeatureExtractor
@@ -48,11 +53,17 @@ class TestNodeClassifier:
         assert categories[item.label] is NodeCategory.ENTITY
 
     def test_owning_entity_walks_to_nearest_entity(self, product_example_tree):
-        classifier = NodeClassifier()
-        categories = classifier.classify(product_example_tree)
+        categories = NodeClassifier().classify(product_example_tree)
         compact = product_example_tree.find_descendants("compact")[0]
-        owner = classifier.owning_entity(compact, categories)
+        owned = {
+            leaf.label: (parent, owner)
+            for leaf, parent, owner in owned_leaves(product_example_tree, categories)
+        }
+        parent, owner = owned[compact.label]
         assert owner.tag == "review"
+        assert parent.tag == "pros"
+        # Every leaf, in document order.
+        assert list(owned) == [leaf.label for leaf in product_example_tree.iter_leaves()]
 
     def test_classify_rejects_text_node(self):
         with pytest.raises(EntityInferenceError):

@@ -6,6 +6,8 @@ statistics — while only decoding the documents that are actually touched,
 inside a bounded LRU.  Shared round-trip helpers come from ``test_snapshot``.
 """
 
+import gc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -148,6 +150,25 @@ class TestBoundedMaterialisation:
         assert stats["materialised"] == 1
         store.get("p1")  # still materialised: the scan did not evict it
         assert store.stats()["decodes"] == 2
+
+    def test_trees_are_freed_without_a_collection(self, small_product_corpus, tmp_path):
+        # Nodes hold no parent pointer, so a dropped tree, parsed or evicted
+        # from the LRU, is freed by reference counting and leaves the
+        # collector nothing to find.
+        path = saved_path(small_product_corpus, tmp_path)
+        gc.collect()
+        gc.disable()
+        try:
+            tree = parse_xml("<product><name>TomTom GPS</name><price>1</price></product>")
+            del tree
+            assert gc.collect() == 0
+            store = Corpus.load(path, max_materialised=1).store
+            for doc_id in store.document_ids():
+                store.get(doc_id)
+            assert store.stats()["evictions"] == len(store) - 1
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_total_elements_without_materialising(self, tmp_path):
         corpus = small_corpus()

@@ -64,26 +64,26 @@ class TestXseekInference:
         stats = CorpusStatistics()
         stats.add_document(tree)
         name_leaf = tree.find_child("name")
-        assert infer_return_subtree(name_leaf, stats) is tree
+        assert infer_return_subtree(tree, name_leaf.label, stats) is tree
 
     def test_return_subtree_stops_at_nested_entity(self):
         tree = parse_xml(PRODUCT_XML)
         stats = CorpusStatistics()
         stats.add_document(tree)
         rating = tree.find_descendants("review_rating")[0]
-        inferred = infer_return_subtree(rating, stats)
+        inferred = infer_return_subtree(tree, rating.label, stats)
         assert inferred.tag == "review"
 
     def test_return_subtree_without_statistics_still_returns_displayable_node(self):
         tree = parse_xml("<a><b><c>x y</c></b></a>")
         leaf = tree.find_descendants("c")[0]
-        inferred = infer_return_subtree(leaf, None)
+        inferred = infer_return_subtree(tree, leaf.label, None)
         assert inferred.tag in {"a", "b", "c"}
 
     def test_max_climb_bound(self):
         tree = parse_xml("<a><b><c><d><e>x</e></d></c></b></a>")
         leaf = tree.find_descendants("e")[0]
-        inferred = infer_return_subtree(leaf, None, max_climb=1)
+        inferred = infer_return_subtree(tree, leaf.label, None, max_climb=1)
         assert inferred.tag in {"d", "e"}
 
     def test_fallback_returns_highest_non_root_ancestor(self):
@@ -93,7 +93,7 @@ class TestXseekInference:
         # match node — a chain-shaped document used to get just the leaf back.
         tree = parse_xml("<a><b><c>x y</c></b></a>")
         leaf = tree.find_descendants("c")[0]
-        inferred = infer_return_subtree(leaf, None)
+        inferred = infer_return_subtree(tree, leaf.label, None)
         assert inferred.tag == "b"
 
     def test_fallback_chain_with_statistics(self):
@@ -102,19 +102,19 @@ class TestXseekInference:
         tree = parse_xml("<a><b><c>x y</c></b></a>")
         stats = CorpusStatistics()
         stats.add_document(tree)
-        inferred = infer_return_subtree(tree.find_descendants("c")[0], stats)
+        inferred = infer_return_subtree(tree, tree.find_descendants("c")[0].label, stats)
         assert inferred.tag == "b"
 
     def test_fallback_when_match_is_the_root(self):
         tree = parse_xml("<a>x y</a>")
-        assert infer_return_subtree(tree, None) is tree
+        assert infer_return_subtree(tree, tree.label, None) is tree
 
     def test_fallback_respects_climb_window_on_deep_chain(self):
         # The "highest non-root" rule only applies within the climb window:
         # from <f>, one climb reaches <e>, never higher.
         tree = parse_xml("<a><b><c><d><e><f>x</f></e></d></c></b></a>")
         leaf = tree.find_descendants("f")[0]
-        assert infer_return_subtree(leaf, None, max_climb=1).tag == "e"
+        assert infer_return_subtree(tree, leaf.label, None, max_climb=1).tag == "e"
 
 
 def root_results(corpus, doc_ids):
@@ -191,11 +191,14 @@ class TestSearchEngine:
         assert result_set.top(0) == []
 
     def test_result_subtrees_are_detached_copies(self):
+        # A result is the stored node; only its copy() is detached.
         engine = SearchEngine(product_corpus())
         result = engine.search("tomtom gps")[0]
-        assert result.subtree.parent is None
-        result.subtree.find_child("name").children[0].text = "mutated"
-        assert "mutated" not in engine.corpus.store.get("p1").root.text_content()
+        stored = engine.corpus.store.get(result.doc_id)
+        assert result.subtree is stored.node_at(result.return_label)
+        copy = result.subtree.copy()
+        copy.find_child("name").children[0].text = "mutated"
+        assert "mutated" not in stored.root.text_content()
 
     def test_string_and_query_inputs_equivalent(self):
         engine = SearchEngine(product_corpus())
@@ -275,12 +278,13 @@ class TestSearchEngineCache:
         assert [r.score for r in a] == [r.score for r in b]
 
     def test_cached_results_are_fresh_copies(self):
+        # A hit serves the same stored node as the miss: nothing is copied.
         engine = SearchEngine(product_corpus())
         first = engine.search("tomtom gps")[0]
-        first.subtree.find_child("name").children[0].text = "mutated"
         second = engine.search("tomtom gps")[0]
         assert engine.cache_hits == 1
-        assert "mutated" not in second.subtree.text_content()
+        assert second.subtree is first.subtree
+        assert second.subtree is engine.corpus.store.get("p1").node_at(second.return_label)
 
     def test_cache_invalidated_by_corpus_mutation(self):
         corpus = product_corpus()

@@ -7,11 +7,13 @@ the cache-statistics accessors.
 """
 
 import base64
+import hashlib
 import json
 import time
 
 import pytest
 
+from repro.core.generator import ALGORITHMS
 from repro.errors import (
     ComparisonError,
     DFSConstructionError,
@@ -25,6 +27,10 @@ from repro.service import service as service_module
 from repro.service.cursor import Cursor, decode_cursor, encode_cursor
 from repro.service.protocol import CompareRequest, SearchRequest
 from repro.service.service import SearchService
+from repro.storage.corpus import Corpus
+from repro.storage.document_store import DocumentStore
+from repro.xmlmodel.parser import parse_xml
+from repro.xmlmodel.serializer import serialize
 
 
 @pytest.fixture
@@ -160,22 +166,23 @@ class TestPagination:
         assert len(resized.items) == 2
 
     def test_pagination_clones_only_the_page(self, small_product_corpus, monkeypatch):
-        # A page request must pay subtree copies proportional to the page,
-        # not to the full ranked list (the whole point of cursor pagination).
+        # A page request must resolve (and title) results in proportion to
+        # the page, not to the full ranked list (the whole point of cursor
+        # pagination).
         service = SearchService(small_product_corpus, default_page_size=1)
-        clones = []
-        original = SearchEngine._clone_result
+        resolved = []
+        original = SearchEngine._resolve
 
-        def counting_clone(result):
-            clones.append(result)
-            return original(result)
+        def counting_resolve(engine, entry, result_id):
+            resolved.append(result_id)
+            return original(engine, entry, result_id)
 
-        monkeypatch.setattr(SearchEngine, "_clone_result", staticmethod(counting_clone))
+        monkeypatch.setattr(SearchEngine, "_resolve", counting_resolve)
         first = service.search(SearchRequest(query="gps", page_size=1))
         assert first.total > 1
-        assert len(clones) == 1
+        assert resolved == ["R1"]
         service.search(SearchRequest(cursor=first.next_cursor))  # page 2, size 1
-        assert len(clones) == 2
+        assert resolved == ["R1", "R2"]
 
     def test_engine_search_page(self, small_product_corpus):
         engine = SearchEngine(small_product_corpus)
@@ -387,19 +394,19 @@ class TestCompareProtocol:
         assert str(raised.value) == message
 
     def test_compare_clones_only_its_top(self, small_product_corpus, monkeypatch):
-        # "gps" ranks three results; comparing the top two clones two.
+        # "gps" ranks three results; comparing the top two resolves two.
         service = SearchService(small_product_corpus)
-        clones = []
-        original = SearchEngine._clone_result
+        resolved = []
+        original = SearchEngine._resolve
 
-        def counting_clone(result):
-            clones.append(result)
-            return original(result)
+        def counting_resolve(engine, entry, result_id):
+            resolved.append(result_id)
+            return original(engine, entry, result_id)
 
-        monkeypatch.setattr(SearchEngine, "_clone_result", staticmethod(counting_clone))
+        monkeypatch.setattr(SearchEngine, "_resolve", counting_resolve)
         response = service.compare(CompareRequest(query="gps", top=2))
         assert response.column_ids == ("R1", "R2")
-        assert len(clones) == 2
+        assert resolved == ["R1", "R2"]
 
     def test_size_limit_above_row_count_matches_row_count(self, service):
         # The multi-swap DP is sized by the rows the results have, not by the
@@ -412,6 +419,68 @@ class TestCompareProtocol:
         huge = service.compare(CompareRequest(query="gps", top=3, size_limit=10**6))
         assert time.perf_counter() - started < 2.0
         assert huge.to_dict() == at_rows.to_dict()
+
+
+class TestBorrowedResults:
+    """Served results are the stored documents' own nodes, never copies."""
+
+    def test_serving_leaves_the_corpus_unchanged(
+        self, small_product_corpus, small_outdoor_corpus
+    ):
+        # Every layer that reads a served result (paging, feature
+        # extraction, DFS construction, the table) would write straight into
+        # the corpus if it edited one.
+        def digests(corpus):
+            return {
+                doc_id: hashlib.sha256(
+                    serialize(corpus.store.get(doc_id).root).encode("utf-8")
+                ).hexdigest()
+                for doc_id in corpus.store.document_ids()
+            }
+
+        cases = [
+            (small_product_corpus, ("gps", "compact"), "pros"),
+            (small_outdoor_corpus, ("men jackets",), "item"),
+        ]
+        before = [digests(corpus) for corpus, _, _ in cases]
+        for corpus, queries, within in cases:
+            service = SearchService(corpus, default_page_size=2)
+            for query in queries:
+                for semantics, constraints in (
+                    ("slca", {}),
+                    ("elca", {}),
+                    ("slca_struct", {"within": (within,)}),
+                ):
+                    page = service.search(
+                        SearchRequest(query=query, semantics=semantics, **constraints)
+                    )
+                    if page.next_cursor is not None:
+                        service.search(SearchRequest(cursor=page.next_cursor))
+                for algorithm in ALGORITHMS:
+                    for top in (2, 4):
+                        request = CompareRequest(
+                            query=query, top=top, algorithm=algorithm, size_limit=3
+                        )
+                        try:
+                            service.compare(request)
+                        except DFSConstructionError:
+                            pass  # exhaustive refuses the larger problems
+                service.compare(CompareRequest(query=query, result_ids=("R2", "R1")))
+                service.search_and_compare(query, top=3)
+            service.compare_documents(corpus.store.document_ids()[:3], size_limit=3)
+        assert [digests(corpus) for corpus, _, _ in cases] == before
+
+    def test_flag_leaf_at_the_result_root_gets_no_group(self):
+        # d1's result is the <pick> leaf itself: its document parent lies
+        # outside the result, so the flag rule must not scope it.
+        store = DocumentStore()
+        store.add("d1", parse_xml("<doc><pick>yes</pick></doc>"))
+        store.add("d2", parse_xml("<doc><pick>yes</pick><note>x</note></doc>"))
+        outcome = SearchService(Corpus(store)).search_and_compare("yes", top=2)
+        types = sorted(
+            {str(row.feature_type) for features in outcome.features for row in features}
+        )
+        assert types == ["doc.note", "doc.pick", "pick.pick"]
 
 
 class TestIntrospection:

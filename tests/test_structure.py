@@ -418,10 +418,10 @@ def constrained_cases(draw):
     plus the absent one.
     """
     documents = draw(corpus_documents(min_size=1))
-    elements = [node for _, tree in documents for node in tree.iter_elements()]
-    present = sorted({node.tag for node in elements})
+    paths = [tree.path_to(node.label) for _, tree in documents for node in tree.iter_elements()]
+    present = sorted({path[-1].tag for path in paths})
     keywords = draw(st.lists(st.sampled_from(present), min_size=1, max_size=2, unique=True))
-    path = _tag_path(draw(st.sampled_from(elements)))
+    path = _tag_path(draw(st.sampled_from(paths)))
     within = draw(
         st.one_of(
             st.sampled_from([path[-1:], path[-2:], (), (ABSENT_TAG,)]),
@@ -431,12 +431,8 @@ def constrained_cases(draw):
     return documents, " ".join(keywords), within, present + [ABSENT_TAG]
 
 
-def _tag_path(node):
-    tags = []
-    while node is not None:
-        tags.append(node.tag)
-        node = node.parent
-    return tuple(reversed(tags))
+def _tag_path(path):
+    return tuple(node.tag for node in path)
 
 
 def _subtree(node):
@@ -445,16 +441,16 @@ def _subtree(node):
         yield from _subtree(child)
 
 
-def _within_anchor(node, within):
-    """Innermost ancestor-or-self whose root-to-node tag path ends with ``within``."""
-    while node is not None:
-        if _tag_path(node)[-len(within):] == within:
-            return node
-        node = node.parent
+def _within_anchor(path, within):
+    """Path to the innermost ancestor-or-self whose tag path ends with ``within``."""
+    for end in range(len(path), 0, -1):
+        if _tag_path(path[:end])[-len(within):] == within:
+            return path[:end]
     return None
 
 
-def _axis_step(node, axis, axis_tag):
+def _axis_step(path, axis, axis_tag):
+    node = path[-1]
     if axis == "self":
         return [node]
     if axis == "child":
@@ -466,23 +462,23 @@ def _axis_step(node, axis, axis_tag):
             for descendant in _subtree(child)
             if descendant.tag == axis_tag
         ]
-    ancestor = node.parent  # axis == "ancestor": the nearest proper one
-    while ancestor is not None and ancestor.tag != axis_tag:
-        ancestor = ancestor.parent
-    return [] if ancestor is None else [ancestor]
+    for ancestor in reversed(path[:-1]):  # axis == "ancestor": the nearest proper one
+        if ancestor.tag == axis_tag:
+            return [ancestor]
+    return []
 
 
 def constraint_oracle(documents, keyword_postings, query):
-    """slca_struct's matches from scan-oracle SLCAs and parent/children/tag walks."""
+    """slca_struct's matches from scan-oracle SLCAs and root-to-node path walks."""
     trees = dict(documents)
     expected = set()
     for match in compute_slca_scan(keyword_postings):
-        node = trees[match.doc_id].node_at(match.label)
+        path = trees[match.doc_id].path_to(match.label)
         if query.within:
-            node = _within_anchor(node, query.within)
-            if node is None:
+            path = _within_anchor(path, query.within)
+            if path is None:
                 continue
-        for selected in _axis_step(node, query.axis, query.axis_tag):
+        for selected in _axis_step(path, query.axis, query.axis_tag):
             expected.add(Posting(doc_id=match.doc_id, label=selected.label))
     return sorted(expected)
 

@@ -47,14 +47,6 @@ class TestConstruction:
         first_review = reviews.children[0]
         assert first_review.label == DeweyLabel((1, 0))
 
-    def test_detach_resets_labels(self):
-        root = build_sample_tree()
-        reviews = root.find_child("reviews")
-        reviews.detach()
-        assert reviews.parent is None
-        assert reviews.label == DeweyLabel.root()
-        assert reviews not in root.children
-
 
 class TestPredicates:
     def test_is_leaf_element(self):
@@ -95,15 +87,15 @@ class TestNavigation:
         assert len(root.find_descendants("review")) == 2
         assert root.find_child("missing") is None
 
-    def test_ancestors(self):
+    def test_path_to(self):
         root = build_sample_tree()
         rating = root.find_descendants("rating")[0]
-        assert [node.tag for node in rating.ancestors()] == ["review", "reviews", "product"]
-
-    def test_root_method(self):
-        root = build_sample_tree()
-        rating = root.find_descendants("rating")[0]
-        assert rating.root() is root
+        path = root.path_to(rating.label)
+        assert [node.tag for node in path] == ["product", "reviews", "review", "rating"]
+        assert path[-1] is rating
+        reviews = root.find_child("reviews")
+        assert [node.tag for node in reviews.path_to(rating.label)] == ["reviews", "review", "rating"]
+        assert root.path_to(root.label) == [root]
 
     def test_node_at_label(self):
         root = build_sample_tree()
@@ -130,7 +122,6 @@ class TestSubtreeOperations:
         root = build_sample_tree()
         reviews = root.find_child("reviews")
         clone = reviews.copy()
-        assert clone.parent is None
         assert clone.label == DeweyLabel.root()
         assert clone.count_elements() == reviews.count_elements()
         clone.children[0].find_child("rating").children[0].text = "1"
@@ -152,16 +143,10 @@ class TestSubtreeOperations:
         root = build_sample_tree()
         assert root.prune(lambda node: False) is None
 
-    def test_path_tags(self):
-        root = build_sample_tree()
-        rating = root.find_descendants("rating")[0]
-        assert rating.path_tags() == ["product", "reviews", "review", "rating"]
-
     def test_relabel_after_surgery(self):
         root = build_sample_tree()
         extra = XMLNode.element("extra")
         root.children.insert(0, extra)
-        extra.parent = root
         root.relabel()
         assert extra.label == DeweyLabel((0,))
         assert root.find_child("name").label == DeweyLabel((1,))
