@@ -11,8 +11,10 @@ ordering expanded over tie groups (every subset of a tie group combined with
 all complete higher groups).  The Cartesian product over entities (bounded by
 the size limit) and then over results is enumerated, and the selection with the
 maximum total DoD is returned.  A guard raises when the estimated search-space
-size exceeds ``max_states`` so that a misconfigured call cannot hang a test
-run.
+size exceeds ``max_states``, before anything is scored.  Every admitted joint
+selection is scored with ``total_dod``, so the default bound admits only
+searches that finish in seconds: a compare request it refuses is answered at
+once instead of holding a server thread for minutes.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ def _entity_prefixes(
     return sorted(options, key=lambda rows: (len(rows), [str(r.feature) for r in rows]))
 
 
-def exhaustive_dfs(problem: DFSProblem, max_states: int = 2_000_000) -> DFSSet:
+def exhaustive_dfs(problem: DFSProblem, max_states: int = 50_000) -> DFSSet:
     """Return an optimal DFS set by exhaustive search.
 
     Raises

@@ -10,9 +10,10 @@ scratch:
   on Dewey-labelled posting lists.
 * :mod:`~repro.search.xseek` — XSeek-style return-node inference: given a match
   node, decide which surrounding subtree constitutes the *result* the user
-  should see (the entity subtree that contains the matches).
+  should see (the entity subtree that contains the matches), climbing the
+  structural table rather than the tree.
 * :mod:`~repro.search.ranking` — TF-IDF result ranking so result lists have a
-  stable, relevance-flavoured order.
+  stable, relevance-flavoured order, from the index and the table alone.
 * :mod:`~repro.search.structural` — :class:`StructuredQuery` (keywords plus
   axis constraints and tag-path filters) and the ``slca_struct`` semantics,
   which filters SLCA matches through those constraints on the pre-order

@@ -6,12 +6,17 @@ results comes out.  The pipeline is
 
 1. look up the posting list of every query keyword in the inverted index,
 2. compute SLCA (or ELCA) match nodes,
-3. infer the return subtree for each match with the XSeek rules,
+3. infer the return node for each match with the XSeek rules,
 4. deduplicate results that map to the same return node,
-5. rank the results on the documents' own return nodes into a list of
-   references (document id, match and return labels, score),
+5. rank the results into a list of references (document id, match and
+   return labels, score),
 6. resolve each reference of the requested page to its document's own return
    node, and title it.
+
+Steps 1–5 read only the inverted index and the structural table (XSeek
+climbs ``parent`` and ranking sizes a result as ``end - pre``), so evaluating
+a query decodes no document of a snapshot-loaded corpus; only step 6 reads
+trees, and only for the page it serves.
 
 Results are read-only views of the stored documents: a result's subtree is
 the return node inside the corpus's own tree, shared with every other caller,
@@ -45,32 +50,22 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import SearchError
 from repro.search.query import KeywordQuery
-from repro.search.ranking import rank_results
+from repro.search.ranking import Candidate, RankedResult, rank_results
 from repro.search.result import SearchResult, SearchResultSet
 from repro.search.semantics import MatchContext, get_registration
 from repro.search.structural import StructuredQuery
 from repro.search.xseek import infer_return_subtree
 from repro.storage.corpus import Corpus
 from repro.storage.inverted_index import Posting
-from repro.xmlmodel.dewey import DeweyLabel
 from repro.xmlmodel.node import XMLNode
 
 __all__ = ["SearchEngine"]
 
 _TITLE_TAGS = ("name", "title", "brand_name", "product_name", "label")
-
-
-class _CachedResult(NamedTuple):
-    """A ranked result: where its subtree lives in the corpus, and its score."""
-
-    doc_id: str
-    match_label: DeweyLabel
-    return_label: DeweyLabel
-    score: float
 
 
 class SearchEngine:
@@ -110,7 +105,7 @@ class SearchEngine:
         self.semantics = semantics
         self.cache_size = cache_size
         self.cache_max_results = cache_max_results
-        self._cache: "OrderedDict[Tuple[Tuple[str, ...], str], List[_CachedResult]]" = OrderedDict()
+        self._cache: "OrderedDict[Tuple[Tuple[str, ...], str], List[RankedResult]]" = OrderedDict()
         self._cached_results_total = 0
         self._cache_version = getattr(corpus, "version", None)
         self.cache_hits = 0
@@ -218,7 +213,7 @@ class SearchEngine:
     # ------------------------------------------------------------------ #
     # Caching
     # ------------------------------------------------------------------ #
-    def _ranked_results(self, query: KeywordQuery) -> List[_CachedResult]:
+    def _ranked_results(self, query: KeywordQuery) -> List[RankedResult]:
         """Return the full ranked list of result references.
 
         On a miss (or with caching disabled) this is the list the call just
@@ -275,7 +270,7 @@ class SearchEngine:
                 self._cached_results_total -= len(evicted)
             return ranked
 
-    def _resolve(self, entry: _CachedResult, result_id: str) -> SearchResult:
+    def _resolve(self, entry: RankedResult, result_id: str) -> SearchResult:
         """Serve a ranked reference as its document's own return node."""
         node = self.corpus.store.get(entry.doc_id).node_at(entry.return_label)
         return SearchResult(
@@ -291,16 +286,12 @@ class SearchEngine:
     # ------------------------------------------------------------------ #
     # Pipeline stages
     # ------------------------------------------------------------------ #
-    def _evaluate(self, query: KeywordQuery) -> List[_CachedResult]:
-        matches = self._compute_matches(query)
-        results = self._materialise_results(matches)
-        # Index-assisted scoring: posting spans already know where every
-        # keyword occurs, so ranking never re-tokenises result subtrees (nor
-        # forces the store to decode anything beyond the results).
-        ranked = rank_results(results, query, self.corpus.index)
-        return [
-            _CachedResult(r.doc_id, r.match_label, r.return_label, r.score) for r in ranked
-        ]
+    def _evaluate(self, query: KeywordQuery) -> List[RankedResult]:
+        # rank_results and infer_return_subtree are called through this
+        # module's globals, so a wrapper installed over either name (the
+        # bench tracer times both that way) sees every evaluation.
+        candidates = self._return_nodes(self._compute_matches(query))
+        return rank_results(candidates, query, self.corpus.index)
 
     def _compute_matches(self, query: KeywordQuery) -> List[Posting]:
         # Resolve postings through the *normalised* keyword view — the same
@@ -337,30 +328,25 @@ class SearchEngine:
             )
         return registration.fn(posting_lists)
 
-    def _materialise_results(self, matches: List[Posting]) -> List[SearchResult]:
-        # The candidates hold the documents' own return nodes for ranking to
-        # read; they are untitled, because only a served page is titled.
-        seen_return_nodes: Set[Tuple[str, DeweyLabel]] = set()
-        results: List[SearchResult] = []
+    def _return_nodes(self, matches: List[Posting]) -> List[Candidate]:
+        """One ranking candidate per distinct return node, climbed on the table."""
+        table = self.corpus.structure
+        statistics = self.corpus.statistics
+        seen_return_nodes: Set[Tuple[str, int]] = set()
+        candidates: List[Candidate] = []
         for match in matches:
-            document = self.corpus.store.get(match.doc_id)
-            return_node = infer_return_subtree(
-                document.root, match.label, self.corpus.statistics
+            structure = table.get(match.doc_id)
+            pre = infer_return_subtree(
+                structure, table.tags, structure.pre_of(match.label), statistics
             )
-            key = (match.doc_id, return_node.label)
+            key = (match.doc_id, pre)
             if key in seen_return_nodes:
                 continue
             seen_return_nodes.add(key)
-            results.append(
-                SearchResult(
-                    result_id="",
-                    doc_id=match.doc_id,
-                    match_label=match.label,
-                    return_label=return_node.label,
-                    subtree=return_node,
-                )
+            candidates.append(
+                (match.doc_id, match.label, structure.labels[pre], structure.end[pre] - pre)
             )
-        return results
+        return candidates
 
     @staticmethod
     def _result_title(subtree: XMLNode, doc_id: str) -> str:

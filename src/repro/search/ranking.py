@@ -14,21 +14,35 @@ is the number of its posting nodes — read from the inverted index's
 per-document offset map, one slice per (keyword, document) — that fall inside
 the returned subtree (descendant-or-self of the return label).  A node posts
 once per term however often the term repeats in its texts, so that is the
-multiplicity scored.  No node text is re-tokenised, and nothing beyond the
-already-decoded result subtree is touched, which keeps scoring from decoding
-unrelated documents of a snapshot-loaded corpus.
+multiplicity scored.  The size normaliser is the return node's element
+count, ``end - pre`` in the document's structural table.  Ranking therefore
+reads the index and the table only: no node text is re-tokenised and no
+document tree is touched.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence
+from typing import Dict, Iterable, List, NamedTuple, Tuple
 
 from repro.search.query import KeywordQuery
-from repro.search.result import SearchResult
 from repro.storage.inverted_index import InvertedIndex
+from repro.xmlmodel.dewey import DeweyLabel
 
-__all__ = ["query_idf_weights", "rank_results"]
+__all__ = ["RankedResult", "query_idf_weights", "rank_results"]
+
+#: A result to rank: document id, match label, return label, and the return
+#: node's element count.
+Candidate = Tuple[str, DeweyLabel, DeweyLabel, int]
+
+
+class RankedResult(NamedTuple):
+    """A ranked result: where its subtree lives in the corpus, and its score."""
+
+    doc_id: str
+    match_label: DeweyLabel
+    return_label: DeweyLabel
+    score: float
 
 
 def query_idf_weights(query: KeywordQuery, index: InvertedIndex) -> Dict[str, float]:
@@ -49,7 +63,11 @@ def query_idf_weights(query: KeywordQuery, index: InvertedIndex) -> Dict[str, fl
 
 
 def _score_from_postings(
-    result: SearchResult, weights: Dict[str, float], index: InvertedIndex
+    doc_id: str,
+    return_label: DeweyLabel,
+    element_count: int,
+    weights: Dict[str, float],
+    index: InvertedIndex,
 ) -> float:
     """Score a result from the index's posting spans, without re-tokenising.
 
@@ -59,34 +77,39 @@ def _score_from_postings(
     map makes the posting span one dictionary lookup plus a slice, so scoring
     cost tracks the number of *matching* nodes, not subtree size.
     """
-    return_label = result.return_label
     score = 0.0
     for keyword, idf in weights.items():
         term_frequency = 0
-        for posting in index.postings_for_document(keyword, result.doc_id):
+        for posting in index.postings_for_document(keyword, doc_id):
             if return_label.is_ancestor_or_self_of(posting.label):
                 term_frequency += 1
         if term_frequency:
             score += (1.0 + math.log(term_frequency)) * idf
-    normaliser = math.log(2 + result.subtree.count_elements())
+    normaliser = math.log(2 + element_count)
     return score / normaliser if normaliser else score
 
 
 def rank_results(
-    results: Sequence[SearchResult],
+    candidates: Iterable[Candidate],
     query: KeywordQuery,
     index: InvertedIndex,
-) -> List[SearchResult]:
-    """Assign scores and return the results sorted by descending score.
+) -> List[RankedResult]:
+    """Score the candidates and return them sorted by descending score.
 
+    Each candidate is ``(doc_id, match_label, return_label, element_count)``.
     Document and term frequencies both come from ``index`` (the corpus's
     inverted index).  Ties are broken by (document id, match label) so the
     ordering is total and deterministic across runs.
     """
     weights = query_idf_weights(query, index)
-    for result in results:
-        result.score = _score_from_postings(result, weights, index)
-    return sorted(
-        results,
-        key=lambda result: (-result.score, result.doc_id, result.match_label),
-    )
+    ranked = [
+        RankedResult(
+            doc_id,
+            match_label,
+            return_label,
+            _score_from_postings(doc_id, return_label, element_count, weights, index),
+        )
+        for doc_id, match_label, return_label, element_count in candidates
+    ]
+    ranked.sort(key=lambda result: (-result.score, result.doc_id, result.match_label))
+    return ranked

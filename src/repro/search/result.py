@@ -52,10 +52,6 @@ class SearchResult:
     score: float = 0.0
     title: str = ""
 
-    def element_count(self) -> int:
-        """Number of element nodes in the result subtree."""
-        return self.subtree.count_elements()
-
     def root_tag(self) -> str:
         """Tag of the result's root element."""
         return self.subtree.tag or ""

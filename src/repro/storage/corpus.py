@@ -1,13 +1,15 @@
 """The :class:`Corpus` convenience bundle.
 
 A corpus ties together the storage-layer pieces that the search engine and the
-experiments always use together: the document store, its inverted index and
-its statistics.  Only the index tokenises: it owns the document frequencies
-ranking reads, while the statistics count, per tag, the elements with two or
-more children of that tag and never see a term.  Building the index and
-statistics eagerly keeps the rest of the code free of "is the index stale?"
-bookkeeping — dataset generators produce a store, wrap it in a corpus once,
-and hand the corpus around.
+experiments always use together: the document store, its inverted index, its
+statistics and its structural table.  Only the index tokenises: it owns the
+document frequencies ranking reads, while the statistics count, per tag, the
+elements with two or more children of that tag and never see a term.  The
+structural table holds each document's pre-order encoding, which query
+evaluation reads instead of the trees.  Building all three eagerly, each
+document's entries together, keeps the rest of the code free of "is the
+index stale?" bookkeeping — dataset generators produce a store, wrap it in a
+corpus once, and hand the corpus around.
 
 The corpus also carries a monotonically increasing :attr:`Corpus.version`
 counter, bumped by every mutation that goes through the corpus
@@ -20,7 +22,7 @@ instead of re-validating the store contents.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Tuple, Union
 
 from repro.errors import StorageError
 from repro.storage.document_store import DocumentStore
@@ -32,23 +34,31 @@ from repro.xmlmodel.node import XMLNode
 __all__ = ["Corpus"]
 
 
+def _derive(store: DocumentStore) -> Tuple[InvertedIndex, CorpusStatistics, StructuralTable]:
+    """Index, repeat table and structural table of ``store``, in one pass.
+
+    Each document is encoded next to its index entry, so a store opened over
+    a snapshot decodes each record once, not once per table.
+    """
+    index = InvertedIndex()
+    statistics = CorpusStatistics()
+    structure = StructuralTable()
+    for document in store:
+        index.add_document(document.doc_id, document.root)
+        statistics.add_document(document.root)
+        structure.add(document.doc_id, document.root)
+    index.finalize()
+    return index, statistics, structure
+
+
 class Corpus:
-    """A document store together with its inverted index and statistics."""
+    """A document store with its inverted index, statistics and structural table."""
 
     def __init__(self, store: DocumentStore, name: str = "corpus"):
         self.name = name
         self.store = store
-        self.index = InvertedIndex.build(store)
-        self.statistics = CorpusStatistics.build(store)
-        # Lazily populated: documents are structurally indexed on the first
-        # structured query that touches them, so pure keyword workloads never
-        # pay for the encoding (see repro.structure).
-        self.structure = StructuralTable(self._document_root)
+        self.index, self.statistics, self.structure = _derive(store)
         self.version = 0
-
-    def _document_root(self, doc_id: str) -> XMLNode:
-        """Root loader for the structural table — always the live store."""
-        return self.store.get(doc_id).root
 
     @classmethod
     def from_directory(cls, directory: Union[str, Path], name: Optional[str] = None) -> "Corpus":
@@ -79,9 +89,9 @@ class Corpus:
     ) -> "Corpus":
         """Assemble a corpus from already-built parts (snapshot loading).
 
-        Bypasses ``__init__`` — the whole point of a snapshot is that index
-        and statistics arrive ready-made instead of being rebuilt from the
-        store.  ``structure`` must load roots from ``store``.
+        Bypasses ``__init__`` — the whole point of a snapshot is that index,
+        statistics and structural table arrive ready-made instead of being
+        rebuilt from the store.
         """
         corpus = cls.__new__(cls)
         corpus.name = name
@@ -151,8 +161,9 @@ class Corpus:
 
         Returns a structurally-shared clone: document trees and finalized
         posting buckets are shared (protected by the store's and index's
-        copy-on-write rules), while every piece of mutable bookkeeping —
-        membership, offset maps, the repeat table — is copied.  Mutating the
+        copy-on-write rules), and so are the immutable per-document
+        structures, while every piece of mutable bookkeeping — membership,
+        offset maps, the repeat table — is copied.  Mutating the
         clone never changes what this corpus serves, so a writer can build
         the next generation while in-flight readers finish against this one,
         then publish the clone with one reference swap.  A failed mutation is
@@ -161,14 +172,13 @@ class Corpus:
         Cost is proportional to membership size (dict copies), not to corpus
         content — no tree, posting or record is duplicated.
         """
-        store = self.store.clone()
         return Corpus._restore(
-            store=store,
+            store=self.store.clone(),
             index=self.index.clone(),
             statistics=self.statistics.clone(),
             name=self.name,
             version=self.version,
-            structure=self.structure.clone(lambda doc_id: store.get(doc_id).root),
+            structure=self.structure.clone(),
         )
 
     def finalize(self) -> None:
@@ -186,12 +196,13 @@ class Corpus:
     def add_document(
         self, doc_id: str, root: XMLNode, metadata: Optional[Dict[str, str]] = None
     ) -> None:
-        """Add one document and update index and statistics incrementally.
+        """Add one document and update index, statistics and structure incrementally.
 
         Unlike mutating ``corpus.store`` directly followed by :meth:`refresh`,
-        this folds the new document into the existing index and statistics
-        instead of rebuilding both from scratch.  ``metadata`` is stored on
-        the document (ingestion provenance, source URLs, …).
+        this folds the new document into the existing index, statistics and
+        structural table instead of rebuilding them from scratch.
+        ``metadata`` is stored on the document (ingestion provenance, source
+        URLs, …).
         """
         document = self.store.add(doc_id, root, metadata=metadata)
         try:
@@ -205,9 +216,10 @@ class Corpus:
             raise
         try:
             self.statistics.add_document(document.root)
+            self.structure.add(doc_id, document.root)
         except Exception:
             # Statistics folding has no incremental undo, so drop the
-            # document and rebuild both derived structures from the
+            # document and rebuild every derived table from the
             # still-consistent store.
             self.store.remove(doc_id)
             self.refresh()
@@ -245,18 +257,14 @@ class Corpus:
         self.version += 1
 
     def refresh(self) -> None:
-        """Rebuild the index and statistics after the store was modified."""
-        self.index = InvertedIndex.build(self.store)
-        self.statistics = CorpusStatistics.build(self.store)
-        # Structural indexes derive from the store too: start a fresh lazy
-        # table so edited trees cannot serve stale pre-order windows.
-        self.structure = StructuralTable(self._document_root)
+        """Rebuild the index, statistics and structure after the store was modified."""
+        self.index, self.statistics, self.structure = _derive(self.store)
         self.version += 1
 
     def describe(self) -> Dict[str, float]:
         """Return a small summary dictionary (used by reports and examples)."""
         documents = len(self.store)
-        elements = self.store.total_elements()
+        elements = self.structure.element_count()
         return {
             "documents": float(documents),
             "elements": float(elements),

@@ -87,10 +87,6 @@ class StoredDocument:
         """Return the node of this document at the given Dewey label."""
         return self.root.node_at(label)
 
-    def element_count(self) -> int:
-        """Number of element nodes in the document."""
-        return self.root.count_elements()
-
 
 @dataclass(frozen=True)
 class DocumentRecord:
@@ -112,8 +108,8 @@ class DocumentRecord:
     compressed:
         Whether the stored bytes are a zlib deflate stream.
     element_count:
-        Number of element nodes in the tree — lets
-        :meth:`DocumentStore.total_elements` answer without decoding.
+        Number of element nodes in the tree — the decoder rejects a record
+        that decodes to a different count.
     metadata:
         The document's metadata key/value pairs (immutable view; each
         decode hands out a fresh mutable copy).
@@ -261,15 +257,6 @@ class DocumentStore:
         """Return the document ids in insertion order."""
         with self._lock:
             return list(self._documents)
-
-    def total_elements(self) -> int:
-        """Total number of element nodes; records answer from their directory entry."""
-        with self._lock:
-            entries = list(self._documents.values())
-        return sum(
-            entry.element_count if isinstance(entry, DocumentRecord) else entry.element_count()
-            for entry in entries
-        )
 
     def stats(self) -> Dict[str, object]:
         """Introspection counters, served through ``/stats``.

@@ -74,7 +74,7 @@ from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
-from typing import TYPE_CHECKING, BinaryIO, Callable, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, BinaryIO, Dict, List, Optional, Tuple, Union
 
 from repro.errors import (
     SnapshotError,
@@ -612,7 +612,6 @@ def _read_structure_section(
     reader: _Reader,
     doc_ids: List[str],
     doc_labels: Dict[str, List[DeweyLabel]],
-    loader: "Callable[[str], XMLNode]",
 ) -> StructuralTable:
     """Decode the structural section into a ready
     :class:`~repro.structure.table.StructuralTable`.
@@ -667,7 +666,7 @@ def _read_structure_section(
                 f"malformed snapshot: structural table of document {doc_id!r} is "
                 f"inconsistent ({exc})"
             ) from None
-    return StructuralTable.restore(loader, tags, documents)
+    return StructuralTable(tags, documents)
 
 
 # --------------------------------------------------------------------------- #
@@ -1078,11 +1077,7 @@ def _load(
 
     index = _read_index(reader, doc_ids, doc_labels)
     statistics = _read_statistics(reader)
-
-    def document_root(doc_id: str) -> XMLNode:
-        return store.get(doc_id).root
-
-    structure = _read_structure_section(reader, doc_ids, doc_labels, document_root)
+    structure = _read_structure_section(reader, doc_ids, doc_labels)
     if not reader.at_end():
         raise SnapshotFormatError("malformed snapshot: trailing bytes inside payload")
     return Corpus._restore(

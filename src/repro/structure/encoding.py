@@ -26,8 +26,8 @@ Dewey label table alone*.  The labels arrive in pre-order (document order), so
 pass over the depths reconstructs ``parent`` and the subtree windows in
 ``O(n)``.  Snapshots therefore persist only the tag dictionary and
 per-document tag-id arrays (see :mod:`repro.storage.snapshot`); the rest is
-recomputed from the label tables that snapshots already store eagerly, keeping
-lazy corpora lazy.
+recomputed from the label tables that snapshots already store eagerly, so a
+load restores every document's structure without decoding its record.
 """
 
 from __future__ import annotations
@@ -50,9 +50,10 @@ class TagDictionary:
     :class:`~repro.structure.table.StructuralTable`), so equal tags compare
     as equal integers across documents.  Ids are assigned in first-seen
     order; they are an internal detail of the owning table, not stable
-    across processes.  :meth:`intern` is lock-guarded because lazily-built
-    document structures may intern concurrently from service threads;
-    :meth:`lookup` and :meth:`tag` are single atomic dict/list probes.
+    across processes.  :meth:`intern` is lock-guarded because the
+    dictionary is shared by every corpus generation, and a writer interns
+    while readers of the published generation look tags up; :meth:`lookup`
+    and :meth:`tag` are single atomic dict/list probes.
     """
 
     __slots__ = ("_ids", "_tags", "_lock")
@@ -116,18 +117,17 @@ class DocumentStructure:
     * ``tag_ids[pre]`` — the tag id in the owning :class:`TagDictionary`.
 
     Instances are immutable after construction and safe to share between
-    threads (the two lazy caches — label→pre and per-tag occurrence lists —
-    are built idempotently and published with atomic assignments).
+    threads (the one lazy cache, the per-tag occurrence lists, is built
+    idempotently and published with an atomic assignment).
     """
 
-    __slots__ = ("labels", "level", "parent", "end", "tag_ids", "_pre_by_label", "_occurrences")
+    __slots__ = ("labels", "level", "parent", "end", "tag_ids", "_occurrences")
 
     labels: List[DeweyLabel]
     level: List[int]
     parent: List[int]
     end: List[int]
     tag_ids: List[int]
-    _pre_by_label: Optional[Dict[DeweyLabel, int]]
     _occurrences: Optional[Dict[int, List[int]]]
 
     def __init__(self) -> None:
@@ -174,7 +174,6 @@ class DocumentStructure:
         structure = cls.__new__(cls)
         structure.labels = list(labels)
         structure.tag_ids = list(tag_ids)
-        structure._pre_by_label = None
         structure._occurrences = None
 
         level = [0] * count
@@ -212,20 +211,18 @@ class DocumentStructure:
     def pre_of(self, label: DeweyLabel) -> int:
         """The pre number of the element at ``label``.
 
+        The labels are in document order, which is their sort order, so this
+        is one binary search.
+
         Raises
         ------
         StructureError
             If no element carries ``label`` — the index is stale relative to
             the caller's view of the document.
         """
-        mapping = self._pre_by_label
-        if mapping is None:
-            # Benign construction race: both builders produce the identical
-            # dict and the attribute assignment is atomic.
-            mapping = {label: pre for pre, label in enumerate(self.labels)}
-            self._pre_by_label = mapping
-        pre = mapping.get(label)
-        if pre is None:
+        labels = self.labels
+        pre = bisect_left(labels, label)
+        if pre == len(labels) or labels[pre] != label:
             raise StructureError(f"no element at label {label} in the structural index")
         return pre
 

@@ -279,19 +279,6 @@ class XMLNode:
         """Number of nodes (elements and text) in this subtree."""
         return sum(1 for _ in self.walk())
 
-    def count_elements(self) -> int:
-        """Number of element nodes in this subtree."""
-        # One stack loop without generators: ranking calls this for every
-        # ranked result, so it is on the cold-query hot path.
-        count = 0
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if node.kind is NodeKind.ELEMENT:
-                count += 1
-            stack.extend(node.children)
-        return count
-
     def prune(self, keep: Callable[["XMLNode"], bool]) -> Optional["XMLNode"]:
         """Return a copy of the subtree keeping only nodes on paths to kept nodes.
 

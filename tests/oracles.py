@@ -8,12 +8,17 @@ inputs, but they share no logic with the stack merge in
 and :func:`~repro.search.elca.compute_elca` run.  :func:`tag_repeats_scan`
 re-reads whole trees for the repeating-tag signal that
 :class:`~repro.storage.statistics.CorpusStatistics` keeps incrementally.
+:func:`infer_return_subtree_walk` is XSeek's return-node rule on the tree
+(root-to-match path, element children), the oracle of
+:func:`~repro.search.xseek.infer_return_subtree`, which climbs the
+structural table's ``parent`` and ``end`` arrays instead.
 """
 
-from typing import Iterable, List, Sequence, Set
+from typing import Iterable, List, Optional, Sequence, Set
 
 from repro.search.linear_merge import collect_per_document
 from repro.storage.inverted_index import Posting
+from repro.storage.statistics import CorpusStatistics
 from repro.xmlmodel.dewey import DeweyLabel
 from repro.xmlmodel.node import XMLNode
 
@@ -122,3 +127,42 @@ def tag_repeats_scan(roots: Iterable[XMLNode], tag: str) -> bool:
             if len(same_tag) > 1:
                 return True
     return False
+
+
+def is_entity_node_walk(node: XMLNode, statistics: Optional[CorpusStatistics]) -> bool:
+    """XSeek's entity test on a tree node.
+
+    An element is an entity when its tag repeats under one parent somewhere
+    in the corpus, or when it has at least two distinct child tags; a leaf
+    element never is.
+    """
+    if not node.is_element or node.is_leaf_element:
+        return False
+    if statistics is not None and node.tag and statistics.tag_is_repeating(node.tag):
+        return True
+    child_tags = {child.tag for child in node.element_children()}
+    return len(child_tags) >= 2
+
+
+def infer_return_subtree_walk(
+    root: XMLNode,
+    match_label: DeweyLabel,
+    statistics: Optional[CorpusStatistics] = None,
+    max_climb: int = 10,
+) -> XMLNode:
+    """XSeek's return node, climbing the root-to-match path of the tree.
+
+    The lowest ancestor-or-self entity within ``max_climb`` levels of the
+    match; failing that, the highest non-root node of the window (the match
+    itself when it is the root).
+    """
+    path = root.path_to(match_label)
+    highest_non_root = path[-1]
+    lowest = max(len(path) - 1 - max_climb, 0)
+    for depth in reversed(range(lowest, len(path))):
+        current = path[depth]
+        if is_entity_node_walk(current, statistics):
+            return current
+        if depth > 0:
+            highest_non_root = current
+    return highest_non_root

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.core.exhaustive as exhaustive_module
 from repro.core.config import DFSConfig
 from repro.core.dfs import DFS, DFSSet
 from repro.core.dod import total_dod
@@ -23,6 +24,7 @@ from repro.errors import DFSConstructionError
 from repro.experiments.instances import micro_instance
 from repro.features.feature import Feature
 from repro.features.statistics import FeatureStatistics, ResultFeatures
+from repro.service import CompareRequest, SearchService
 
 
 ALL_HEURISTICS = [top_significance_dfs, random_dfs, greedy_dfs, single_swap_dfs, multi_swap_dfs]
@@ -176,6 +178,27 @@ class TestExhaustive:
         problem = micro_instance(num_results=4, size_limit=5, seed=0, attributes_per_entity=8)
         with pytest.raises(DFSConstructionError):
             exhaustive_dfs(problem, max_states=1000)
+
+    @pytest.mark.parametrize(
+        "corpus_fixture, query, top, size_limit",
+        [
+            ("small_product_corpus", "gps", 2, 4),  # 576,594 joint selections
+            ("small_outdoor_corpus", "men jackets", 4, 2),  # 913,123 joint selections
+        ],
+    )
+    def test_exhaustive_refuses_compares_it_cannot_finish(
+        self, request, monkeypatch, corpus_fixture, query, top, size_limit
+    ):
+        # Admitted by a 2,000,000-selection bound, these compares scored for
+        # 30 s and 73 s; the default bound refuses them before scoring any.
+        def no_scoring(*args, **kwargs):
+            raise AssertionError("exhaustive scored a selection of a refused problem")
+
+        monkeypatch.setattr(exhaustive_module, "total_dod", no_scoring)
+        service = SearchService(request.getfixturevalue(corpus_fixture))
+        compare = CompareRequest(query=query, top=top, algorithm="exhaustive", size_limit=size_limit)
+        with pytest.raises(DFSConstructionError, match="search space too large"):
+            service.compare(compare)
 
 
 class TestOptimalRewrite:

@@ -16,6 +16,9 @@ from repro.errors import (
     SnapshotFormatError,
     StorageError,
 )
+from repro.search.engine import SearchEngine
+from repro.search.query import KeywordQuery
+from repro.search.structural import StructuredQuery
 from repro.storage.corpus import Corpus
 from repro.storage.document_store import (
     DEFAULT_MAX_MATERIALISED,
@@ -82,7 +85,7 @@ class TestLazyEquivalence:
         loaded = Corpus.load(saved_path(corpus, tmp_path))
         assert loaded.store.stats()["backend"] == "lazy"
         assert len(loaded.store) == 0
-        assert loaded.store.total_elements() == 0
+        assert loaded.describe()["elements"] == 0.0
 
     @settings(max_examples=25, deadline=None)
     @given(trees=st.lists(xml_trees(), min_size=1, max_size=4))
@@ -173,8 +176,56 @@ class TestBoundedMaterialisation:
     def test_total_elements_without_materialising(self, tmp_path):
         corpus = small_corpus()
         loaded = Corpus.load(saved_path(corpus, tmp_path))
-        assert loaded.store.total_elements() == corpus.store.total_elements()
+        assert loaded.describe() == corpus.describe()
+        # A document added after the load is counted from its own tree.
+        loaded.add_document("added", parse_xml("<doc><x>new</x></doc>"))
+        corpus.add_document("added", parse_xml("<doc><x>new</x></doc>"))
+        assert loaded.describe() == corpus.describe()
         assert loaded.store.stats()["decodes"] == 0
+
+
+# --------------------------------------------------------------------------- #
+# Query evaluation on a lazy load
+# --------------------------------------------------------------------------- #
+# (semantics, query) pairs whose ranked results span more documents than a
+# two-result page, on the small product corpus.
+EVALUATED = [
+    ("slca", "gps"),
+    ("slca", "review rating"),
+    ("elca", "battery"),
+    ("slca_struct", StructuredQuery.from_parts("compact", within=("review",))),
+]
+
+
+class TestEvaluationDecodesNothing:
+    """Matching, XSeek and ranking read the index and the structural table only."""
+
+    @pytest.mark.parametrize("semantics, query", EVALUATED)
+    def test_evaluation_never_reads_the_store(
+        self, small_product_corpus, monkeypatch, semantics, query
+    ):
+        def no_trees(store, doc_id):
+            raise AssertionError(f"query evaluation read document {doc_id!r}")
+
+        engine = SearchEngine(small_product_corpus, semantics=semantics, cache_size=0)
+        parsed = query if isinstance(query, StructuredQuery) else KeywordQuery.parse(query)
+        monkeypatch.setattr(DocumentStore, "get", no_trees)
+        assert engine._evaluate(parsed)
+
+    @pytest.mark.parametrize("semantics, query", EVALUATED)
+    def test_cold_search_page_decodes_only_its_page(
+        self, small_product_corpus, tmp_path, semantics, query
+    ):
+        loaded = Corpus.load(saved_path(small_product_corpus, tmp_path), max_materialised=4)
+        engine = SearchEngine(loaded, semantics=semantics, cache_size=0)
+        _, page = engine.search_page(query, 0, 2)
+        decodes = loaded.store.stats()["decodes"]
+        served = {result.doc_id for result in page}
+        # The query ranks results in more documents than its page serves, and
+        # only the page's documents were decoded (to resolve and title them).
+        ranked = {entry.doc_id for entry in engine._evaluate(page.query)}
+        assert len(ranked) > len(served)
+        assert decodes <= len(served)
 
 
 # --------------------------------------------------------------------------- #
@@ -350,12 +401,6 @@ class TestLazyStoreUnit:
         assert store.document_ids() == ["a", "b", "c"]
         assert [document.doc_id for document in store] == ["a", "b", "c"]
         assert len(store) == 3
-
-    def test_total_elements_mixes_directory_and_overlay(self):
-        store = DocumentStore([_record("a", element_count=5)], _loader)
-        store.add("c", parse_xml("<doc><x>new</x></doc>"))  # 2 elements
-        assert store.total_elements() == 7
-        assert store.stats()["decodes"] == 0
 
     def test_metadata_is_fresh_per_materialisation(self):
         store = DocumentStore(

@@ -2,12 +2,20 @@
 
 from hypothesis import given, settings, strategies as st
 
-from oracles import compute_elca_scan, compute_slca_scan
+from oracles import (
+    compute_elca_scan,
+    compute_slca_scan,
+    infer_return_subtree_walk,
+    is_entity_node_walk,
+)
 from repro.search.elca import compute_elca
 from repro.search.slca import compute_slca
+from repro.search.xseek import infer_return_subtree, is_entity_node
 from repro.storage.document_store import DocumentStore
 from repro.storage.inverted_index import InvertedIndex, Posting
+from repro.storage.statistics import CorpusStatistics
 from repro.storage.tokenizer import _TOKEN_PATTERN, _split_tokens, tokenize
+from repro.structure import DocumentStructure, TagDictionary
 from repro.xmlmodel.builder import TreeBuilder
 from repro.xmlmodel.dewey import DeweyLabel, common_ancestor_label
 from repro.xmlmodel.parser import parse_xml
@@ -113,10 +121,36 @@ class TestXmlRoundTripProperties:
     @settings(max_examples=50, deadline=None)
     @given(xml_trees())
     def test_element_count_matches_walk(self, tree):
-        for subtree in tree.walk():
-            assert subtree.count_elements() == sum(
-                1 for node in subtree.walk() if node.is_element
+        # Ranking's size normaliser is end[pre] - pre: it must be the
+        # element count of the subtree at pre.
+        structure = DocumentStructure.from_tree(tree, TagDictionary())
+        for pre, element in enumerate(tree.iter_elements()):
+            assert structure.labels[pre] == element.label
+            assert structure.end[pre] - pre == sum(
+                1 for node in element.walk() if node.is_element
             )
+
+
+# --------------------------------------------------------------------------- #
+# XSeek on the structural table
+# --------------------------------------------------------------------------- #
+class TestXseekTableProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(xml_trees())
+    def test_table_climb_matches_tree_walk(self, tree):
+        built = CorpusStatistics()
+        built.add_document(tree)
+        tags = TagDictionary()
+        structure = DocumentStructure.from_tree(tree, tags)
+        for statistics in (None, built):
+            for pre, element in enumerate(tree.iter_elements()):
+                assert is_entity_node(structure, tags, pre, statistics) == is_entity_node_walk(
+                    element, statistics
+                )
+                for max_climb in (0, 1, 2, 3, 10):
+                    climbed = infer_return_subtree(structure, tags, pre, statistics, max_climb)
+                    walked = infer_return_subtree_walk(tree, element.label, statistics, max_climb)
+                    assert structure.labels[climbed] == walked.label
 
 
 # --------------------------------------------------------------------------- #

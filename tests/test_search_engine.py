@@ -8,11 +8,12 @@ from repro.errors import SearchError
 from repro.search.engine import SearchEngine
 from repro.search.query import KeywordQuery
 from repro.search.ranking import rank_results
-from repro.search.result import SearchResult, SearchResultSet
+from repro.search.result import SearchResultSet
 from repro.search.xseek import infer_return_subtree, is_entity_node
 from repro.storage.corpus import Corpus
 from repro.storage.document_store import DocumentStore
 from repro.storage.statistics import CorpusStatistics
+from repro.structure import DocumentStructure, TagDictionary
 from repro.xmlmodel.dewey import DeweyLabel
 from repro.xmlmodel.node import XMLNode
 from repro.xmlmodel.parser import parse_xml
@@ -41,49 +42,70 @@ def product_corpus() -> Corpus:
     return Corpus(store, name="tiny")
 
 
+def document_table(tree):
+    """The structural table of one tree, with its own tag dictionary."""
+    tags = TagDictionary()
+    return DocumentStructure.from_tree(tree, tags), tags
+
+
+def entity(tree, node, statistics):
+    """XSeek's entity test for ``node``, evaluated on the tree's table."""
+    structure, tags = document_table(tree)
+    return is_entity_node(structure, tags, structure.pre_of(node.label), statistics)
+
+
+def return_node(tree, match, statistics, max_climb=10):
+    """The tree node at the pre number the table climb returns for ``match``."""
+    structure, tags = document_table(tree)
+    pre = infer_return_subtree(
+        structure, tags, structure.pre_of(match.label), statistics, max_climb=max_climb
+    )
+    return tree.node_at(structure.labels[pre])
+
+
 class TestXseekInference:
     def test_leaf_is_not_entity(self):
         tree = parse_xml(PRODUCT_XML)
         stats = CorpusStatistics()
         stats.add_document(tree)
-        assert not is_entity_node(tree.find_child("name"), stats)
+        assert not entity(tree, tree.find_child("name"), stats)
 
     def test_repeating_node_is_entity(self):
         tree = parse_xml(PRODUCT_XML)
         stats = CorpusStatistics()
         stats.add_document(tree)
         review = tree.find_child("reviews").children[0]
-        assert is_entity_node(review, stats)
+        assert entity(tree, review, stats)
 
     def test_root_with_structured_children_is_entity(self):
         tree = parse_xml(PRODUCT_XML)
-        assert is_entity_node(tree, None)
+        assert entity(tree, tree, None)
 
     def test_return_subtree_climbs_to_entity(self):
         tree = parse_xml(PRODUCT_XML)
         stats = CorpusStatistics()
         stats.add_document(tree)
         name_leaf = tree.find_child("name")
-        assert infer_return_subtree(tree, name_leaf.label, stats) is tree
+        assert return_node(tree, name_leaf, stats) is tree
 
     def test_return_subtree_stops_at_nested_entity(self):
         tree = parse_xml(PRODUCT_XML)
         stats = CorpusStatistics()
         stats.add_document(tree)
         rating = tree.find_descendants("review_rating")[0]
-        inferred = infer_return_subtree(tree, rating.label, stats)
+        inferred = return_node(tree, rating, stats)
         assert inferred.tag == "review"
 
     def test_return_subtree_without_statistics_still_returns_displayable_node(self):
         tree = parse_xml("<a><b><c>x y</c></b></a>")
         leaf = tree.find_descendants("c")[0]
-        inferred = infer_return_subtree(tree, leaf.label, None)
+        inferred = return_node(tree, leaf, None)
         assert inferred.tag in {"a", "b", "c"}
 
     def test_max_climb_bound(self):
         tree = parse_xml("<a><b><c><d><e>x</e></d></c></b></a>")
         leaf = tree.find_descendants("e")[0]
-        inferred = infer_return_subtree(tree, leaf.label, None, max_climb=1)
+        inferred = return_node(tree, leaf, None, max_climb=1)
         assert inferred.tag in {"d", "e"}
 
     def test_fallback_returns_highest_non_root_ancestor(self):
@@ -93,7 +115,7 @@ class TestXseekInference:
         # match node — a chain-shaped document used to get just the leaf back.
         tree = parse_xml("<a><b><c>x y</c></b></a>")
         leaf = tree.find_descendants("c")[0]
-        inferred = infer_return_subtree(tree, leaf.label, None)
+        inferred = return_node(tree, leaf, None)
         assert inferred.tag == "b"
 
     def test_fallback_chain_with_statistics(self):
@@ -102,31 +124,25 @@ class TestXseekInference:
         tree = parse_xml("<a><b><c>x y</c></b></a>")
         stats = CorpusStatistics()
         stats.add_document(tree)
-        inferred = infer_return_subtree(tree, tree.find_descendants("c")[0].label, stats)
+        inferred = return_node(tree, tree.find_descendants("c")[0], stats)
         assert inferred.tag == "b"
 
     def test_fallback_when_match_is_the_root(self):
         tree = parse_xml("<a>x y</a>")
-        assert infer_return_subtree(tree, tree.label, None) is tree
+        assert return_node(tree, tree, None) is tree
 
     def test_fallback_respects_climb_window_on_deep_chain(self):
         # The "highest non-root" rule only applies within the climb window:
         # from <f>, one climb reaches <e>, never higher.
         tree = parse_xml("<a><b><c><d><e><f>x</f></e></d></c></b></a>")
         leaf = tree.find_descendants("f")[0]
-        assert infer_return_subtree(tree, leaf.label, None, max_climb=1).tag == "e"
+        assert return_node(tree, leaf, None, max_climb=1).tag == "e"
 
 
-def root_results(corpus, doc_ids):
-    """One whole-document result per id, as the engine would build them."""
+def root_candidates(corpus, doc_ids):
+    """One whole-document ranking candidate per id, as the engine builds them."""
     return [
-        SearchResult(
-            result_id="",
-            doc_id=doc_id,
-            match_label=DeweyLabel.root(),
-            return_label=DeweyLabel.root(),
-            subtree=corpus.store.get(doc_id).root.copy(),
-        )
+        (doc_id, DeweyLabel.root(), DeweyLabel.root(), len(corpus.structure.get(doc_id)))
         for doc_id in doc_ids
     ]
 
@@ -135,16 +151,14 @@ class TestRanking:
     def test_tf_idf_prefers_matching_subtree(self):
         corpus = product_corpus()
         query = KeywordQuery.parse("tomtom gps")
-        results = root_results(corpus, ("p2", "p1"))
-        ranked = rank_results(results, query, corpus.index)
+        ranked = rank_results(root_candidates(corpus, ("p2", "p1")), query, corpus.index)
         assert [result.doc_id for result in ranked] == ["p1", "p2"]
         assert ranked[0].score > ranked[1].score
 
     def test_rank_results_orders_by_score_then_id(self):
         corpus = product_corpus()
         query = KeywordQuery.parse("gps")
-        results = root_results(corpus, ("p2", "p1"))
-        ranked = rank_results(results, query, corpus.index)
+        ranked = rank_results(root_candidates(corpus, ("p2", "p1")), query, corpus.index)
         assert [result.doc_id for result in ranked] in (["p1", "p2"], ["p2", "p1"])
         assert ranked[0].score >= ranked[1].score
 

@@ -110,8 +110,10 @@ class TestDocumentStore:
         assert node.tag == "name"
 
     def test_total_elements(self):
-        store = sample_store()
-        assert store.total_elements() == 6
+        # The structural table owns element counts: one per document.
+        table = Corpus(sample_store()).structure
+        assert [len(table.get(doc_id)) for doc_id in ("d1", "d2")] == [3, 3]
+        assert table.element_count() == 6
 
     def test_save_and_load_round_trip(self, tmp_path):
         store = sample_store()

@@ -10,9 +10,9 @@ Four layers of guarantees are pinned here:
 * **Constraint oracle** — with ``within`` paths and axis steps,
   ``slca_struct`` matches a tree walk over the scan-oracle SLCAs on
   hypothesis-generated corpora.
-* **Snapshot battery** — the v2 structural section round-trips (restored,
-  not recomputed), files without the section fall back to lazy computation,
-  and corrupted sections raise typed errors naming the damaged section.
+* **Snapshot battery** — the structural section round-trips (restored from
+  the head, no record decoded), a head without the section is refused, and
+  corrupted sections raise typed errors naming the damaged section.
 """
 
 import io
@@ -700,13 +700,11 @@ class TestSnapshotStructure:
         path = tmp_path / "s.snap"
         save_corpus(corpus, path)
         loaded = Corpus.load(path)
-        stats = loaded.structure.stats()
-        assert stats["restored"] == len(corpus.store)
-        assert stats["computed"] == 0
+        assert len(loaded.structure) == len(corpus.store)
         for doc_id in corpus.store.document_ids():
             assert portable_signature(loaded, doc_id) == portable_signature(corpus, doc_id)
-        # Reading the restored structures computes nothing.
-        assert loaded.structure.stats()["computed"] == 0
+        # The structures come from the head: no record was decoded for them.
+        assert loaded.store.stats()["decodes"] == 0
         assert fingerprint(struct_search(loaded, STRUCT_QUERY)) == fingerprint(
             struct_search(corpus, STRUCT_QUERY)
         )
@@ -716,7 +714,10 @@ class TestSnapshotStructure:
         path = tmp_path / "c.snap"
         save_corpus(corpus, path, compress=True)
         loaded = Corpus.load(path)
-        assert loaded.structure.stats()["restored"] == len(corpus.store)
+        assert len(loaded.structure) == len(corpus.store)
+        for doc_id in corpus.store.document_ids():
+            assert portable_signature(loaded, doc_id) == portable_signature(corpus, doc_id)
+        assert loaded.store.stats()["decodes"] == 0
 
     def test_head_ends_with_the_structural_section(self, tmp_path):
         corpus = struct_corpus()
@@ -777,22 +778,24 @@ class TestSnapshotStructure:
         with pytest.raises(SnapshotFormatError, match="structural table section has marker"):
             Corpus.load(damaged)
 
-    def test_mutation_after_load_uses_the_lazy_loader(self, tmp_path):
+    def test_document_added_after_load_has_a_structure(self, tmp_path):
         corpus = struct_corpus()
         path = tmp_path / "s.snap"
         save_corpus(corpus, path)
         loaded = Corpus.load(path)
-        loaded.add_document(
-            "doc-d",
-            parse_xml(
-                "<product><name>delta gps</name>"
-                "<reviews><review><pros>sturdy</pros></review></reviews></product>"
-            ),
+        markup = (
+            "<product><name>delta gps</name>"
+            "<reviews><review><pros>sturdy</pros></review></reviews></product>"
         )
+        loaded.add_document("doc-d", parse_xml(markup))
+        corpus.add_document("doc-d", parse_xml(markup))
+        # Ingesting builds the new document's structure from the tree it is
+        # given, so every document has one and nothing was decoded.
+        assert len(loaded.structure) == len(loaded.store)
+        assert loaded.store.stats()["decodes"] == 0
+        assert portable_signature(loaded, "doc-d") == portable_signature(corpus, "doc-d")
         results = struct_search(loaded, STRUCT_QUERY)
         assert "doc-d" in {result.doc_id for result in results}
-        stats = loaded.structure.stats()
-        assert stats["computed"] >= 1  # only the new document was computed
 
 
 class TestSnapshotHeadChecks:

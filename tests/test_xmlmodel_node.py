@@ -123,13 +123,15 @@ class TestSubtreeOperations:
         reviews = root.find_child("reviews")
         clone = reviews.copy()
         assert clone.label == DeweyLabel.root()
-        assert clone.count_elements() == reviews.count_elements()
+        assert [node.tag for node in clone.iter_elements()] == [
+            node.tag for node in reviews.iter_elements()
+        ]
         clone.children[0].find_child("rating").children[0].text = "1"
         assert reviews.children[0].find_child("rating").direct_text() == "5"
 
     def test_size_and_count_elements(self):
         root = build_sample_tree()
-        assert root.count_elements() == 7
+        assert sum(1 for _ in root.iter_elements()) == 7
         assert root.size() == 10  # 7 elements + 3 text nodes
 
     def test_prune_keeps_paths_to_matches(self):
