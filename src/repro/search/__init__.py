@@ -7,7 +7,7 @@ scratch:
 * :class:`~repro.search.query.KeywordQuery` — parsed keyword queries.
 * :mod:`~repro.search.slca` / :mod:`~repro.search.elca` — the classic Smallest /
   Exclusive Lowest Common Ancestor semantics for XML keyword search, operating
-  on Dewey-labelled posting lists.
+  on the index's runs of pre numbers and the structural table.
 * :mod:`~repro.search.xseek` — XSeek-style return-node inference: given a match
   node, decide which surrounding subtree constitutes the *result* the user
   should see (the entity subtree that contains the matches), climbing the

@@ -4,19 +4,21 @@ This is the component labelled "Search Engine" in the XSACT architecture
 diagram (Figure 3 of the paper): keywords go in, a ranked list of structured
 results comes out.  The pipeline is
 
-1. look up the posting list of every query keyword in the inverted index,
-2. compute SLCA (or ELCA) match nodes,
+1. look up the runs of every query keyword in the inverted index (per
+   document, the pre numbers of the elements that post it),
+2. compute SLCA (or ELCA) match nodes on the structural table,
 3. infer the return node for each match with the XSeek rules,
 4. deduplicate results that map to the same return node,
-5. rank the results into a list of references (document id, match and
-   return labels, score),
+5. rank the results, from the same runs, into a list of references
+   (document id, match and return pre numbers, score),
 6. resolve each reference of the requested page to its document's own return
    node, and title it.
 
-Steps 1–5 read only the inverted index and the structural table (XSeek
-climbs ``parent`` and ranking sizes a result as ``end - pre``), so evaluating
-a query decodes no document of a snapshot-loaded corpus; only step 6 reads
-trees, and only for the page it serves.
+Steps 1–5 read only the inverted index and the structural table (the merge
+and XSeek climb ``parent``, ranking counts the runs inside ``[pre, end)``),
+so evaluating a query decodes no document of a snapshot-loaded corpus and
+builds no Dewey label; only step 6 reads trees and labels, and only for the
+page it serves.
 
 Results are read-only views of the stored documents: a result's subtree is
 the return node inside the corpus's own tree, shared with every other caller,
@@ -53,14 +55,14 @@ from collections import OrderedDict
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import SearchError
+from repro.search.linear_merge import Match
 from repro.search.query import KeywordQuery
 from repro.search.ranking import Candidate, RankedResult, rank_results
 from repro.search.result import SearchResult, SearchResultSet
-from repro.search.semantics import MatchContext, get_registration
+from repro.search.semantics import get_registration
 from repro.search.structural import StructuredQuery
 from repro.search.xseek import infer_return_subtree
 from repro.storage.corpus import Corpus
-from repro.storage.inverted_index import Posting
 from repro.xmlmodel.node import XMLNode
 
 __all__ = ["SearchEngine"]
@@ -88,7 +90,7 @@ class SearchEngine:
     cache_max_results:
         Maximum *total* number of cached results summed across all entries,
         so a few broad queries cannot grow the cache without bound.  A cached
-        result is a small reference (document id, labels, score), not a
+        result is a small reference (document id, pre numbers, score), not a
         subtree.  ``None`` leaves only the entry-count bound.  A single
         result list exceeding the whole budget is not cached at all.
     """
@@ -271,13 +273,19 @@ class SearchEngine:
             return ranked
 
     def _resolve(self, entry: RankedResult, result_id: str) -> SearchResult:
-        """Serve a ranked reference as its document's own return node."""
-        node = self.corpus.store.get(entry.doc_id).node_at(entry.return_label)
+        """Serve a ranked reference as its document's own return node.
+
+        This is where a pre number becomes a Dewey label: only for the
+        results a page serves.
+        """
+        labels = self.corpus.structure.get(entry.doc_id).labels
+        return_label = labels[entry.return_pre]
+        node = self.corpus.store.get(entry.doc_id).node_at(return_label)
         return SearchResult(
             result_id=result_id,
             doc_id=entry.doc_id,
-            match_label=entry.match_label,
-            return_label=entry.return_label,
+            match_label=labels[entry.match_pre],
+            return_label=return_label,
             subtree=node,
             score=entry.score,
             title=self._result_title(node, entry.doc_id),
@@ -287,29 +295,16 @@ class SearchEngine:
     # Pipeline stages
     # ------------------------------------------------------------------ #
     def _evaluate(self, query: KeywordQuery) -> List[RankedResult]:
-        # rank_results and infer_return_subtree are called through this
-        # module's globals, so a wrapper installed over either name (the
-        # bench tracer times both that way) sees every evaluation.
-        candidates = self._return_nodes(self._compute_matches(query))
-        return rank_results(candidates, query, self.corpus.index)
-
-    def _compute_matches(self, query: KeywordQuery) -> List[Posting]:
-        # Resolve postings through the *normalised* keyword view — the same
-        # identity the cache key and ranking use.  A directly-constructed,
-        # un-normalised query (duplicate or multi-token keyword strings) must
-        # evaluate exactly like its normalised spelling, because both share
-        # one cache entry; resolving the raw keywords here would let the two
-        # views drift apart and poison the shared entry.
-        # copy=False: the match algorithms never mutate the lists, so the hot
-        # path skips one posting-list copy per keyword.
         # Resolved per call through the module-level name (a dict probe), so
         # a wrapper installed over it — bench/tracing.py times the match
-        # stage that way — sees every evaluation.
+        # stage that way — sees every evaluation.  rank_results and
+        # infer_return_subtree are called through this module's globals for
+        # the same reason.
         registration = get_registration(self.semantics)
         if (
             isinstance(query, StructuredQuery)
             and query.has_constraints
-            and not registration.accepts_context
+            and not registration.structural
         ):
             # Silently evaluating only the keywords would return results the
             # constraints should have filtered — fail loudly instead.
@@ -317,35 +312,39 @@ class SearchEngine:
                 f"semantics {self.semantics!r} ignores structural constraints; "
                 "use a structure-aware semantics such as 'slca_struct'"
             )
-        posting_lists = self.corpus.index.keyword_node_lists(
-            query.normalized_keywords, copy=False
-        )
-        if not posting_lists:
+        # Resolve the runs through the *normalised* keyword view — the same
+        # identity the cache key uses.  A directly-constructed, un-normalised
+        # query (duplicate or multi-token keyword strings) must evaluate
+        # exactly like its normalised spelling, because both share one cache
+        # entry; resolving the raw keywords here would let the two views
+        # drift apart and poison the shared entry.
+        index = self.corpus.index
+        keyword_runs = index.keyword_node_lists(query.normalized_keywords)
+        if not keyword_runs:
             return []
-        if registration.accepts_context:
-            return registration.fn(
-                posting_lists, MatchContext(corpus=self.corpus, query=query)
-            )
-        return registration.fn(posting_lists)
+        table = self.corpus.structure
+        if registration.structural:
+            matches = registration.fn(keyword_runs, table, query)
+        else:
+            matches = registration.fn(keyword_runs, table)
+        return rank_results(
+            self._return_nodes(matches), keyword_runs, index.documents_indexed
+        )
 
-    def _return_nodes(self, matches: List[Posting]) -> List[Candidate]:
+    def _return_nodes(self, matches: List[Match]) -> List[Candidate]:
         """One ranking candidate per distinct return node, climbed on the table."""
         table = self.corpus.structure
         statistics = self.corpus.statistics
         seen_return_nodes: Set[Tuple[str, int]] = set()
         candidates: List[Candidate] = []
-        for match in matches:
-            structure = table.get(match.doc_id)
-            pre = infer_return_subtree(
-                structure, table.tags, structure.pre_of(match.label), statistics
-            )
-            key = (match.doc_id, pre)
+        for doc_id, match_pre in matches:
+            structure = table.get(doc_id)
+            pre = infer_return_subtree(structure, table.tags, match_pre, statistics)
+            key = (doc_id, pre)
             if key in seen_return_nodes:
                 continue
             seen_return_nodes.add(key)
-            candidates.append(
-                (match.doc_id, match.label, structure.labels[pre], structure.end[pre] - pre)
-            )
+            candidates.append((doc_id, match_pre, pre, structure.end[pre]))
         return candidates
 
     @staticmethod

@@ -1,13 +1,18 @@
-"""Stack-based linear merge over Dewey-labelled posting lists.
+"""Stack-based linear merge over per-document runs of pre numbers.
 
 The fast SLCA and ELCA algorithms share one primitive: a single pass over the
 keyword occurrences of one document in document order, maintaining a stack that
-mirrors the root-to-current-node path (Indexed-Stack style).  Because Dewey
-labels sort in document order, every node's subtree occupies a contiguous run
-of the merged occurrence stream, so by the time a stack entry is popped its
-subtree has been seen in full and the entry's keyword bitmask is final.
+mirrors the root-to-current-node path (Indexed-Stack style).  Occurrences are
+pre numbers of the document's :class:`~repro.structure.encoding.DocumentStructure`
+(the XPath-accelerator encoding), so a node's subtree is the contiguous window
+``[pre, end[pre])`` of the merged occurrence stream: by the time a stack entry
+is popped its subtree has been seen in full and the entry's keyword bitmask is
+final.  Before an occurrence is pushed, every entry whose window ends at or
+before it is popped; the ``parent`` chain from the occurrence up to the
+remaining top is then pushed, so the stack always holds the path to the
+current occurrence.
 
-Each stack entry tracks three facts about the subtree rooted at its label:
+Each stack entry tracks three facts about the subtree rooted at its node:
 
 ``all_seen``
     Bitmask of keywords occurring anywhere in the subtree.  An entry whose
@@ -27,135 +32,112 @@ On pop, a contains-all entry is:
   occurrence that no deeper LCA match claims — the XRank exclusivity rule).
 
 The pass costs ``O(N * d)`` stack operations for ``N`` occurrences of maximum
-depth ``d``, after an ``O(N log N)`` merge of the per-keyword lists — versus
+depth ``d``, after an ``O(N log N)`` sort of the document's occurrences — versus
 the quadratic candidate-by-candidate containment checks of a brute-force scan.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, List, Sequence, Tuple
 
-from repro.storage.inverted_index import Posting
-from repro.xmlmodel.dewey import DeweyLabel
+from repro.storage.inverted_index import Runs
+from repro.structure.encoding import DocumentStructure
+from repro.structure.table import StructuralTable
 
-__all__ = ["collect_per_document", "group_labels_by_document", "stack_merge_document"]
+__all__ = ["Match", "collect_per_document", "stack_merge_document"]
 
-_ALL_SEEN = 0
-_UNCAPTURED = 1
-_CONTAINS_ALL_BELOW = 2
+#: A match node: its document id and its pre number in that document.
+Match = Tuple[str, int]
+
+_NODE = 0
+_ALL_SEEN = 1
+_UNCAPTURED = 2
+_CONTAINS_ALL_BELOW = 3
 
 
 def collect_per_document(
-    keyword_postings: Sequence[Sequence[Posting]],
-    single_document: Callable[[List[List[DeweyLabel]]], Sequence[DeweyLabel]],
-) -> List[Posting]:
-    """Run a per-document match algorithm over per-keyword posting lists.
+    keyword_runs: Sequence[Runs],
+    table: StructuralTable,
+    single_document: Callable[[DocumentStructure, List[Sequence[int]]], List[int]],
+) -> List[Match]:
+    """Run a per-document match algorithm over every keyword's runs.
 
     This is the driver shared by every SLCA/ELCA variant: apply conjunctive
-    semantics (any keyword with an empty posting list — globally or within a
-    document — yields no matches there), group the postings by document, call
-    ``single_document`` on each document's label lists, and re-wrap the
-    returned labels as :class:`Posting` results in global document order
-    (``single_document`` must return labels sorted in document order).
-
-    The input lists are only iterated, never copied — the stack merge orders
-    the occurrence stream itself, so zero-copy index buckets pass straight
-    through.
+    semantics (a document matches only if every keyword has a run there),
+    call ``single_document`` on each shared document's structure and runs,
+    and return its pre numbers as ``(doc_id, pre)`` matches in global
+    document order (``single_document`` must return pre numbers sorted).
+    Only the documents every keyword shares are visited.
     """
-    lists = list(keyword_postings)
-    if not lists or any(not postings for postings in lists):
+    if not keyword_runs:
         return []
-
-    per_document = group_labels_by_document(lists)
-    results: List[Posting] = []
-    for doc_id in sorted(per_document):
-        label_lists = per_document[doc_id]
-        if any(not labels for labels in label_lists):
-            continue
-        results.extend(
-            Posting(doc_id=doc_id, label=label) for label in single_document(label_lists)
-        )
-    return results
-
-
-def group_labels_by_document(
-    keyword_postings: Sequence[Sequence[Posting]],
-) -> Dict[str, List[List[DeweyLabel]]]:
-    """Split per-keyword posting lists into per-document label lists.
-
-    Returns a mapping ``doc_id -> [labels of keyword 0, labels of keyword 1,
-    ...]``; a document missing one of the keywords keeps an empty inner list,
-    which callers drop under conjunctive semantics.
-    """
-    count = len(keyword_postings)
-    per_document: Dict[str, List[List[DeweyLabel]]] = defaultdict(
-        lambda: [[] for _ in range(count)]
+    rarest = min(keyword_runs, key=len)
+    shared = sorted(
+        doc_id for doc_id in rarest if all(doc_id in runs for runs in keyword_runs)
     )
-    for index, postings in enumerate(keyword_postings):
-        for posting in postings:
-            per_document[posting.doc_id][index].append(posting.label)
-    return per_document
+    matches: List[Match] = []
+    for doc_id in shared:
+        pres = single_document(table.get(doc_id), [runs[doc_id] for runs in keyword_runs])
+        matches.extend((doc_id, pre) for pre in pres)
+    return matches
 
 
 def stack_merge_document(
-    label_lists: Sequence[Sequence[DeweyLabel]], *, exclusive: bool
-) -> List[DeweyLabel]:
+    structure: DocumentStructure, runs: Sequence[Sequence[int]], *, exclusive: bool
+) -> List[int]:
     """Run the stack merge over one document's keyword occurrences.
 
     Parameters
     ----------
-    label_lists:
-        One non-empty list of Dewey labels per query keyword.
+    structure:
+        The document's structural encoding (``parent`` and ``end``).
+    runs:
+        One run of pre numbers per query keyword.
     exclusive:
         ``False`` computes SLCA (deepest contains-all nodes); ``True`` computes
         ELCA (contains-all nodes with an exclusive witness per keyword).
 
-    Returns the result labels sorted in document order.
+    Returns the result pre numbers in document order.
     """
-    full = (1 << len(label_lists)) - 1
-    occurrences = sorted(
-        (label.components, 1 << index)
-        for index, labels in enumerate(label_lists)
-        for label in labels
-    )
+    full = (1 << len(runs)) - 1
+    masks: Dict[int, int] = {}
+    for position, run in enumerate(runs):
+        bit = 1 << position
+        for pre in run:
+            masks[pre] = masks.get(pre, 0) | bit
+    parent = structure.parent
+    end = structure.end
 
-    path: List[int] = []
-    # stack[d] covers the label path[:d]; stack[0] is the document root.
-    stack: List[List] = [[0, 0, False]]
-    results: List[DeweyLabel] = []
+    stack: List[list] = []
+    results: List[int] = []
 
     def pop() -> None:
-        all_seen, uncaptured, contains_all_below = stack.pop()
+        node, all_seen, uncaptured, contains_all_below = stack.pop()
         contains_all = all_seen == full
-        if contains_all:
-            emit = uncaptured == full if exclusive else not contains_all_below
-            if emit:
-                results.append(DeweyLabel(tuple(path)))
-        if path:
-            path.pop()
+        if contains_all and (uncaptured == full if exclusive else not contains_all_below):
+            results.append(node)
         if stack:
-            parent = stack[-1]
-            parent[_ALL_SEEN] |= all_seen
+            top = stack[-1]
+            top[_ALL_SEEN] |= all_seen
             if contains_all:
-                parent[_CONTAINS_ALL_BELOW] = True
+                top[_CONTAINS_ALL_BELOW] = True
             else:
-                parent[_UNCAPTURED] |= uncaptured
-                parent[_CONTAINS_ALL_BELOW] |= contains_all_below
+                top[_UNCAPTURED] |= uncaptured
+                top[_CONTAINS_ALL_BELOW] |= contains_all_below
 
-    for components, bit in occurrences:
-        shared = 0
-        limit = min(len(components), len(path))
-        while shared < limit and components[shared] == path[shared]:
-            shared += 1
-        while len(path) > shared:
+    for pre, mask in sorted(masks.items()):
+        while stack and end[stack[-1][_NODE]] <= pre:
             pop()
-        for component in components[shared:]:
-            path.append(component)
-            stack.append([0, 0, False])
-        top = stack[-1]
-        top[_ALL_SEEN] |= bit
-        top[_UNCAPTURED] |= bit
+        top_node = stack[-1][_NODE] if stack else -1
+        path: List[list] = []
+        node = pre
+        while node != top_node:
+            path.append([node, 0, 0, False])
+            node = parent[node]
+        stack.extend(reversed(path))
+        entry = stack[-1]
+        entry[_ALL_SEEN] |= mask
+        entry[_UNCAPTURED] |= mask
     while stack:
         pop()
     results.sort()

@@ -1,29 +1,30 @@
 """The fixed table of match semantics the engine and the service serve.
 
-A *match semantics* maps one posting list per query keyword to the list of
-match postings,
+A *match semantics* maps the runs of every query keyword (per document, the
+pre numbers of the elements that post it) and the corpus's structural table
+to the match nodes,
 
-    fn(keyword_postings: Sequence[Sequence[Posting]]) -> List[Posting]
+    fn(keyword_runs: Sequence[Runs], table: StructuralTable) -> List[Match]
 
-and the table names the three this system implements: ``"slca"`` and
+where a :data:`~repro.search.linear_merge.Match` is a ``(doc_id, pre)``
+pair, and the table names the three this system implements: ``"slca"`` and
 ``"elca"``, the classic XML keyword-search semantics, and ``"slca_struct"``,
 SLCA filtered through a :class:`~repro.search.structural.StructuredQuery`'s
 structural constraints.  The service exposes the name per request, and
 :func:`available_semantics` lists the names in ``/stats``.
 
-A semantics that needs more than the posting lists — ``slca_struct``
-consults the corpus's structural table and the query's constraints — is
-marked ``accepts_context=True`` and receives a :class:`MatchContext` as a
-second argument:
+A semantics that evaluates the query's structural constraints —
+``slca_struct`` — is marked ``structural=True`` and receives the query as a
+third argument:
 
-    fn(keyword_postings, context: MatchContext) -> List[Posting]
+    fn(keyword_runs, table, query: KeywordQuery) -> List[Match]
 
 The engine resolves the entry (not just the function) per query through
-:func:`get_registration` and passes the context only to semantics that
-declared the appetite.  Every function is pure and thread-safe (the service
-evaluates queries concurrently), never mutates the posting lists it is given
-(the engine hands out zero-copy views of the index), and returns postings
-sorted in global document order.
+:func:`get_registration`, passes the query only to structural semantics and
+refuses a constrained query for the others.  Every function is pure and
+thread-safe (the service evaluates queries concurrently), reads the runs
+through the index's read-only views, and returns matches sorted in global
+document order.
 """
 
 from __future__ import annotations
@@ -33,42 +34,18 @@ from typing import Callable, Dict, List
 
 from repro.errors import SearchError
 from repro.search.elca import compute_elca
-from repro.search.query import KeywordQuery
+from repro.search.linear_merge import Match
 from repro.search.slca import compute_slca
 from repro.search.structural import compute_slca_struct
-from repro.storage.corpus import Corpus
-from repro.storage.inverted_index import Posting
 
 __all__ = [
     "MatchSemantics",
-    "MatchContext",
     "SemanticsRegistration",
     "get_registration",
     "available_semantics",
 ]
 
-MatchSemantics = Callable[..., List[Posting]]
-
-
-@dataclass(frozen=True)
-class MatchContext:
-    """Evaluation context handed to ``accepts_context`` semantics.
-
-    Attributes
-    ----------
-    corpus:
-        The corpus under evaluation.  Context-aware semantics may rely on
-        ``corpus.structure`` (the
-        :class:`~repro.structure.table.StructuralTable`), ``corpus.index``
-        and ``corpus.statistics``.
-    query:
-        The query being evaluated; a
-        :class:`~repro.search.structural.StructuredQuery` carries axis
-        constraints and tag-path filters on top of the keywords.
-    """
-
-    corpus: Corpus
-    query: KeywordQuery
+MatchSemantics = Callable[..., List[Match]]
 
 
 @dataclass(frozen=True)
@@ -77,15 +54,13 @@ class SemanticsRegistration:
 
     name: str
     fn: MatchSemantics
-    accepts_context: bool = False
+    structural: bool = False
 
 
 _SEMANTICS: Dict[str, SemanticsRegistration] = {
     "slca": SemanticsRegistration("slca", compute_slca),
     "elca": SemanticsRegistration("elca", compute_elca),
-    "slca_struct": SemanticsRegistration(
-        "slca_struct", compute_slca_struct, accepts_context=True
-    ),
+    "slca_struct": SemanticsRegistration("slca_struct", compute_slca_struct, structural=True),
 }
 
 

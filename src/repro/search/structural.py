@@ -17,30 +17,27 @@ optional structural constraints:
 
 The ``"slca_struct"`` semantics computes the SLCA matches with
 :func:`~repro.search.slca.compute_slca` and then evaluates the constraints on
-the pre-order encoding — window-bounded integer interval tests instead of
+the matches' pre numbers — window-bounded integer interval tests instead of
 Dewey label walks.  On a pure keyword query (no constraints) it returns
-``compute_slca``'s matches unchanged.  It is a context-aware semantics
-(``accepts_context=True``): the engine hands it a
-:class:`~repro.search.semantics.MatchContext` carrying the corpus (for its
-:class:`~repro.structure.table.StructuralTable`) and the query (for the
-constraints).
+``compute_slca``'s matches unchanged.  It is the one *structural* semantics
+(``structural=True`` in :mod:`repro.search.semantics`): the engine passes it
+the query, whose constraints it evaluates, after the runs and the table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import List, Optional, Sequence, Tuple
 
-from repro.errors import QueryError, SearchError
+from repro.errors import QueryError
+from repro.search.linear_merge import Match
 from repro.search.query import KeywordQuery
 from repro.search.slca import compute_slca
-from repro.storage.inverted_index import Posting
+from repro.storage.inverted_index import Runs
 from repro.structure.encoding import DocumentStructure
 from repro.structure.table import StructuralTable
-
-if TYPE_CHECKING:  # semantics.py imports this module to build its table
-    from repro.search.semantics import MatchContext
 
 __all__ = ["StructuredQuery", "parse_tag_path", "compute_slca_struct", "AXES"]
 
@@ -148,47 +145,29 @@ class StructuredQuery(KeywordQuery):
 # The slca_struct semantics
 # --------------------------------------------------------------------- #
 def compute_slca_struct(
-    keyword_postings: Sequence[Sequence[Posting]], context: MatchContext
-) -> List[Posting]:
+    keyword_runs: Sequence[Runs], table: StructuralTable, query: KeywordQuery
+) -> List[Match]:
     """SLCA matches filtered through the query's structural constraints.
 
     Contract mirrors :func:`~repro.search.slca.compute_slca` (conjunctive
-    semantics, postings sorted in global document order); without
-    constraints the output *is* ``compute_slca``'s.  Constraints are applied
-    per document on the pre numbers of the SLCA matches: first the
+    semantics, ``(doc_id, pre)`` matches sorted in global document order);
+    without constraints the output *is* ``compute_slca``'s.  Constraints are
+    applied per document on the pre numbers of the SLCA matches: first the
     ``within`` re-anchoring, then the axis step.
-
-    Raises
-    ------
-    SearchError
-        If the corpus in ``context`` carries no structural table (a corpus
-        type that never wired one up).
     """
-    lists = list(keyword_postings)
-    if not lists or any(not postings for postings in lists):
-        return []
-    table = getattr(context.corpus, "structure", None)
-    if table is None:
-        raise SearchError(
-            "semantics 'slca_struct' needs a corpus with a structural table "
-            f"(corpus {getattr(context.corpus, 'name', context.corpus)!r} has none)"
-        )
-    query = context.query
-    slca = compute_slca(lists)
+    slca = compute_slca(keyword_runs, table)
     if not isinstance(query, StructuredQuery) or not query.has_constraints:
         return slca
 
-    matches: List[Posting] = []
-    for doc_id, postings in groupby(slca, key=lambda posting: posting.doc_id):
+    matches: List[Match] = []
+    for doc_id, group in groupby(slca, key=itemgetter(0)):
         structure = table.get(doc_id)
-        result = [structure.pre_of(posting.label) for posting in postings]
+        result = [pre for _, pre in group]
         if query.within:
             result = _apply_within(structure, table, result, query.within)
         if query.axis is not None:
             result = _apply_axis(structure, table, result, query.axis, query.axis_tag)
-        matches.extend(
-            Posting(doc_id=doc_id, label=structure.labels[pre]) for pre in result
-        )
+        matches.extend((doc_id, pre) for pre in result)
     return matches
 
 

@@ -818,9 +818,9 @@ class SearchService:
         ``_write_lock``; the swap itself and the change-feed append run under
         ``_lock`` so :meth:`updated_since` reads a consistent pair.
         """
-        # Published state must be read-only: finalize the index's deferred
-        # bucket ordering now, while this thread is still the sole owner,
-        # instead of letting the first reader lookup mutate shared tables.
+        # Published state must be read-only: hand the index's buckets out
+        # now, while this thread is still the sole owner, so no later write
+        # changes a bucket that readers of this generation hold.
         corpus.finalize()
         generation = _Generation(corpus, self._cache_size, self._cache_max_results)
         with self._lock:

@@ -7,10 +7,10 @@ paper).  That engine needs three storage-level services, all provided here:
   documents addressable by id: resident trees, or snapshot records decoded on
   demand into a bounded LRU, with optional persistence to a directory of
   ``.xml`` files.
-* :class:`~repro.storage.inverted_index.InvertedIndex` — keyword → posting-list
-  index, where each posting identifies a node by ``(document id, Dewey label)``;
-  this is the structure the SLCA / ELCA algorithms consume, and the one owner
-  of term statistics (the document frequencies ranking reads).
+* :class:`~repro.storage.inverted_index.InvertedIndex` — keyword → runs
+  index: per document, the pre numbers of the elements that post the
+  keyword; this is the structure the SLCA / ELCA algorithms consume, and the
+  one owner of term statistics (the document frequencies ranking reads).
 * :class:`~repro.storage.statistics.CorpusStatistics` — per tag, the number
   of elements with two or more children of that tag: the repeating-tag
   signal XSeek and the entity classifier read; it never tokenises.
@@ -27,7 +27,7 @@ from repro.storage.document_store import (
     DocumentStore,
     StoredDocument,
 )
-from repro.storage.inverted_index import InvertedIndex, Posting
+from repro.storage.inverted_index import InvertedIndex
 from repro.storage.snapshot import FORMAT_VERSION, SnapshotHeader, read_snapshot_header
 from repro.storage.statistics import CorpusStatistics
 from repro.storage.tokenizer import STOPWORDS, tokenize, tokenize_many
@@ -38,7 +38,6 @@ __all__ = [
     "DEFAULT_MAX_MATERIALISED",
     "StoredDocument",
     "InvertedIndex",
-    "Posting",
     "CorpusStatistics",
     "Corpus",
     "SnapshotHeader",

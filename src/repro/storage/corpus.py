@@ -159,11 +159,11 @@ class Corpus:
     def begin_generation(self) -> "Corpus":
         """Start a new mutable generation of this corpus.
 
-        Returns a structurally-shared clone: document trees and finalized
-        posting buckets are shared (protected by the store's and index's
+        Returns a structurally-shared clone: document trees and posting
+        buckets are shared (protected by the store's and index's
         copy-on-write rules), and so are the immutable per-document
         structures, while every piece of mutable bookkeeping — membership,
-        offset maps, the repeat table — is copied.  Mutating the
+        the bucket maps, the repeat table — is copied.  Mutating the
         clone never changes what this corpus serves, so a writer can build
         the next generation while in-flight readers finish against this one,
         then publish the clone with one reference swap.  A failed mutation is
@@ -182,14 +182,11 @@ class Corpus:
         )
 
     def finalize(self) -> None:
-        """Finalize derived structures so concurrent reads are mutation-free.
+        """Hand the index's buckets out before this generation is published.
 
-        The index defers bucket ordering until the first order-sensitive
-        lookup; that lazy step mutates internal tables, which is fine
-        single-threaded but a data race when a published corpus serves many
-        reader threads.  A writer calls this on a mutated generation *before*
-        installing it, so everything readers touch is already in its final
-        form and lookups never write.
+        A writer calls this on a mutated generation *before* installing it:
+        afterwards the index writes no bucket in place, so a later write
+        copies what readers of this generation may hold.
         """
         self.index.finalize()
 

@@ -1,11 +1,16 @@
 """Keyword inverted index over a :class:`~repro.storage.document_store.DocumentStore`.
 
-Each keyword maps to a posting list of ``(doc_id, DeweyLabel)`` pairs sorted in
-document order.  A node is posted for a keyword when the keyword appears in the
-node's own tag name, in its *direct* text, or in one of its attribute values;
-ancestor matches are implied by the Dewey labels and are resolved by the SLCA /
-ELCA algorithms rather than stored, which keeps the index linear in corpus size
-(the classic XML keyword-search index layout).
+Each keyword maps to its *runs*: per document, the sorted pre numbers of the
+element nodes that post the keyword.  Elements are numbered in pre-order,
+``enumerate(root.iter_elements())``, exactly as
+:class:`~repro.structure.encoding.DocumentStructure` numbers them, so a
+posting is the XPath-accelerator ``pre`` the search layer climbs and no
+object is kept per posting.  A node is posted for a keyword when the
+keyword appears in the node's own tag name, in its *direct* text, or in one
+of its attribute values; ancestor matches are implied by the structural
+table and are resolved by the SLCA / ELCA algorithms rather than stored,
+which keeps the index linear in corpus size (the classic XML keyword-search
+index layout).
 
 Token-keyed tables
 ------------------
@@ -14,33 +19,22 @@ values are tokenised once at ingestion by one batch
 :func:`~repro.storage.tokenizer.tokenize_many` pass; the query side tokenises
 each keyword and looks its bucket up directly.  The index is the one owner
 of term statistics in a :class:`~repro.storage.corpus.Corpus`: a term's
-document frequency, which TF-IDF ranking reads, is the size of its
-per-document offset map.
+document frequency, which TF-IDF ranking reads, is the number of documents
+in its bucket.
 
-Build strategy
---------------
-Posting lists are built in two phases so that bulk construction is near-linear
-overall instead of the ``O(n^2)`` a per-posting ``insort`` would cost:
-
-1. :meth:`InvertedIndex.add_document` only *appends*.  Document traversal
-   yields nodes in document order, so each document contributes one
-   contiguous, already-sorted run to every bucket it touches; the bucket as a
-   whole is a concatenation of per-document sorted runs.
-2. The first lookup after a mutation finalizes the dirty buckets: the run
-   boundaries are found in one linear scan, the runs (not the postings) are
-   sorted by document id and concatenated — zero per-posting comparisons —
-   and a per-document offset map ``doc_id -> (start, end)`` is rebuilt, so
-   :meth:`postings_for_document` returns a slice instead of scanning the full
-   posting list.
-
-Removal
--------
-:meth:`remove_document` is the inverse of :meth:`add_document` and is likewise
-incremental: the index remembers which terms each document touched, so
-removal visits only that document's terms and slices the document's
-contiguous posting run out of each finalized bucket (or filters a dirty one)
-— no full rebuild, cost proportional to the removed document's postings.  A
-bucket that the removal leaves empty is dropped.
+Copy-on-write buckets
+---------------------
+A bucket is a dict ``doc_id -> tuple of pre numbers``.  Adding a document
+stores one tuple per term it posts and removing one deletes its key, so a
+write costs the document's own terms and never re-sorts a bucket: the
+document order of a bucket is not kept at all, and a reader that needs it
+sorts the few document ids it shares with the other keywords.  The index
+writes in place only the buckets it created or copied since it last handed
+them out — through :meth:`InvertedIndex.keyword_node_lists` (as read-only
+views), :meth:`InvertedIndex.clone` or :meth:`InvertedIndex.finalize` —
+so a view held by a reader, or a bucket shared with another generation,
+never changes under its holder.  A bucket that a removal leaves empty is
+dropped.
 
 Re-adding an existing ``doc_id`` raises
 :class:`~repro.errors.IndexError_` before any state is touched, so a failed
@@ -49,50 +43,41 @@ call never duplicates postings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Set, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Set, Tuple
 
 from repro.errors import IndexError_
 from repro.storage.document_store import DocumentStore
 from repro.storage.tokenizer import tokenize, tokenize_many
-from repro.xmlmodel.dewey import DeweyLabel
 from repro.xmlmodel.node import XMLNode
 
-__all__ = ["Posting", "InvertedIndex"]
+__all__ = ["InvertedIndex", "Runs"]
 
+#: One keyword's postings: per document id, the sorted pre numbers of the
+#: elements that post it.
+Runs = Mapping[str, Tuple[int, ...]]
 
-@dataclass(frozen=True, order=True)
-class Posting:
-    """A single posting: a node occurrence of a keyword.
-
-    Postings order by ``(doc_id, label)``, i.e. document order within a
-    document and lexicographic document-id order across documents.
-    """
-
-    doc_id: str
-    label: DeweyLabel
-
-
-_EMPTY: List[Posting] = []
+_NO_RUNS: Runs = MappingProxyType({})
 
 
 class InvertedIndex:
-    """Keyword → posting list index with frequency statistics."""
+    """Keyword → per-document runs of pre numbers, with document frequencies."""
 
     def __init__(self) -> None:
-        self._postings: Dict[str, List[Posting]] = {}
-        self._doc_ranges: Dict[str, Dict[str, Tuple[int, int]]] = {}
+        self._buckets: Dict[str, Dict[str, Tuple[int, ...]]] = {}
         # doc_id -> sorted tuple of the terms the document posted; doubles as
         # the membership set and as the removal work list.
         self._doc_terms: Dict[str, Tuple[str, ...]] = {}
-        self._dirty_terms: Set[str] = set()
+        # Terms whose bucket this index created or copied since it last
+        # handed it out: the only buckets it may write in place.
+        self._owned: Set[str] = set()
 
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
     @classmethod
     def build(cls, store: DocumentStore) -> "InvertedIndex":
-        """Index every document currently in ``store`` and finalize."""
+        """Index every document currently in ``store``."""
         index = cls()
         for document in store:
             index.add_document(document.doc_id, document.root)
@@ -110,79 +95,45 @@ class InvertedIndex:
         """
         if doc_id in self._doc_terms:
             raise IndexError_(f"document {doc_id!r} is already indexed")
-        postings = self._postings
-        dirty = self._dirty_terms
-        seen_terms: Set[str] = set()
-        for node in root.iter_elements():
-            terms = self._node_terms(node)
-            if not terms:
-                continue
-            # One frozen Posting per node, shared by every term bucket the
-            # node lands in — construction cost is per node, not per term.
-            posting = Posting(doc_id=doc_id, label=node.label)
-            for term in terms:
-                bucket = postings.get(term)
-                if bucket is None:
-                    bucket = postings[term] = []
-                elif term not in dirty and term not in seen_terms:
-                    # Copy-on-write: finalized buckets may be aliased by
-                    # earlier keyword_node_lists() callers, so the first
-                    # mutation after a finalize works on a fresh list and
-                    # handed-out lists stay stable snapshots.
-                    bucket = postings[term] = list(bucket)
-                bucket.append(posting)
-            seen_terms.update(terms)
-        self._dirty_terms.update(seen_terms)
-        self._doc_terms[doc_id] = tuple(sorted(seen_terms))
+        runs: Dict[str, List[int]] = {}
+        for pre, node in enumerate(root.iter_elements()):
+            for term in self._node_terms(node):
+                run = runs.get(term)
+                if run is None:
+                    runs[term] = [pre]
+                else:
+                    run.append(pre)
+        for term, run in runs.items():
+            self._writable(term)[doc_id] = tuple(run)
+        self._doc_terms[doc_id] = tuple(sorted(runs))
 
     @classmethod
     def _restore(
         cls,
         *,
-        postings: Dict[str, List[Posting]],
-        doc_ranges: Dict[str, Dict[str, Tuple[int, int]]],
+        buckets: Dict[str, Dict[str, Tuple[int, ...]]],
         doc_terms: Dict[str, Tuple[str, ...]],
     ) -> "InvertedIndex":
-        """Rebuild an index directly from finalized tables (snapshot loading).
-
-        The caller provides posting buckets already in document order together
-        with their per-document offset maps — the invariant :meth:`finalize`
-        establishes — so the restored index starts with no dirty terms and
-        never re-sorts anything.
-        """
+        """Rebuild an index directly from its tables (snapshot loading)."""
         index = cls()
-        index._postings = postings
-        index._doc_ranges = doc_ranges
+        index._buckets = buckets
         index._doc_terms = doc_terms
         return index
 
     def clone(self) -> "InvertedIndex":
         """Structurally-shared copy for generation-swap writes.
 
-        Finalizes first, so every shared bucket is protected by the same
-        copy-on-write rule that protects lists handed out by
-        :meth:`keyword_node_lists`: the first post-finalize mutation of a
-        bucket — on either copy — works on a fresh list.  The per-document
-        offset maps are likewise safe to share because mutations only ever
-        *replace* inner dicts (at finalize) or pop outer keys, never edit an
-        inner dict in place.
+        Both indexes share every bucket, and neither owns one: the first
+        write to a bucket, on either side, copies its document map.
         """
-        self.finalize()
+        self._owned.clear()
         index = InvertedIndex()
-        index._postings = dict(self._postings)
-        index._doc_ranges = dict(self._doc_ranges)
+        index._buckets = dict(self._buckets)
         index._doc_terms = dict(self._doc_terms)
         return index
 
     def remove_document(self, doc_id: str) -> None:
-        """Un-index one document, incrementally.
-
-        Only the buckets of the terms the document actually posted are
-        visited.  In a finalized bucket the document's postings form one
-        contiguous run located through the per-document offset map, so they
-        are sliced out in O(bucket length); dirty buckets are filtered.
-        Buckets are replaced, never mutated in place, so posting lists handed
-        out by :meth:`keyword_node_lists` stay stable snapshots.
+        """Un-index one document, visiting only the terms it posted.
 
         Raises
         ------
@@ -192,74 +143,30 @@ class InvertedIndex:
         terms = self._doc_terms.pop(doc_id, None)
         if terms is None:
             raise IndexError_(f"document {doc_id!r} is not indexed")
-        postings = self._postings
-        ranges = self._doc_ranges
-        dirty = self._dirty_terms
+        buckets = self._buckets
         for term in terms:
-            bucket = postings[term]
-            if term in dirty:
-                remaining = [posting for posting in bucket if posting.doc_id != doc_id]
+            if len(buckets[term]) == 1:
+                del buckets[term]
+                self._owned.discard(term)
             else:
-                start, end = ranges[term][doc_id]
-                remaining = bucket[:start] + bucket[end:]
-            if remaining:
-                postings[term] = remaining
-                dirty.add(term)
-            else:
-                del postings[term]
-                ranges.pop(term, None)
-                dirty.discard(term)
+                del self._writable(term)[doc_id]
 
     def finalize(self) -> None:
-        """Order dirty posting lists and rebuild their per-document offsets.
+        """Hand every bucket out: later writes copy before they change one.
 
-        Exploits the bucket invariant maintained by every mutation: each
-        document's postings are *contiguous* and internally sorted in
-        document order (appends happen during that document's add call, in
-        traversal order; removal slices preserve contiguity).  A dirty bucket
-        is therefore a concatenation of per-document sorted runs, and global
-        order only needs the runs rearranged by ``doc_id`` — no per-posting
-        comparisons, so finalizing costs one linear scan plus a sort of the
-        (much shorter) run list.  Buckets whose runs are already in document
-        order — the common case when documents arrive in id order — are kept
-        as-is.
-
-        Called lazily by every order-sensitive lookup; exposed so that bulk
-        builders can pay the cost at a deterministic point.
+        A writer calls this (through :meth:`Corpus.finalize
+        <repro.storage.corpus.Corpus.finalize>`) before publishing a
+        generation, so nothing its readers hold is written afterwards.
         """
-        if not self._dirty_terms:
-            return
-        for term in self._dirty_terms:
-            bucket = self._postings[term]
-            runs: List[Tuple[str, int, int]] = []
-            in_order = True
-            run_doc = None
-            run_start = 0
-            for position, posting in enumerate(bucket):
-                doc_id = posting.doc_id
-                if doc_id != run_doc:
-                    if run_doc is not None:
-                        runs.append((run_doc, run_start, position))
-                        if doc_id < run_doc:
-                            in_order = False
-                    run_doc = doc_id
-                    run_start = position
-            if run_doc is not None:
-                runs.append((run_doc, run_start, len(bucket)))
-            ranges: Dict[str, Tuple[int, int]] = {}
-            if in_order:
-                for doc_id, start, end in runs:
-                    ranges[doc_id] = (start, end)
-            else:
-                runs.sort()
-                merged: List[Posting] = []
-                for doc_id, start, end in runs:
-                    merged_start = len(merged)
-                    merged.extend(bucket[start:end])
-                    ranges[doc_id] = (merged_start, len(merged))
-                self._postings[term] = merged
-            self._doc_ranges[term] = ranges
-        self._dirty_terms.clear()
+        self._owned.clear()
+
+    def _writable(self, term: str) -> Dict[str, Tuple[int, ...]]:
+        """The bucket of ``term``, created or copied if this index does not own it."""
+        bucket = self._buckets.get(term, {})
+        if term not in self._owned:
+            bucket = self._buckets[term] = dict(bucket)
+            self._owned.add(term)
+        return bucket
 
     def _node_terms(self, node: XMLNode) -> Set[str]:
         """Distinct terms a node posts: tag, direct text, attribute values.
@@ -280,51 +187,16 @@ class InvertedIndex:
     # ------------------------------------------------------------------ #
     # Lookup
     # ------------------------------------------------------------------ #
-    def postings(self, keyword: str) -> List[Posting]:
-        """Return the posting list for a keyword (tokenised first)."""
-        token = self._single_token(keyword)
-        if token is None:
-            return []
-        self.finalize()
-        return list(self._postings.get(token, _EMPTY))
-
-    def postings_for_document(self, keyword: str, doc_id: str) -> List[Posting]:
-        """Return the postings of a keyword restricted to one document.
-
-        Uses the per-document offset map built at finalize time, so the cost is
-        a dictionary lookup plus one slice — independent of the length of the
-        full posting list.
-        """
-        token = self._single_token(keyword)
-        if token is None:
-            return []
-        self.finalize()
-        ranges = self._doc_ranges.get(token)
-        if not ranges:
-            return []
-        span = ranges.get(doc_id)
-        if span is None:
-            return []
-        return self._postings[token][span[0]:span[1]]
-
     def document_frequency(self, keyword: str) -> int:
         """Number of documents containing the keyword at least once."""
         tokens = tokenize(keyword)
         if not tokens:
             return 0
-        self.finalize()
-        return len(self._doc_ranges.get(tokens[0], ()))
-
-    def collection_frequency(self, keyword: str) -> int:
-        """Total number of node postings of the keyword across the corpus."""
-        tokens = tokenize(keyword)
-        if not tokens:
-            return 0
-        return len(self._postings.get(tokens[0], _EMPTY))
+        return len(self._buckets.get(tokens[0], ()))
 
     def vocabulary(self) -> List[str]:
         """Return the indexed terms in sorted order."""
-        return sorted(self._postings)
+        return sorted(self._buckets)
 
     @property
     def documents_indexed(self) -> int:
@@ -335,56 +207,30 @@ class InvertedIndex:
         tokens = tokenize(keyword)
         if not tokens:
             return False
-        return tokens[0] in self._postings
+        return tokens[0] in self._buckets
 
     def __len__(self) -> int:
-        return len(self._postings)
+        return len(self._buckets)
 
-    def _single_token(self, keyword: str) -> "str | None":
-        tokens = tokenize(keyword)
-        if not tokens:
-            return None
-        if len(tokens) > 1:
-            raise IndexError_(f"postings() expects a single keyword, got {keyword!r}")
-        return tokens[0]
+    def keyword_node_lists(self, keywords: Iterable[str]) -> List[Runs]:
+        """Return the runs of every query keyword, preserving query order.
 
-    # ------------------------------------------------------------------ #
-    # Query-side helpers used by the search algorithms
-    # ------------------------------------------------------------------ #
-    def keyword_node_lists(
-        self, keywords: Iterable[str], *, copy: bool = True
-    ) -> List[List[Posting]]:
-        """Return one posting list per query keyword, preserving query order.
-
-        Each keyword is tokenised once; keywords that tokenise to nothing
-        are dropped; a keyword absent from
-        the corpus yields an empty list, which the caller interprets as an
-        empty result set (conjunctive keyword semantics).
-
-        With ``copy=False`` the returned lists are the index's internal
-        buckets, which trusted read-only callers (the search engine's hot
-        path) use to skip one copy per keyword.  They are stable snapshots —
-        later index mutations copy-on-write any finalized bucket, so a held
-        list never changes under its holder — but caller-side mutation would
-        corrupt the index, hence copies are the default.
+        Each keyword is tokenised; keywords that tokenise to nothing are
+        dropped, and a token absent from the corpus yields empty runs, which
+        the caller reads as an empty result set (conjunctive keyword
+        semantics).  The runs are read-only views of the index's buckets:
+        handing them out makes the buckets shared, so a later write copies
+        the bucket first and a held view never changes.
         """
-        self.finalize()
-        buckets = self._postings
-        lists: List[List[Posting]] = []
+        buckets = self._buckets
+        owned = self._owned
+        runs: List[Runs] = []
         for keyword in keywords:
             for token in tokenize(keyword):
-                bucket = buckets.get(token, _EMPTY)
-                lists.append(list(bucket) if copy else bucket)
-        return lists
-
-    def documents_containing_all(self, keywords: Iterable[str]) -> List[str]:
-        """Return ids of documents containing every query keyword."""
-        self.finalize()
-        doc_sets: List[set] = []
-        for keyword in keywords:
-            for token in tokenize(keyword):
-                doc_sets.append(set(self._doc_ranges.get(token, {})))
-        if not doc_sets:
-            return []
-        common = set.intersection(*doc_sets)
-        return sorted(common)
+                bucket = buckets.get(token)
+                if bucket is None:
+                    runs.append(_NO_RUNS)
+                else:
+                    owned.discard(token)
+                    runs.append(MappingProxyType(bucket))
+        return runs

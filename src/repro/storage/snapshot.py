@@ -4,9 +4,9 @@ Building a :class:`~repro.storage.corpus.Corpus` from XML is dominated by
 tokenisation — every node's tag, text and attribute values pass through the
 regex tokenizer.  For an interactive system the corpus must be *available*
 before the first query can run, so cold start latency is user-facing.  A
-snapshot serialises a whole corpus — document trees, finalized
-:class:`~repro.storage.inverted_index.InvertedIndex` posting lists with their
-per-document offset maps, and the
+snapshot serialises a whole corpus — document trees, the
+:class:`~repro.storage.inverted_index.InvertedIndex` runs (per term and
+document, the pre numbers of the posting elements), and the
 :class:`~repro.storage.statistics.CorpusStatistics` repeat table — into one
 compact versioned binary file, reconstructed with *zero* tokenisation, regex
 work or posting sorts.
@@ -24,9 +24,9 @@ tokenizer fingerprint, a **document directory** (per document: id, metadata,
 record offset/length/checksum/compression flag, element count), per-document
 **label tables** (each element's Dewey label, delta-encoded against
 pre-order), the inverted index (its terms in sorted order, then run tables
-resolved against those labels), the statistics (per tag, its count of
-repeating groups, sorted by tag), and the structural section (per-element
-tags for the pre-order encoding).  The *record section* is the bulk: one
+of per-document element indices, which are pre numbers), the statistics
+(per tag, its count of repeating groups, sorted by tag), and the structural
+section (per-element tags for the pre-order encoding).  The *record section* is the bulk: one
 varint-encoded tree record per document, offset-addressed, optionally
 zlib-deflated per record.  Loads ``mmap`` the file, decode only the head, and
 open a :class:`~repro.storage.document_store.DocumentStore` over the record
@@ -45,20 +45,19 @@ corpus:
 * :class:`~repro.errors.SnapshotFormatError` — bad magic, unsupported format
   version, truncation (truncation inside the record section names the first
   document whose record is cut), CRC mismatch, trailing bytes, a head without
-  its structural section, an index that lists a term twice, a statistics
-  table with a repeated tag or a zero count, or a tokenizer configuration
-  different from the one the snapshot was built with (postings bake in the
-  tokenisation rules, so loading across a tokenizer change would silently
-  disagree with query-side tokenisation).
+  its structural section, an index that lists a term twice, lists a
+  document twice under one term or posts a pre number past its document's
+  element count, a statistics table with a repeated tag or a zero count, or
+  a tokenizer configuration different from the one the snapshot was built
+  with (postings bake in the tokenisation rules, so loading across a
+  tokenizer change would silently disagree with query-side tokenisation).
 * :class:`~repro.errors.SnapshotVersionError` — the snapshot's recorded
   :attr:`Corpus.version` differs from the version the caller expects, i.e.
   the corpus was mutated after the snapshot was taken.
 
-Sharing mirrors a fresh build: each node posts **one** frozen
-:class:`~repro.storage.inverted_index.Posting` object shared across all its
-term buckets.  Posting labels come from the head's label tables — equal by
-value to the labels of any later-decoded tree (labels compare by
-components), which is all the search layer relies on.
+The index section is read as it is stored: each run is one slice of the u32
+element table, kept as a tuple of pre numbers, so a load builds no object
+per posting.
 """
 
 from __future__ import annotations
@@ -87,7 +86,7 @@ from repro.storage.document_store import (
     DocumentRecord,
     DocumentStore,
 )
-from repro.storage.inverted_index import InvertedIndex, Posting
+from repro.storage.inverted_index import InvertedIndex
 from repro.storage.statistics import CorpusStatistics
 from repro.storage.tokenizer import fingerprint as _tokenizer_fingerprint
 from repro.structure.encoding import DocumentStructure, TagDictionary
@@ -249,24 +248,23 @@ class _Reader:
 # --------------------------------------------------------------------------- #
 # Document trees
 # --------------------------------------------------------------------------- #
-def _encode_tree(writer: _Writer, root: XMLNode, tag_names: List[str]) -> Dict[DeweyLabel, int]:
-    """Serialise one document tree in pre-order; return label → element index.
+def _encode_tree(writer: _Writer, root: XMLNode, tag_names: List[str]) -> List[DeweyLabel]:
+    """Serialise one document tree in pre-order; return its element labels.
 
-    The mapping numbers the *element* nodes in document order — the index
-    section refers to posting nodes by this dense per-document index, which is
-    both smaller than a Dewey label and free to resolve at load time (the
-    directory stores the same list as its label table).  The element tags are
-    appended to ``tag_names`` in the same pre-order — the structural section
-    persists them so loads can rebuild each
+    The labels come in pre-order, so a label's position is the element's
+    pre number — the dense per-document index the inverted index posts and
+    the directory's label table stores.  The element tags are appended to
+    ``tag_names`` in the same pre-order — the structural section persists
+    them so loads can rebuild each
     :class:`~repro.structure.encoding.DocumentStructure` from the label table
     without touching the record section.
     """
-    label_index: Dict[DeweyLabel, int] = {}
+    labels: List[DeweyLabel] = []
     stack = [root]
     while stack:
         node = stack.pop()
         if node.is_element:
-            label_index[node.label] = len(label_index)
+            labels.append(node.label)
             tag_names.append(node.tag or "")
             attributes = node.attributes
             writer.varint(len(node.children) << 2 | (_ATTRS_BIT if attributes else 0))
@@ -281,7 +279,7 @@ def _encode_tree(writer: _Writer, root: XMLNode, tag_names: List[str]) -> Dict[D
             data = (node.text or "").encode("utf-8")
             writer.varint(len(data) << 1 | _TEXT_BIT)
             writer.buffer += data
-    return label_index
+    return labels
 
 
 def _decode_tree(reader: _Reader) -> Tuple[XMLNode, List[XMLNode]]:
@@ -463,23 +461,17 @@ def _decode_record(data, record: DocumentRecord, base: int = 0) -> XMLNode:
 # --------------------------------------------------------------------------- #
 # Shared sections (index, statistics)
 # --------------------------------------------------------------------------- #
-def _write_index(
-    writer: _Writer,
-    index: InvertedIndex,
-    doc_refs: Dict[str, int],
-    label_indices: Dict[str, Dict[DeweyLabel, int]],
-) -> None:
+def _write_index(writer: _Writer, index: InvertedIndex, doc_refs: Dict[str, int]) -> None:
     """Inverted-index section: the terms, then three flat u32 tables.
 
-    The terms are written in sorted order, so the bytes do not depend on the
-    order buckets were created in.  The tables hold the run count per term,
-    per-run metadata (document ref, posting count) and the posting element
-    indices themselves — bucket order is preserved, so the loader rebuilds
-    identical posting lists and offset maps without a single comparison.
+    The terms are written in sorted order, and each term's runs in sorted
+    document-id order, so the bytes depend on neither the order buckets were
+    created in nor the order documents were added.  The tables hold the run
+    count per term, per-run metadata (document ref, posting count) and the
+    pre numbers of every run, written straight from the index's tuples.
     """
-    postings_map = index._postings
-    ranges_map = index._doc_ranges
-    terms = sorted(postings_map)
+    buckets = index._buckets
+    terms = sorted(buckets)
     run_counts: List[int] = []
     run_meta: List[int] = []
     element_refs: List[int] = []
@@ -487,28 +479,23 @@ def _write_index(
     for term in terms:
         writer.string(term)
     for term in terms:
-        bucket = postings_map[term]
-        runs = sorted(ranges_map[term].items(), key=lambda item: item[1][0])
-        run_counts.append(len(runs))
-        for doc_id, (start, end) in runs:
+        bucket = buckets[term]
+        run_counts.append(len(bucket))
+        for doc_id in sorted(bucket):
+            run = bucket[doc_id]
             run_meta.append(doc_refs[doc_id])
-            run_meta.append(end - start)
-            label_index = label_indices[doc_id]
-            element_refs.extend(label_index[posting.label] for posting in bucket[start:end])
+            run_meta.append(len(run))
+            element_refs.extend(run)
     writer.u32_array(run_counts)
     writer.u32_array(run_meta)
     writer.u32_array(element_refs)
 
 
-def _read_index(
-    reader: _Reader,
-    doc_ids: List[str],
-    doc_labels: Dict[str, List[DeweyLabel]],
-) -> InvertedIndex:
-    """Rebuild the inverted index against per-document pre-order label lists.
+def _read_index(reader: _Reader, doc_ids: List[str], element_counts: List[int]) -> InvertedIndex:
+    """Rebuild the inverted index, one run per slice of the element table.
 
-    ``doc_labels`` comes from the head's label tables (equal by value to any
-    later-decoded tree's labels).
+    ``element_counts[ref]`` is the element count of document ``doc_ids[ref]``
+    (its directory entry's), which bounds the pre numbers its runs may post.
     """
     terms = [reader.string() for _ in range(reader.varint())]
     run_counts = reader.u32_array()
@@ -516,47 +503,41 @@ def _read_index(
     element_refs = reader.u32_array()
     if len(run_counts) != len(terms) or len(run_meta) % 2:
         raise SnapshotFormatError("malformed snapshot: index table sizes disagree")
-    postings_map: Dict[str, List[Posting]] = {}
-    ranges_map: Dict[str, Dict[str, Tuple[int, int]]] = {}
+    buckets: Dict[str, Dict[str, Tuple[int, ...]]] = {}
     doc_term_lists: Dict[str, List[str]] = {doc_id: [] for doc_id in doc_ids}
-    # One shared Posting per (document, element) across every bucket it
-    # appears in, mirroring add_document's per-node sharing.
-    posting_cache: Dict[str, List[Optional[Posting]]] = {
-        doc_id: [None] * len(labels) for doc_id, labels in doc_labels.items()
-    }
     run_cursor = 0
     element_cursor = 0
     try:
         for term, run_count in zip(terms, run_counts):
-            if term in postings_map:
+            if term in buckets:
                 raise SnapshotFormatError(f"malformed snapshot: index lists term {term!r} twice")
-            bucket: List[Posting] = []
-            ranges: Dict[str, Tuple[int, int]] = {}
+            bucket: Dict[str, Tuple[int, ...]] = {}
             for _ in range(run_count):
-                doc_id = doc_ids[run_meta[run_cursor]]
-                posting_count = run_meta[run_cursor + 1]
+                ref = run_meta[run_cursor]
+                doc_id = doc_ids[ref]
+                end = element_cursor + run_meta[run_cursor + 1]
+                run = tuple(element_refs[element_cursor:end])
                 run_cursor += 2
-                cache = posting_cache[doc_id]
-                labels = doc_labels[doc_id]
-                start = len(bucket)
-                for ref in element_refs[element_cursor:element_cursor + posting_count]:
-                    posting = cache[ref]
-                    if posting is None:
-                        posting = cache[ref] = Posting(doc_id=doc_id, label=labels[ref])
-                    bucket.append(posting)
-                element_cursor += posting_count
-                ranges[doc_id] = (start, len(bucket))
+                element_cursor = end
+                if doc_id in bucket:
+                    raise SnapshotFormatError(
+                        f"malformed snapshot: index lists document {doc_id!r} twice "
+                        f"under term {term!r}"
+                    )
+                if run and max(run) >= element_counts[ref]:
+                    raise SnapshotFormatError(
+                        f"malformed snapshot: index posts element {max(run)} of document "
+                        f"{doc_id!r}, which has {element_counts[ref]} elements"
+                    )
+                bucket[doc_id] = run
                 doc_term_lists[doc_id].append(term)
-            postings_map[term] = bucket
-            ranges_map[term] = ranges
+            buckets[term] = bucket
     except IndexError:
-        raise SnapshotFormatError("malformed snapshot: index refers to unknown documents or nodes") from None
+        raise SnapshotFormatError("malformed snapshot: index refers to unknown documents") from None
     if run_cursor != len(run_meta) or element_cursor != len(element_refs):
         raise SnapshotFormatError("malformed snapshot: index tables have unread entries")
     doc_terms = {doc_id: tuple(sorted(posted)) for doc_id, posted in doc_term_lists.items()}
-    return InvertedIndex._restore(
-        postings=postings_map, doc_ranges=ranges_map, doc_terms=doc_terms
-    )
+    return InvertedIndex._restore(buckets=buckets, doc_terms=doc_terms)
 
 
 def _write_statistics(writer: _Writer, statistics: CorpusStatistics) -> None:
@@ -761,9 +742,8 @@ def _record_truncation_error(head: bytes, header: SnapshotHeader, available: int
 def save_corpus(corpus: "Corpus", path: Union[str, Path], *, compress: bool = False) -> Path:
     """Write ``corpus`` as one binary snapshot file at ``path``.
 
-    The index is finalized first (snapshots always store ordered posting
-    lists plus their offset maps), the file is written atomically via a
-    temporary sibling, and the returned path is the final location.
+    The file is written atomically via a temporary sibling, and the
+    returned path is the final location.
 
     Parameters
     ----------
@@ -773,7 +753,6 @@ def save_corpus(corpus: "Corpus", path: Union[str, Path], *, compress: bool = Fa
         compression preserves random access, trading decode CPU for file
         size.
     """
-    corpus.index.finalize()
     name_bytes = corpus.name.encode("utf-8")
     payload, records = _build_payload(corpus, compress=compress)
     header = _MAGIC + _HEADER.pack(
@@ -826,7 +805,6 @@ def _build_payload(corpus: "Corpus", *, compress: bool) -> Tuple[bytes, bytes]:
 
     doc_ids = corpus.store.document_ids()
     doc_refs = {doc_id: position for position, doc_id in enumerate(doc_ids)}
-    label_indices: Dict[str, Dict[DeweyLabel, int]] = {}
     section_tags: Dict[str, int] = {}
     doc_tag_ids: Dict[str, List[int]] = {}
     records = bytearray()
@@ -834,7 +812,7 @@ def _build_payload(corpus: "Corpus", *, compress: bool) -> Tuple[bytes, bytes]:
     for document in corpus.store:
         tree_writer = _Writer()
         tag_names: List[str] = []
-        label_index = _encode_tree(tree_writer, document.root, tag_names)
+        labels = _encode_tree(tree_writer, document.root, tag_names)
         doc_tag_ids[document.doc_id] = [
             section_tags.setdefault(tag, len(section_tags)) for tag in tag_names
         ]
@@ -856,16 +834,15 @@ def _build_payload(corpus: "Corpus", *, compress: bool) -> Tuple[bytes, bytes]:
         writer.varint(len(stored))
         writer.varint(len(raw))
         writer.varint(zlib.crc32(stored))
-        writer.varint(len(label_index))
-        for label in label_index:
+        writer.varint(len(labels))
+        for label in labels:
             components = label._components
             writer.varint(len(components))
             if components:
                 writer.varint(components[-1])
         records += stored
-        label_indices[document.doc_id] = label_index
 
-    _write_index(writer, corpus.index, doc_refs, label_indices)
+    _write_index(writer, corpus.index, doc_refs)
     _write_statistics(writer, corpus.statistics)
     _write_structure(writer, doc_ids, doc_tag_ids, list(section_tags))
     return writer.getvalue(), bytes(records)
@@ -1021,10 +998,10 @@ def load_corpus(
                 f"snapshot records corpus version {header.corpus_version}, "
                 f"expected {expected_version}: the corpus was mutated after this snapshot was taken"
             )
-        # Decoding allocates hundreds of thousands of tracked objects (one
-        # posting and one label per element), which makes the generational
+        # Decoding allocates a hundred thousand tracked objects (one label
+        # per element, one tuple per run), which makes the generational
         # collector fire repeatedly over an ever-growing, all-live heap —
-        # ~35% of load wall time for nothing collectable.
+        # wall time spent for nothing collectable.
         # Pause it for the bulk allocation burst; the ``finally`` restores the
         # caller's setting even on a malformed snapshot.
         gc_was_enabled = gc.isenabled()
@@ -1075,7 +1052,7 @@ def _load(
 
     store = _open_store(handle, records, payload_offset + header.payload_length, max_materialised)
 
-    index = _read_index(reader, doc_ids, doc_labels)
+    index = _read_index(reader, doc_ids, [record.element_count for record in records])
     statistics = _read_statistics(reader)
     structure = _read_structure_section(reader, doc_ids, doc_labels)
     if not reader.at_end():

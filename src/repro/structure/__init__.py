@@ -5,12 +5,14 @@ so that ancestor/descendant tests are two integer comparisons and axis scans
 are binary searches over per-tag occurrence lists — see
 :mod:`repro.structure.encoding` for the encoding and
 :mod:`repro.structure.table` for the corpus-level table, built with the
-inverted index.  XSeek's return-node climb and ranking's size normaliser
-read it (:mod:`repro.search.xseek`, :mod:`repro.search.ranking`), and the
-structured match semantics built on top (``slca_struct``, axis
-constraints, tag-path filters) lives in :mod:`repro.search.structural`;
-snapshot persistence of the tag tables lives in
-:mod:`repro.storage.snapshot`.  ``docs/structure.md`` has the full story.
+inverted index, whose postings are its pre numbers.  The SLCA/ELCA merge,
+XSeek's return-node climb and ranking read it
+(:mod:`repro.search.linear_merge`, :mod:`repro.search.xseek`,
+:mod:`repro.search.ranking`), and the structured match semantics built on
+top (``slca_struct``, axis constraints, tag-path filters) lives in
+:mod:`repro.search.structural`; snapshot persistence of the tag tables
+lives in :mod:`repro.storage.snapshot`.  ``docs/structure.md`` has the full
+story.
 """
 
 from repro.structure.encoding import DocumentStructure, TagDictionary

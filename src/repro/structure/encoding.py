@@ -1,9 +1,12 @@
 """Pre-order interval encoding of one document tree.
 
-The search layer climbs Dewey labels: an ancestor test compares component
-prefixes (``O(depth)``) and "all descendants with tag t" walks the subtree.
-The XPath-accelerator encoding replaces both with integer arithmetic.  Every
-*element* node of a document gets
+The search layer works on this encoding, not on Dewey labels: the inverted
+index posts pre numbers, the SLCA/ELCA stack merge and XSeek climb
+``parent``, ranking counts postings inside ``[pre, end)``, and Dewey labels
+are read only for the results a page serves.  A label ancestor test compares
+component prefixes (``O(depth)``) and "all descendants with tag t" walks the
+subtree; the XPath-accelerator encoding replaces both with integer
+arithmetic.  Every *element* node of a document gets
 
 * ``pre`` — its position in the pre-order walk (0 is the root),
 * ``end`` — the exclusive end of its subtree's pre-order window,
@@ -208,24 +211,6 @@ class DocumentStructure:
     # ------------------------------------------------------------------ #
     # Lookup
     # ------------------------------------------------------------------ #
-    def pre_of(self, label: DeweyLabel) -> int:
-        """The pre number of the element at ``label``.
-
-        The labels are in document order, which is their sort order, so this
-        is one binary search.
-
-        Raises
-        ------
-        StructureError
-            If no element carries ``label`` — the index is stale relative to
-            the caller's view of the document.
-        """
-        labels = self.labels
-        pre = bisect_left(labels, label)
-        if pre == len(labels) or labels[pre] != label:
-            raise StructureError(f"no element at label {label} in the structural index")
-        return pre
-
     def tag_occurrences(self, tag_id: int) -> Sequence[int]:
         """Sorted pre numbers of every element with tag ``tag_id``."""
         occurrences = self._occurrences

@@ -5,25 +5,52 @@ ancestor-or-self candidate of the keyword occurrences and re-check
 containment per keyword — so they are quadratic and only suitable for small
 inputs, but they share no logic with the stack merge in
 :mod:`repro.search.linear_merge` that :func:`~repro.search.slca.compute_slca`
-and :func:`~repro.search.elca.compute_elca` run.  :func:`tag_repeats_scan`
-re-reads whole trees for the repeating-tag signal that
-:class:`~repro.storage.statistics.CorpusStatistics` keeps incrementally.
-:func:`infer_return_subtree_walk` is XSeek's return-node rule on the tree
-(root-to-match path, element children), the oracle of
+and :func:`~repro.search.elca.compute_elca` run.  They work on Dewey labels,
+through their own ``(doc_id, label)`` postings: :func:`labelled_postings`
+turns the index's runs of pre numbers into such postings, and
+:func:`labelled_matches` does the same for the ``(doc_id, pre)`` matches of
+the fast algorithms, both through the structural table's labels.
+:func:`tag_repeats_scan` re-reads whole trees for the repeating-tag signal
+that :class:`~repro.storage.statistics.CorpusStatistics` keeps
+incrementally.  :func:`infer_return_subtree_walk` is XSeek's return-node
+rule on the tree (root-to-match path, element children), the oracle of
 :func:`~repro.search.xseek.infer_return_subtree`, which climbs the
 structural table's ``parent`` and ``end`` arrays instead.
 """
 
-from typing import Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.search.linear_merge import collect_per_document
-from repro.storage.inverted_index import Posting
 from repro.storage.statistics import CorpusStatistics
+from repro.structure.table import StructuralTable
 from repro.xmlmodel.dewey import DeweyLabel
 from repro.xmlmodel.node import XMLNode
 
+#: A keyword occurrence or a match node: its document id and Dewey label.
+LabelledPosting = Tuple[str, DeweyLabel]
 
-def compute_slca_scan(keyword_postings: Sequence[Sequence[Posting]]) -> List[Posting]:
+
+def labelled_postings(
+    keyword_runs: Sequence[Mapping[str, Sequence[int]]], table: StructuralTable
+) -> List[List[LabelledPosting]]:
+    """Each keyword's runs as ``(doc_id, label)`` postings in document order."""
+    return [
+        sorted(
+            (doc_id, table.get(doc_id).labels[pre]) for doc_id, run in runs.items() for pre in run
+        )
+        for runs in keyword_runs
+    ]
+
+
+def labelled_matches(
+    matches: Iterable[Tuple[str, int]], table: StructuralTable
+) -> List[LabelledPosting]:
+    """``(doc_id, pre)`` matches as ``(doc_id, label)`` postings, in their order."""
+    return [(doc_id, table.get(doc_id).labels[pre]) for doc_id, pre in matches]
+
+
+def compute_slca_scan(
+    keyword_postings: Sequence[Sequence[LabelledPosting]],
+) -> List[LabelledPosting]:
     """Brute-force SLCA.
 
     A node is an LCA match iff for every keyword list some posting lies in its
@@ -35,16 +62,15 @@ def compute_slca_scan(keyword_postings: Sequence[Sequence[Posting]]) -> List[Pos
 
     # Candidate LCAs: every ancestor-or-self of every posting of the first list.
     candidates: set = set()
-    for posting in lists[0]:
-        candidates.add(posting)
-        for ancestor in posting.label.ancestors():
-            candidates.add(Posting(doc_id=posting.doc_id, label=ancestor))
+    for doc_id, label in lists[0]:
+        candidates.add((doc_id, label))
+        for ancestor in label.ancestors():
+            candidates.add((doc_id, ancestor))
 
-    def contains_keyword(candidate: Posting, postings: List[Posting]) -> bool:
+    def contains_keyword(candidate: LabelledPosting, postings: List[LabelledPosting]) -> bool:
         return any(
-            posting.doc_id == candidate.doc_id
-            and candidate.label.is_ancestor_or_self_of(posting.label)
-            for posting in postings
+            doc_id == candidate[0] and candidate[1].is_ancestor_or_self_of(label)
+            for doc_id, label in postings
         )
 
     lca_matches = [
@@ -55,13 +81,13 @@ def compute_slca_scan(keyword_postings: Sequence[Sequence[Posting]]) -> List[Pos
     return _remove_ancestors(lca_matches)
 
 
-def _remove_ancestors(postings: List[Posting]) -> List[Posting]:
+def _remove_ancestors(postings: List[LabelledPosting]) -> List[LabelledPosting]:
     """Sort, deduplicate and drop postings that are proper ancestors of another.
 
     In document order an ancestor immediately precedes its descendants, so a
     single linear pass suffices.
     """
-    result: List[Posting] = []
+    result: List[LabelledPosting] = []
     for posting in sorted(set(postings)):
         while result and _is_ancestor_posting(result[-1], posting):
             result.pop()
@@ -69,18 +95,30 @@ def _remove_ancestors(postings: List[Posting]) -> List[Posting]:
     return result
 
 
-def _is_ancestor_posting(a: Posting, b: Posting) -> bool:
-    return a.doc_id == b.doc_id and a.label.is_ancestor_of(b.label)
+def _is_ancestor_posting(a: LabelledPosting, b: LabelledPosting) -> bool:
+    return a[0] == b[0] and a[1].is_ancestor_of(b[1])
 
 
-def compute_elca_scan(keyword_postings: Sequence[Sequence[Posting]]) -> List[Posting]:
+def compute_elca_scan(
+    keyword_postings: Sequence[Sequence[LabelledPosting]],
+) -> List[LabelledPosting]:
     """Brute-force ELCA.
 
     Start from all LCA candidates (ancestors-or-self of keyword matches), and
     keep a candidate if, for every keyword, it has a witness occurrence that
     is not inside any *deeper* LCA candidate that itself contains all keywords.
     """
-    return collect_per_document(keyword_postings, _elca_single_document)
+    per_document: Dict[str, List[List[DeweyLabel]]] = {}
+    for position, postings in enumerate(keyword_postings):
+        for doc_id, label in postings:
+            lists = per_document.setdefault(doc_id, [[] for _ in keyword_postings])
+            lists[position].append(label)
+    return [
+        (doc_id, label)
+        for doc_id in sorted(per_document)
+        if all(per_document[doc_id])
+        for label in _elca_single_document(per_document[doc_id])
+    ]
 
 
 def _elca_single_document(label_lists: List[List[DeweyLabel]]) -> List[DeweyLabel]:

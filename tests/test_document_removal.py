@@ -72,11 +72,7 @@ def trees_with_toggles(draw):
 
 def _index_snapshot(index):
     return {
-        term: [
-            (posting.doc_id, posting.label.components)
-            for posting in index.postings(term)
-        ]
-        for term in index.vocabulary()
+        term: dict(index.keyword_node_lists([term])[0]) for term in index.vocabulary()
     }
 
 

@@ -7,15 +7,17 @@ from oracles import (
     compute_slca_scan,
     infer_return_subtree_walk,
     is_entity_node_walk,
+    labelled_matches,
+    labelled_postings,
 )
 from repro.search.elca import compute_elca
 from repro.search.slca import compute_slca
 from repro.search.xseek import infer_return_subtree, is_entity_node
+from repro.storage.corpus import Corpus
 from repro.storage.document_store import DocumentStore
-from repro.storage.inverted_index import InvertedIndex, Posting
 from repro.storage.statistics import CorpusStatistics
 from repro.storage.tokenizer import _TOKEN_PATTERN, _split_tokens, tokenize
-from repro.structure import DocumentStructure, TagDictionary
+from repro.structure import DocumentStructure, StructuralTable, TagDictionary
 from repro.xmlmodel.builder import TreeBuilder
 from repro.xmlmodel.dewey import DeweyLabel, common_ancestor_label
 from repro.xmlmodel.parser import parse_xml
@@ -53,17 +55,34 @@ def _fill(draw, builder, depth, max_depth):
                 _fill(draw, builder, depth + 1, max_depth)
 
 
-posting_lists = st.lists(
-    st.lists(
-        st.tuples(st.sampled_from(["d1", "d2"]), dewey_components).map(
-            lambda pair: Posting(doc_id=pair[0], label=DeweyLabel(pair[1]))
-        ),
-        min_size=1,
-        max_size=6,
-    ),
-    min_size=1,
-    max_size=3,
-)
+@st.composite
+def posting_lists(draw):
+    """One or two random documents and one to three keywords' runs over them.
+
+    Each keyword's run in each document is a random subset of the
+    document's pre numbers (a document whose subset is empty has no run).
+    Returns the documents' structural table and the runs.
+    """
+    table = StructuralTable()
+    doc_ids = draw(st.sampled_from([("d1",), ("d1", "d2")]))
+    for doc_id in doc_ids:
+        table.add(doc_id, draw(xml_trees()))
+    keyword_runs = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        runs = {}
+        for doc_id in doc_ids:
+            last = len(table.get(doc_id)) - 1
+            subset = draw(st.sets(st.integers(min_value=0, max_value=last), max_size=6))
+            if subset:
+                runs[doc_id] = tuple(sorted(subset))
+        keyword_runs.append(runs)
+    return table, keyword_runs
+
+
+def contains(table, doc_id, pre, run):
+    """Whether some pre number of ``run`` lies in the subtree at ``pre``."""
+    end = table.get(doc_id).end[pre]
+    return any(pre <= other < end for other in run)
 
 
 # --------------------------------------------------------------------------- #
@@ -180,61 +199,63 @@ class TestTokenizerProperties:
 # SLCA properties
 # --------------------------------------------------------------------------- #
 class TestSlcaProperties:
-    @settings(max_examples=80, deadline=None)
-    @given(posting_lists)
-    def test_indexed_slca_matches_scan_oracle(self, lists):
-        assert compute_slca(lists) == compute_slca_scan(lists)
+    @settings(max_examples=500, deadline=None)
+    @given(posting_lists())
+    def test_indexed_slca_matches_scan_oracle(self, case):
+        table, runs = case
+        assert labelled_matches(compute_slca(runs, table), table) == compute_slca_scan(
+            labelled_postings(runs, table)
+        )
 
     @settings(max_examples=80, deadline=None)
-    @given(posting_lists)
-    def test_no_result_is_ancestor_of_another(self, lists):
-        results = compute_slca(lists)
-        for a in results:
-            for b in results:
-                if a is not b and a.doc_id == b.doc_id:
-                    assert not a.label.is_ancestor_of(b.label)
+    @given(posting_lists())
+    def test_no_result_is_ancestor_of_another(self, case):
+        table, runs = case
+        results = compute_slca(runs, table)
+        for doc_id, a in results:
+            end = table.get(doc_id).end
+            for other_doc, b in results:
+                if other_doc == doc_id:
+                    assert not a < b < end[a]
 
     @settings(max_examples=80, deadline=None)
-    @given(posting_lists)
-    def test_every_result_contains_all_keywords(self, lists):
-        results = compute_slca(lists)
-        for result in results:
-            for postings in lists:
-                assert any(
-                    posting.doc_id == result.doc_id
-                    and result.label.is_ancestor_or_self_of(posting.label)
-                    for posting in postings
-                )
+    @given(posting_lists())
+    def test_every_result_contains_all_keywords(self, case):
+        table, runs = case
+        for doc_id, pre in compute_slca(runs, table):
+            for keyword in runs:
+                assert contains(table, doc_id, pre, keyword.get(doc_id, ()))
 
 
 # --------------------------------------------------------------------------- #
 # ELCA properties: the fast stack-merge vs the brute-force oracle
 # --------------------------------------------------------------------------- #
 class TestElcaProperties:
-    @settings(max_examples=80, deadline=None)
-    @given(posting_lists)
-    def test_fast_elca_matches_scan_oracle(self, lists):
-        assert compute_elca(lists) == compute_elca_scan(lists)
+    @settings(max_examples=500, deadline=None)
+    @given(posting_lists())
+    def test_fast_elca_matches_scan_oracle(self, case):
+        table, runs = case
+        assert labelled_matches(compute_elca(runs, table), table) == compute_elca_scan(
+            labelled_postings(runs, table)
+        )
 
     @settings(max_examples=80, deadline=None)
-    @given(posting_lists)
-    def test_slca_is_subset_of_elca(self, lists):
-        assert set(compute_slca(lists)) <= set(compute_elca(lists))
+    @given(posting_lists())
+    def test_slca_is_subset_of_elca(self, case):
+        table, runs = case
+        assert set(compute_slca(runs, table)) <= set(compute_elca(runs, table))
 
     @settings(max_examples=80, deadline=None)
-    @given(posting_lists)
-    def test_every_elca_contains_all_keywords(self, lists):
-        for result in compute_elca(lists):
-            for postings in lists:
-                assert any(
-                    posting.doc_id == result.doc_id
-                    and result.label.is_ancestor_or_self_of(posting.label)
-                    for posting in postings
-                )
+    @given(posting_lists())
+    def test_every_elca_contains_all_keywords(self, case):
+        table, runs = case
+        for doc_id, pre in compute_elca(runs, table):
+            for keyword in runs:
+                assert contains(table, doc_id, pre, keyword.get(doc_id, ()))
 
 
 # --------------------------------------------------------------------------- #
-# Differential tests on randomized corpora (real index, real posting lists)
+# Differential tests on randomized corpora (real index, real runs)
 # --------------------------------------------------------------------------- #
 @st.composite
 def indexed_corpora(draw):
@@ -243,26 +264,33 @@ def indexed_corpora(draw):
     store = DocumentStore()
     for position, tree in enumerate(trees):
         store.add(f"doc{position}", tree)
-    index = InvertedIndex.build(store)
-    vocabulary = index.vocabulary()
+    corpus = Corpus(store)
+    vocabulary = corpus.index.vocabulary()
     keywords = draw(
         st.lists(st.sampled_from(vocabulary), min_size=1, max_size=3, unique=True)
     )
-    return index, keywords
+    return corpus, keywords
 
 
 class TestSearchAlgorithmsOnRandomCorpora:
     @settings(max_examples=50, deadline=None)
     @given(indexed_corpora())
     def test_fast_algorithms_match_oracles(self, corpus_and_keywords):
-        index, keywords = corpus_and_keywords
-        lists = index.keyword_node_lists(keywords)
-        assert compute_slca(lists) == compute_slca_scan(lists)
-        assert compute_elca(lists) == compute_elca_scan(lists)
+        corpus, keywords = corpus_and_keywords
+        table = corpus.structure
+        runs = corpus.index.keyword_node_lists(keywords)
+        postings = labelled_postings(runs, table)
+        assert labelled_matches(compute_slca(runs, table), table) == compute_slca_scan(postings)
+        assert labelled_matches(compute_elca(runs, table), table) == compute_elca_scan(postings)
 
     @settings(max_examples=50, deadline=None)
     @given(indexed_corpora())
     def test_posting_lists_are_sorted_in_document_order(self, corpus_and_keywords):
-        index, keywords = corpus_and_keywords
-        for postings in index.keyword_node_lists(keywords):
-            assert postings == sorted(postings)
+        # Each run holds a document's posting elements once each, in pre
+        # order, which is document order.
+        corpus, keywords = corpus_and_keywords
+        for runs in corpus.index.keyword_node_lists(keywords):
+            for doc_id, run in runs.items():
+                assert list(run) == sorted(set(run))
+                labels = [corpus.structure.get(doc_id).labels[pre] for pre in run]
+                assert labels == sorted(labels)

@@ -14,7 +14,6 @@ from repro.storage.corpus import Corpus
 from repro.storage.document_store import DocumentStore
 from repro.storage.statistics import CorpusStatistics
 from repro.structure import DocumentStructure, TagDictionary
-from repro.xmlmodel.dewey import DeweyLabel
 from repro.xmlmodel.node import XMLNode
 from repro.xmlmodel.parser import parse_xml
 from repro.xmlmodel.serializer import serialize
@@ -51,14 +50,14 @@ def document_table(tree):
 def entity(tree, node, statistics):
     """XSeek's entity test for ``node``, evaluated on the tree's table."""
     structure, tags = document_table(tree)
-    return is_entity_node(structure, tags, structure.pre_of(node.label), statistics)
+    return is_entity_node(structure, tags, structure.labels.index(node.label), statistics)
 
 
 def return_node(tree, match, statistics, max_climb=10):
     """The tree node at the pre number the table climb returns for ``match``."""
     structure, tags = document_table(tree)
     pre = infer_return_subtree(
-        structure, tags, structure.pre_of(match.label), statistics, max_climb=max_climb
+        structure, tags, structure.labels.index(match.label), statistics, max_climb=max_climb
     )
     return tree.node_at(structure.labels[pre])
 
@@ -141,24 +140,27 @@ class TestXseekInference:
 
 def root_candidates(corpus, doc_ids):
     """One whole-document ranking candidate per id, as the engine builds them."""
-    return [
-        (doc_id, DeweyLabel.root(), DeweyLabel.root(), len(corpus.structure.get(doc_id)))
-        for doc_id in doc_ids
-    ]
+    return [(doc_id, 0, 0, len(corpus.structure.get(doc_id))) for doc_id in doc_ids]
+
+
+def rank(corpus, candidates, query):
+    """Rank ``candidates`` from the query's runs, as the engine does."""
+    runs = corpus.index.keyword_node_lists(query.normalized_keywords)
+    return rank_results(candidates, runs, corpus.index.documents_indexed)
 
 
 class TestRanking:
     def test_tf_idf_prefers_matching_subtree(self):
         corpus = product_corpus()
         query = KeywordQuery.parse("tomtom gps")
-        ranked = rank_results(root_candidates(corpus, ("p2", "p1")), query, corpus.index)
+        ranked = rank(corpus, root_candidates(corpus, ("p2", "p1")), query)
         assert [result.doc_id for result in ranked] == ["p1", "p2"]
         assert ranked[0].score > ranked[1].score
 
     def test_rank_results_orders_by_score_then_id(self):
         corpus = product_corpus()
         query = KeywordQuery.parse("gps")
-        ranked = rank_results(root_candidates(corpus, ("p2", "p1")), query, corpus.index)
+        ranked = rank(corpus, root_candidates(corpus, ("p2", "p1")), query)
         assert [result.doc_id for result in ranked] in (["p1", "p2"], ["p2", "p1"])
         assert ranked[0].score >= ranked[1].score
 

@@ -128,18 +128,27 @@ class TestDocumentStore:
             DocumentStore.load_from_directory(tmp_path / "missing")
 
 
+def runs_of(index, keyword):
+    """The keyword's runs as a plain dict: doc id -> pre numbers."""
+    (runs,) = index.keyword_node_lists([keyword])
+    return dict(runs)
+
+
 class TestInvertedIndex:
     def test_postings_sorted_in_document_order(self):
+        # Each document's run holds the pre numbers of its posting elements,
+        # numbered as the structural table numbers them.
         store = sample_store()
         index = InvertedIndex.build(store)
-        postings = index.postings("gps")
-        assert [posting.doc_id for posting in postings] == ["d1", "d2"]
-        assert all(isinstance(posting.label, DeweyLabel) for posting in postings)
+        assert runs_of(index, "gps") == {"d1": (1,), "d2": (1,)}
+        assert runs_of(index, "product") == {"d1": (0,), "d2": (0,)}
+        table = Corpus(store).structure
+        assert table.get("d1").labels[1] == DeweyLabel((0,))
 
     def test_tag_terms_indexed(self):
         store = sample_store()
         index = InvertedIndex.build(store)
-        assert index.collection_frequency("price") == 2
+        assert sum(len(run) for run in runs_of(index, "price").values()) == 2
 
     def test_document_frequency(self):
         store = sample_store()
@@ -154,10 +163,10 @@ class TestInvertedIndex:
         assert "zebra" not in index
         assert len(index) > 0
 
-    def test_multi_token_postings_lookup_rejected(self):
+    def test_multi_token_keyword_yields_one_runs_view_per_token(self):
         index = InvertedIndex.build(sample_store())
-        with pytest.raises(IndexError_):
-            index.postings("tomtom gps")
+        lists = index.keyword_node_lists(["tomtom gps", "the"])
+        assert [dict(runs) for runs in lists] == [runs_of(index, "tomtom"), runs_of(index, "gps")]
 
     def test_keyword_node_lists_order_preserved(self):
         index = InvertedIndex.build(sample_store())
@@ -166,21 +175,28 @@ class TestInvertedIndex:
         assert len(lists[0]) == 1 and len(lists[1]) == 2
 
     def test_documents_containing_all(self):
+        # The documents of a keyword are the keys of its runs.
         index = InvertedIndex.build(sample_store())
-        assert index.documents_containing_all(["gps"]) == ["d1", "d2"]
-        assert index.documents_containing_all(["tomtom", "gps"]) == ["d1"]
-        assert index.documents_containing_all(["tomtom", "garmin"]) == []
-        assert index.documents_containing_all([]) == []
+        tomtom, gps, garmin = index.keyword_node_lists(["tomtom", "gps", "garmin"])
+        assert sorted(gps) == ["d1", "d2"]
+        assert sorted(set(tomtom) & set(gps)) == ["d1"]
+        assert set(tomtom) & set(garmin) == set()
 
     def test_postings_for_document(self):
-        index = InvertedIndex.build(sample_store())
-        assert all(p.doc_id == "d2" for p in index.postings_for_document("gps", "d2"))
+        store = DocumentStore()
+        store.add("a", parse_xml("<r><x>gps</x><x>gps</x></r>"))
+        store.add("b", parse_xml("<r><x>gps</x></r>"))
+        index = InvertedIndex.build(store)
+        runs = runs_of(index, "gps")
+        assert runs == {"a": (1, 2), "b": (1,)}
+        assert "missing" not in runs
+        assert runs_of(index, "absentterm") == {}
 
     def test_attribute_values_indexed(self):
         store = DocumentStore()
         store.add("d", parse_xml('<item kind="waterproof jacket"><name>x</name></item>'))
         index = InvertedIndex.build(store)
-        assert index.collection_frequency("waterproof") == 1
+        assert runs_of(index, "waterproof") == {"d": (0,)}
 
     def test_attribute_values_counted_in_document_frequency(self):
         # Regression: the index must count attribute values towards document
@@ -197,77 +213,70 @@ class TestInvertedIndex:
         # double-count document frequencies.
         store = sample_store()
         index = InvertedIndex.build(store)
-        postings_before = index.postings("gps")
+        runs_before = runs_of(index, "gps")
         with pytest.raises(IndexError_):
             index.add_document("d1", store.get("d1").root)
-        assert index.postings("gps") == postings_before
+        assert runs_of(index, "gps") == runs_before
         assert index.document_frequency("gps") == 2
         assert index.documents_indexed == 2
 
     def test_incremental_adds_keep_postings_sorted(self):
-        # Documents added out of lexicographic id order must still yield
-        # globally sorted posting lists after the lazy finalize.
+        # Documents added out of lexicographic id order still get one run
+        # each, in pre order.
         index = InvertedIndex()
         index.add_document("z", parse_xml("<product><name>Shared GPS</name></product>"))
         index.add_document("a", parse_xml("<product><name>Shared GPS</name></product>"))
         index.add_document("m", parse_xml("<product><name>Shared GPS</name></product>"))
-        assert [p.doc_id for p in index.postings("gps")] == ["a", "m", "z"]
-        assert [p.doc_id for p in index.postings("shared")] == ["a", "m", "z"]
-
-    def test_postings_for_document_uses_offset_slices(self):
-        store = DocumentStore()
-        store.add("a", parse_xml("<r><x>gps</x><x>gps</x></r>"))
-        store.add("b", parse_xml("<r><x>gps</x></r>"))
-        index = InvertedIndex.build(store)
-        assert len(index.postings_for_document("gps", "a")) == 2
-        assert len(index.postings_for_document("gps", "b")) == 1
-        assert index.postings_for_document("gps", "missing") == []
-        assert index.postings_for_document("absentterm", "a") == []
+        assert runs_of(index, "gps") == {"a": (1,), "m": (1,), "z": (1,)}
+        assert runs_of(index, "shared") == {"a": (1,), "m": (1,), "z": (1,)}
 
     def test_keyword_node_lists_copies_are_safe_to_mutate(self):
-        # The public form returns copies, so caller mutation cannot corrupt
-        # the index; copy=False exists for trusted read-only hot paths.
+        # The returned list is the caller's; the runs in it are read-only
+        # views, so a caller cannot write the index through them.
         index = InvertedIndex.build(sample_store())
         lists = index.keyword_node_lists(["gps"])
-        lists[0].clear()
-        assert len(index.postings("gps")) == 2
-        views = index.keyword_node_lists(["gps"], copy=False)
-        assert views[0] == index.postings("gps")
+        with pytest.raises(TypeError):
+            lists[0]["d3"] = (0,)
+        lists.clear()
+        assert runs_of(index, "gps") == {"d1": (1,), "d2": (1,)}
 
     def test_keyword_node_lists_are_stable_snapshots(self):
-        # Regression: the internal buckets are copy-on-write, so even a
-        # zero-copy view handed out before a mutation must not change under
-        # its holder.
+        # Regression: the buckets are copy-on-write, so a view handed out
+        # before a mutation must not change under its holder.
         index = InvertedIndex.build(sample_store())
-        held = index.keyword_node_lists(["gps"], copy=False)[0]
-        snapshot = list(held)
+        held = index.keyword_node_lists(["gps"])[0]
+        snapshot = dict(held)
         index.add_document("d3", parse_xml("<product><name>Magellan GPS</name></product>"))
-        assert len(index.postings("gps")) == 3  # triggers finalize of the new state
-        assert held == snapshot
+        assert index.document_frequency("gps") == 3
+        assert dict(held) == snapshot
 
     def test_finalize_is_idempotent_and_lazy(self):
+        # finalize only hands the buckets out: the next write copies them.
         index = InvertedIndex()
         index.add_document("d", parse_xml("<product><name>TomTom</name></product>"))
         index.finalize()
         index.finalize()
-        assert [p.doc_id for p in index.postings("tomtom")] == ["d"]
+        assert runs_of(index, "tomtom") == {"d": (1,)}
+        built = InvertedIndex.build(sample_store())
+        shared = built.clone()
+        shared.add_document("d3", parse_xml("<product><name>TomTom</name></product>"))
+        assert runs_of(built, "tomtom") == {"d1": (1,)}
+        assert runs_of(shared, "tomtom") == {"d1": (1,), "d3": (1,)}
 
     def test_out_of_order_doc_ids_merge_with_unsorted_runs(self):
-        # Exercises the run-rearranging branch of finalize (documents added
-        # out of id order) including per-document offset correctness.
+        # Each document keeps its own run whatever order ids arrive in.
         index = InvertedIndex()
         index.add_document("z", parse_xml("<r><x>gps</x><x>gps</x></r>"))
         index.add_document("a", parse_xml("<r><x>gps</x></r>"))
-        assert [p.doc_id for p in index.postings("gps")] == ["a", "z", "z"]
-        assert len(index.postings_for_document("gps", "z")) == 2
-        assert len(index.postings_for_document("gps", "a")) == 1
+        assert runs_of(index, "gps") == {"a": (1,), "z": (1, 2)}
+        assert index.document_frequency("gps") == 2
 
     def test_postings_are_keyed_by_interned_term_ids(self):
         index = InvertedIndex.build(sample_store())
         vocabulary = index.vocabulary()
         # Querying unknown keywords finds nothing and adds no term.
-        assert index.postings("nonexistentterm") == []
-        assert index.keyword_node_lists(["anothermissing"]) == [[]]
+        assert runs_of(index, "nonexistentterm") == {}
+        assert index.keyword_node_lists(["anothermissing"]) == [{}]
         assert index.vocabulary() == vocabulary
 
 
@@ -280,9 +289,8 @@ class TestInvertedIndexRemoval:
         fresh = InvertedIndex.build(rest)
         assert full.vocabulary() == fresh.vocabulary()
         for term in fresh.vocabulary():
-            assert full.postings(term) == fresh.postings(term)
+            assert runs_of(full, term) == runs_of(fresh, term)
             assert full.document_frequency(term) == fresh.document_frequency(term)
-            assert full.collection_frequency(term) == fresh.collection_frequency(term)
         assert full.documents_indexed == 1
 
     def test_remove_unknown_document_raises_without_side_effects(self):
@@ -301,39 +309,38 @@ class TestInvertedIndexRemoval:
         assert index.document_frequency("tomtom") == 0
 
     def test_remove_before_finalize(self):
-        # Removal of a document whose postings were never finalized must
-        # filter the dirty buckets correctly.
+        # Removal from buckets this index still owns deletes in place.
         index = InvertedIndex()
         index.add_document("a", parse_xml("<r><x>gps</x></r>"))
         index.add_document("b", parse_xml("<r><x>gps</x></r>"))
         index.remove_document("a")
-        assert [p.doc_id for p in index.postings("gps")] == ["b"]
+        assert runs_of(index, "gps") == {"b": (1,)}
 
     def test_remove_last_document_empties_bucket(self):
         index = InvertedIndex.build(sample_store())
         index.remove_document("d1")
         index.remove_document("d2")
-        assert index.postings("gps") == []
+        assert runs_of(index, "gps") == {}
         assert "gps" not in index
         assert len(index) == 0
         assert index.documents_indexed == 0
 
     def test_removal_keeps_held_snapshots_stable(self):
-        # Posting lists handed out before a removal must not change under
-        # their holder (buckets are replaced, never mutated in place).
+        # Runs handed out before a removal must not change under their
+        # holder (a handed-out bucket is copied before it is written).
         index = InvertedIndex.build(sample_store())
-        held = index.keyword_node_lists(["gps"], copy=False)[0]
-        snapshot = list(held)
+        held = index.keyword_node_lists(["gps"])[0]
+        snapshot = dict(held)
         index.remove_document("d1")
-        assert len(index.postings("gps")) == 1
-        assert held == snapshot
+        assert runs_of(index, "gps") == {"d2": (1,)}
+        assert dict(held) == snapshot
 
     def test_removed_term_id_stays_reserved_in_dictionary(self):
         index = InvertedIndex.build(sample_store())
         index.remove_document("d1")  # the only document containing "tomtom"
         assert "tomtom" not in index
         assert "tomtom" not in index.vocabulary()
-        assert index.postings("tomtom") == []
+        assert runs_of(index, "tomtom") == {}
         assert index.document_frequency("tomtom") == 0
 
 
@@ -430,7 +437,7 @@ class TestCorpus:
         assert corpus.index.document_frequency("magellan") == 1
         assert corpus.index.document_frequency("gps") == 3
         assert corpus.index.documents_indexed == 3
-        assert [p.doc_id for p in corpus.index.postings("gps")] == ["d1", "d2", "d3"]
+        assert sorted(runs_of(corpus.index, "gps")) == ["d1", "d2", "d3"]
 
     def test_incremental_remove_document_updates_everything(self):
         corpus = Corpus(sample_store())
@@ -441,7 +448,7 @@ class TestCorpus:
         assert corpus.index.document_frequency("tomtom") == 0
         assert corpus.index.document_frequency("gps") == 1
         assert corpus.index.documents_indexed == 1
-        assert [p.doc_id for p in corpus.index.postings("gps")] == ["d2"]
+        assert sorted(runs_of(corpus.index, "gps")) == ["d2"]
 
     def test_remove_unknown_document_raises_without_mutation(self):
         corpus = Corpus(sample_store())
@@ -458,4 +465,4 @@ class TestCorpus:
         corpus.add_document("d1", root)
         assert corpus.version == 2
         assert corpus.index.document_frequency("gps") == 2
-        assert [p.doc_id for p in corpus.index.postings("gps")] == ["d1", "d2"]
+        assert sorted(runs_of(corpus.index, "gps")) == ["d1", "d2"]

@@ -24,7 +24,7 @@ from base64 import urlsafe_b64decode, urlsafe_b64encode
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import compute_slca_scan
+from oracles import compute_slca_scan, labelled_matches, labelled_postings
 from repro.cli import main as cli_main
 from repro.errors import (
     InvalidCursorError,
@@ -35,14 +35,12 @@ from repro.errors import (
 )
 from repro.search.engine import SearchEngine
 from repro.search.query import KeywordQuery
-from repro.search.semantics import MatchContext
 from repro.search.structural import AXES, StructuredQuery, compute_slca_struct, parse_tag_path
 from repro.service.cursor import decode_cursor, encode_cursor
 from repro.service.protocol import SearchRequest
 from repro.service.service import SearchService
 from repro.storage.corpus import Corpus
 from repro.storage.document_store import DocumentStore
-from repro.storage.inverted_index import Posting
 from repro.storage.snapshot import (
     _HEADER,
     _MAGIC,
@@ -152,7 +150,7 @@ def match_tags(corpus, results):
     tags = []
     for result in results:
         structure = corpus.structure.get(result.doc_id)
-        pre = structure.pre_of(result.match_label)
+        pre = structure.labels.index(result.match_label)
         tags.append(corpus.structure.tags.tag(structure.tag_ids[pre]))
     return tags
 
@@ -173,7 +171,7 @@ class TestEncodingDifferential:
         count = len(labels)
         for a in range(count):
             assert structure.level[a] == len(labels[a])
-            assert structure.pre_of(labels[a]) == a
+            assert labels.index(labels[a]) == a
             if structure.parent[a] == -1:
                 assert labels[a].is_root
             else:
@@ -229,11 +227,6 @@ class TestEncodingDifferential:
             DocumentStructure.from_labels([root, DeweyLabel((0, 0))], [0, 0])
         with pytest.raises(StructureError, match="not single-rooted"):
             DocumentStructure.from_labels([root, root], [0, 0])
-
-    def test_pre_of_unknown_label_is_an_error(self):
-        structure = DocumentStructure.from_tree(parse_xml("<a><b>x</b></a>"), TagDictionary())
-        with pytest.raises(StructureError, match="no element at label"):
-            structure.pre_of(DeweyLabel((99,)))
 
     def test_direct_construction_is_blocked(self):
         with pytest.raises(StructureError, match="from_tree or"):
@@ -394,12 +387,6 @@ class TestConstraints:
             engine.search("gps")
         )
 
-    def test_corpus_without_structural_table_is_an_error(self):
-        context = MatchContext(corpus=object(), query=KeywordQuery.parse("gps"))
-        postings = [[Posting(doc_id="d", label=DeweyLabel.root())]]
-        with pytest.raises(SearchError, match="structural table"):
-            compute_slca_struct(postings, context)
-
 
 # --------------------------------------------------------------------------- #
 # Constraint evaluation ≡ a tree-walk oracle on random corpora
@@ -472,14 +459,14 @@ def constraint_oracle(documents, keyword_postings, query):
     """slca_struct's matches from scan-oracle SLCAs and root-to-node path walks."""
     trees = dict(documents)
     expected = set()
-    for match in compute_slca_scan(keyword_postings):
-        path = trees[match.doc_id].path_to(match.label)
+    for doc_id, label in compute_slca_scan(keyword_postings):
+        path = trees[doc_id].path_to(label)
         if query.within:
             path = _within_anchor(path, query.within)
             if path is None:
                 continue
         for selected in _axis_step(path, query.axis, query.axis_tag):
-            expected.add(Posting(doc_id=match.doc_id, label=selected.label))
+            expected.add((doc_id, selected.label))
     return sorted(expected)
 
 
@@ -490,12 +477,14 @@ class TestConstraintOracle:
         # Every axis with every tag, so each example covers all the steps.
         documents, text, within, tags = case
         corpus = build_single(documents)
+        table = corpus.structure
         lists = corpus.index.keyword_node_lists(KeywordQuery.parse(text).normalized_keywords)
+        postings = labelled_postings(lists, table)
         steps = [("self", None)] + [(axis, tag) for axis in AXES[1:] for tag in tags]
         for axis, axis_tag in steps:
             query = StructuredQuery.from_parts(text, within=within, axis=axis, axis_tag=axis_tag)
-            matches = compute_slca_struct(lists, MatchContext(corpus=corpus, query=query))
-            assert matches == constraint_oracle(documents, lists, query), (axis, axis_tag)
+            matches = labelled_matches(compute_slca_struct(lists, table, query), table)
+            assert matches == constraint_oracle(documents, postings, query), (axis, axis_tag)
 
 
 # --------------------------------------------------------------------------- #
@@ -849,6 +838,54 @@ class TestSnapshotHeadChecks:
 
         damaged = self._forge(tmp_path, repeat_tag)
         with pytest.raises(SnapshotFormatError, match="list tag 'review' twice"):
+            Corpus.load(damaged)
+
+    @staticmethod
+    def _edit_runs(sections, edit):
+        """Decode the index section's tables, let ``edit`` change them, re-encode."""
+        reader = _Reader(sections[1])
+        terms = [reader.string() for _ in range(reader.varint())]
+        tables = [reader.u32_array() for _ in range(3)]  # counts, meta, pre numbers
+        assert reader.at_end()
+        edit(terms, *tables)
+        writer = _Writer()
+        writer.varint(len(terms))
+        for term in terms:
+            writer.string(term)
+        for table in tables:
+            writer.u32_array(table)
+        sections[1] = writer.getvalue()
+
+    def test_document_listed_twice_under_a_term_is_rejected(self, tmp_path):
+        # Loaded as is, the document's term list would name the term twice,
+        # so a later remove_document would visit the bucket twice and drop
+        # another document's run with it.
+        def repeat_document(terms, run_counts, run_meta, element_refs):
+            position = terms.index("gps")
+            first_run = sum(run_counts[:position])
+            assert run_counts[position] == 3  # doc-a, doc-b, doc-c
+            run_meta[2 * (first_run + 1)] = run_meta[2 * first_run]
+
+        damaged = self._forge(tmp_path, lambda sections: self._edit_runs(sections, repeat_document))
+        with pytest.raises(SnapshotFormatError, match="lists document 'doc-a' twice under term 'gps'"):
+            Corpus.load(damaged)
+
+    def test_pre_number_past_the_document_is_rejected(self, tmp_path):
+        # A pre number equal to the element count would make end[pre] raise
+        # IndexError at query time.
+        elements = len(struct_corpus().structure.get("doc-a"))
+
+        def post_past_the_end(terms, run_counts, run_meta, element_refs):
+            position = terms.index("gps")
+            first_run = sum(run_counts[:position])
+            first_ref = sum(run_meta[1 : 2 * first_run : 2])
+            element_refs[first_ref] = elements
+
+        damaged = self._forge(tmp_path, lambda sections: self._edit_runs(sections, post_past_the_end))
+        with pytest.raises(
+            SnapshotFormatError,
+            match=f"posts element {elements} of document 'doc-a', which has {elements} elements",
+        ):
             Corpus.load(damaged)
 
 
