@@ -183,6 +183,12 @@ class TestInvertedIndex:
         assert set(tomtom) & set(garmin) == set()
 
     def test_postings_for_document(self):
+        index = InvertedIndex.build(sample_store())
+        assert runs_of(index, "gps")["d2"] == (1,)
+
+    def test_postings_for_document_uses_offset_slices(self, tmp_path):
+        # A document's postings are its own run; a snapshot load slices each
+        # run out of the term's pre-number table at the document's offset.
         store = DocumentStore()
         store.add("a", parse_xml("<r><x>gps</x><x>gps</x></r>"))
         store.add("b", parse_xml("<r><x>gps</x></r>"))
@@ -191,6 +197,8 @@ class TestInvertedIndex:
         assert runs == {"a": (1, 2), "b": (1,)}
         assert "missing" not in runs
         assert runs_of(index, "absentterm") == {}
+        loaded = Corpus.load(Corpus(store).save(tmp_path / "slices.snap"))
+        assert runs_of(loaded.index, "gps") == {"a": (1, 2), "b": (1,)}
 
     def test_attribute_values_indexed(self):
         store = DocumentStore()
