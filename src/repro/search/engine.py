@@ -278,13 +278,13 @@ class SearchEngine:
         This is where a pre number becomes a Dewey label: only for the
         results a page serves.
         """
-        labels = self.corpus.structure.get(entry.doc_id).labels
-        return_label = labels[entry.return_pre]
-        node = self.corpus.store.get(entry.doc_id).node_at(return_label)
+        structure = self.corpus.structure.get(entry.doc_id)
+        return_label = structure.label_of(entry.return_pre)
+        node = self.corpus.store.get(entry.doc_id).root.node_at(return_label)
         return SearchResult(
             result_id=result_id,
             doc_id=entry.doc_id,
-            match_label=labels[entry.match_pre],
+            match_label=structure.label_of(entry.match_pre),
             return_label=return_label,
             subtree=node,
             score=entry.score,

@@ -2,7 +2,8 @@
 
 The store is the system's corpus abstraction: dataset generators write
 documents into it, the indexer reads them back, and search results refer to
-nodes inside stored documents by ``(doc_id, DeweyLabel)``.
+nodes inside stored documents by ``(doc_id, pre number)``: the element's
+position in its document's pre-order, as the structural table numbers it.
 
 Each document is held in one of two forms:
 
@@ -50,7 +51,6 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Union
 
 from repro.errors import DocumentNotFoundError, DuplicateDocumentError, StorageError
-from repro.xmlmodel.dewey import DeweyLabel
 from repro.xmlmodel.node import XMLNode
 from repro.xmlmodel.parser import parse_xml_file
 from repro.xmlmodel.serializer import to_pretty_xml
@@ -82,10 +82,6 @@ class StoredDocument:
     doc_id: str
     root: XMLNode
     metadata: Dict[str, str] = field(default_factory=dict)
-
-    def node_at(self, label: DeweyLabel) -> XMLNode:
-        """Return the node of this document at the given Dewey label."""
-        return self.root.node_at(label)
 
 
 @dataclass(frozen=True)
@@ -223,10 +219,6 @@ class DocumentStore:
         with self._lock:
             self._decode_count += 1
         return StoredDocument(doc_id=record.doc_id, root=root, metadata=dict(record.metadata))
-
-    def node_at(self, doc_id: str, label: DeweyLabel) -> XMLNode:
-        """Return the node identified by ``(doc_id, label)``."""
-        return self.get(doc_id).node_at(label)
 
     def __contains__(self, doc_id: str) -> bool:
         return doc_id in self._documents

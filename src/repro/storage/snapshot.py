@@ -23,10 +23,12 @@ The *head* is everything queries need before touching a document tree: the
 tokenizer fingerprint, a **document directory** (per document: id, metadata,
 record offset/length/checksum/compression flag, element count), per-document
 **label tables** (each element's Dewey label, delta-encoded against
-pre-order), the inverted index (its terms in sorted order, then run tables
-of per-document element indices, which are pre numbers), the statistics
-(per tag, its count of repeating groups, sorted by tag), and the structural
-section (per-element tags for the pre-order encoding).  The *record section* is the bulk: one
+pre-order as its depth and last component; a load keeps both as integer
+lists and builds no label), the inverted index (its terms in sorted order,
+then run tables of per-document element indices, which are pre numbers),
+the statistics (per tag, its count of repeating groups, sorted by tag), and
+the structural section (per-element tags for the pre-order encoding).  The
+*record section* is the bulk: one
 varint-encoded tree record per document, offset-addressed, optionally
 zlib-deflated per record.  Loads ``mmap`` the file, decode only the head, and
 open a :class:`~repro.storage.document_store.DocumentStore` over the record
@@ -248,24 +250,17 @@ class _Reader:
 # --------------------------------------------------------------------------- #
 # Document trees
 # --------------------------------------------------------------------------- #
-def _encode_tree(writer: _Writer, root: XMLNode, tag_names: List[str]) -> List[DeweyLabel]:
-    """Serialise one document tree in pre-order; return its element labels.
+def _encode_tree(writer: _Writer, root: XMLNode) -> None:
+    """Serialise one document tree's record in pre-order.
 
-    The labels come in pre-order, so a label's position is the element's
+    Elements come in pre-order, so an element's position among them is its
     pre number — the dense per-document index the inverted index posts and
-    the directory's label table stores.  The element tags are appended to
-    ``tag_names`` in the same pre-order — the structural section persists
-    them so loads can rebuild each
-    :class:`~repro.structure.encoding.DocumentStructure` from the label table
-    without touching the record section.
+    the directory's label table describes.
     """
-    labels: List[DeweyLabel] = []
     stack = [root]
     while stack:
         node = stack.pop()
         if node.is_element:
-            labels.append(node.label)
-            tag_names.append(node.tag or "")
             attributes = node.attributes
             writer.varint(len(node.children) << 2 | (_ATTRS_BIT if attributes else 0))
             writer.string(node.tag or "")
@@ -279,7 +274,6 @@ def _encode_tree(writer: _Writer, root: XMLNode, tag_names: List[str]) -> List[D
             data = (node.text or "").encode("utf-8")
             writer.varint(len(data) << 1 | _TEXT_BIT)
             writer.buffer += data
-    return labels
 
 
 def _decode_tree(reader: _Reader) -> Tuple[XMLNode, List[XMLNode]]:
@@ -574,12 +568,12 @@ def _write_structure(
     """Append the structural section: one tag dictionary + per-doc tag arrays.
 
     Everything else a :class:`~repro.structure.encoding.DocumentStructure`
-    needs — pre, level, parent links and subtree windows — derives in
-    ``O(n)`` from the label tables the directory already stores, so the
-    section only persists what the labels cannot express: which *tag* each
-    element carries.  Tag ids are section-local (first-seen order over the
-    save's document iteration); the reader re-interns them in the same
-    order, so ids round-trip without a remap.
+    needs — parent links and subtree windows from the depths, and each
+    element's last Dewey component — is in the label tables the directory
+    already stores, so the section only persists what the labels cannot
+    express: which *tag* each element carries.  Tag ids are section-local
+    (first-seen order over the save's document iteration); the reader
+    re-interns them in the same order, so ids round-trip without a remap.
     """
     writer.varint(_STRUCTURE_MARKER)
     writer.varint(len(tag_names))
@@ -592,16 +586,20 @@ def _write_structure(
 def _read_structure_section(
     reader: _Reader,
     doc_ids: List[str],
-    doc_labels: Dict[str, List[DeweyLabel]],
+    label_tables: List[Tuple[List[int], List[int]]],
 ) -> StructuralTable:
     """Decode the structural section into a ready
     :class:`~repro.structure.table.StructuralTable`.
 
-    Every error names the structural table section so a damaged file is
-    attributable: a head that ends before the section, truncation inside
-    the section, a per-document tag array whose length disagrees with the
-    directory's label table, and tag ids pointing past the stored dictionary
-    (a stale tag dictionary) are all :class:`SnapshotFormatError`.
+    ``label_tables`` holds each document's pre-order depths and last Dewey
+    components from the directory, in directory order.  Every error names
+    the structural table section so a damaged file is attributable: a head
+    that ends before the section and truncation inside the section name the
+    section; tag ids pointing past the stored dictionary (a stale tag
+    dictionary), a tag array whose length disagrees with the label table,
+    and a label table that is not one rooted pre-order walk (empty, no root
+    first, a second root, a depth jump) name the document.  All are
+    :class:`SnapshotFormatError`.
     """
     if reader.at_end():
         raise SnapshotFormatError(
@@ -626,13 +624,7 @@ def _read_structure_section(
     for tag in tag_names:
         tags.intern(tag)
     documents: Dict[str, DocumentStructure] = {}
-    for doc_id, tag_ids in zip(doc_ids, doc_tag_ids):
-        labels = doc_labels[doc_id]
-        if len(tag_ids) != len(labels):
-            raise SnapshotFormatError(
-                f"malformed snapshot: structural table of document {doc_id!r} has "
-                f"{len(tag_ids)} tags for {len(labels)} elements"
-            )
+    for doc_id, (depths, lasts), tag_ids in zip(doc_ids, label_tables, doc_tag_ids):
         for tag_id in tag_ids:
             if tag_id >= tag_count:
                 raise SnapshotFormatError(
@@ -641,7 +633,7 @@ def _read_structure_section(
                     f"(holds {tag_count} tags)"
                 )
         try:
-            documents[doc_id] = DocumentStructure.from_labels(labels, tag_ids)
+            documents[doc_id] = DocumentStructure(depths, lasts, tag_ids)
         except StructureError as exc:
             raise SnapshotFormatError(
                 f"malformed snapshot: structural table of document {doc_id!r} is "
@@ -653,14 +645,14 @@ def _read_structure_section(
 # --------------------------------------------------------------------------- #
 # Document directory
 # --------------------------------------------------------------------------- #
-def _read_directory_entry(reader: _Reader) -> Tuple[DocumentRecord, List[DeweyLabel]]:
+def _read_directory_entry(reader: _Reader) -> Tuple[DocumentRecord, List[int], List[int]]:
     """Decode one directory entry plus its label table.
 
     The label table stores each element's Dewey label delta-encoded against
-    pre-order: a varint depth plus the label's last component.  Pre-order
-    guarantees the previous element's components are a superset-prefix of the
-    parent path, so ``prev[:depth-1] + (last,)`` reconstructs every label with
-    two varints per element instead of re-serialising whole component tuples.
+    pre-order: a varint depth, then, below the root, the label's last
+    component.  Returns the record, the depths and the last components; the
+    :class:`~repro.structure.encoding.DocumentStructure` built from them
+    checks that the depths are one rooted pre-order walk.
     """
     doc_id = reader.string()
     metadata: Dict[str, str] = {}
@@ -677,23 +669,12 @@ def _read_directory_entry(reader: _Reader) -> Tuple[DocumentRecord, List[DeweyLa
     raw_length = reader.varint()
     checksum = reader.varint()
     element_count = reader.varint()
-    labels: List[DeweyLabel] = []
-    label_new = DeweyLabel.__new__
-    prev: Tuple[int, ...] = ()
+    depths: List[int] = []
+    lasts: List[int] = []
     for _ in range(element_count):
         depth = reader.varint()
-        if depth == 0:
-            components: Tuple[int, ...] = ()
-        else:
-            if depth > len(prev) + 1:
-                raise SnapshotFormatError(
-                    f"malformed snapshot: label table of document {doc_id!r} jumps past its parent"
-                )
-            components = prev[:depth - 1] + (reader.varint(),)
-        label = label_new(DeweyLabel)
-        label._components = components
-        labels.append(label)
-        prev = components
+        depths.append(depth)
+        lasts.append(reader.varint() if depth else 0)
     record = DocumentRecord(
         doc_id=doc_id,
         offset=offset,
@@ -704,7 +685,7 @@ def _read_directory_entry(reader: _Reader) -> Tuple[DocumentRecord, List[DeweyLa
         element_count=element_count,
         metadata=MappingProxyType(metadata),
     )
-    return record, labels
+    return record, depths, lasts
 
 
 def _record_truncation_error(head: bytes, header: SnapshotHeader, available: int) -> SnapshotFormatError:
@@ -722,7 +703,7 @@ def _record_truncation_error(head: bytes, header: SnapshotHeader, available: int
         reader = _Reader(head)
         reader.varint()  # tokenizer fingerprint
         for _ in range(reader.varint()):
-            record, _ = _read_directory_entry(reader)
+            record, _, _ = _read_directory_entry(reader)
             if record.offset + record.stored_length > available:
                 return SnapshotFormatError(
                     f"truncated snapshot: record section holds {available} bytes but "
@@ -805,17 +786,17 @@ def _build_payload(corpus: "Corpus", *, compress: bool) -> Tuple[bytes, bytes]:
 
     doc_ids = corpus.store.document_ids()
     doc_refs = {doc_id: position for position, doc_id in enumerate(doc_ids)}
-    section_tags: Dict[str, int] = {}
+    section_tags: Dict[int, int] = {}
     doc_tag_ids: Dict[str, List[int]] = {}
     records = bytearray()
     writer.varint(len(doc_ids))
     for document in corpus.store:
-        tree_writer = _Writer()
-        tag_names: List[str] = []
-        labels = _encode_tree(tree_writer, document.root, tag_names)
+        structure = corpus.structure.get(document.doc_id)
         doc_tag_ids[document.doc_id] = [
-            section_tags.setdefault(tag, len(section_tags)) for tag in tag_names
+            section_tags.setdefault(tag_id, len(section_tags)) for tag_id in structure.tag_ids
         ]
+        tree_writer = _Writer()
+        _encode_tree(tree_writer, document.root)
         raw = tree_writer.getvalue()
         stored = raw
         flags = 0
@@ -834,17 +815,23 @@ def _build_payload(corpus: "Corpus", *, compress: bool) -> Tuple[bytes, bytes]:
         writer.varint(len(stored))
         writer.varint(len(raw))
         writer.varint(zlib.crc32(stored))
-        writer.varint(len(labels))
-        for label in labels:
-            components = label._components
-            writer.varint(len(components))
-            if components:
-                writer.varint(components[-1])
+        # The label table: each element's depth and, below the root, its
+        # last Dewey component.  A parent precedes its children in
+        # pre-order, so one pass derives the depths.
+        parent, last = structure.parent, structure.last
+        depths = [0] * len(parent)
+        writer.varint(len(parent))
+        writer.varint(0)
+        for pre in range(1, len(parent)):
+            depths[pre] = depth = depths[parent[pre]] + 1
+            writer.varint(depth)
+            writer.varint(last[pre])
         records += stored
 
     _write_index(writer, corpus.index, doc_refs)
     _write_statistics(writer, corpus.statistics)
-    _write_structure(writer, doc_ids, doc_tag_ids, list(section_tags))
+    tag_names = [corpus.structure.tags.tag(tag_id) for tag_id in section_tags]
+    _write_structure(writer, doc_ids, doc_tag_ids, tag_names)
     return writer.getvalue(), bytes(records)
 
 
@@ -998,10 +985,10 @@ def load_corpus(
                 f"snapshot records corpus version {header.corpus_version}, "
                 f"expected {expected_version}: the corpus was mutated after this snapshot was taken"
             )
-        # Decoding allocates a hundred thousand tracked objects (one label
-        # per element, one tuple per run), which makes the generational
-        # collector fire repeatedly over an ever-growing, all-live heap —
-        # wall time spent for nothing collectable.
+        # Decoding allocates thousands of tracked objects (one tuple per
+        # run, a few integer lists per document), which makes the
+        # generational collector fire repeatedly over an ever-growing,
+        # all-live heap — wall time spent for nothing collectable.
         # Pause it for the bulk allocation burst; the ``finally`` restores the
         # caller's setting even on a malformed snapshot.
         gc_was_enabled = gc.isenabled()
@@ -1039,22 +1026,22 @@ def _load(
 
     records: List[DocumentRecord] = []
     doc_ids: List[str] = []
-    doc_labels: Dict[str, List[DeweyLabel]] = {}
+    label_tables: List[Tuple[List[int], List[int]]] = []
     for _ in range(reader.varint()):
-        record, labels = _read_directory_entry(reader)
+        record, depths, lasts = _read_directory_entry(reader)
         if record.offset + record.stored_length > header.record_length:
             raise SnapshotFormatError(
                 f"malformed snapshot: document {record.doc_id!r} record extends past the record section"
             )
         records.append(record)
         doc_ids.append(record.doc_id)
-        doc_labels[record.doc_id] = labels
+        label_tables.append((depths, lasts))
 
     store = _open_store(handle, records, payload_offset + header.payload_length, max_materialised)
 
     index = _read_index(reader, doc_ids, [record.element_count for record in records])
     statistics = _read_statistics(reader)
-    structure = _read_structure_section(reader, doc_ids, doc_labels)
+    structure = _read_structure_section(reader, doc_ids, label_tables)
     if not reader.at_end():
         raise SnapshotFormatError("malformed snapshot: trailing bytes inside payload")
     return Corpus._restore(

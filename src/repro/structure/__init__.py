@@ -1,8 +1,9 @@
 """Structural index subsystem: the XPath-accelerator encoding.
 
-Assigns every element node of every document ``(pre, end, level, tag_id)``
-so that ancestor/descendant tests are two integer comparisons and axis scans
-are binary searches over per-tag occurrence lists — see
+Keeps every document as integer lists indexed by pre number (``parent``,
+``end``, ``last``, ``tag_ids``), so that ancestor/descendant tests are two
+integer comparisons, axis scans are binary searches over per-tag occurrence
+lists and a Dewey label is climbed only when a page serves it — see
 :mod:`repro.structure.encoding` for the encoding and
 :mod:`repro.structure.table` for the corpus-level table, built with the
 inverted index, whose postings are its pre numbers.  The SLCA/ELCA merge,

@@ -3,14 +3,15 @@
 The search layer works on this encoding, not on Dewey labels: the inverted
 index posts pre numbers, the SLCA/ELCA stack merge and XSeek climb
 ``parent``, ranking counts postings inside ``[pre, end)``, and Dewey labels
-are read only for the results a page serves.  A label ancestor test compares
-component prefixes (``O(depth)``) and "all descendants with tag t" walks the
-subtree; the XPath-accelerator encoding replaces both with integer
+are derived only for the results a page serves.  A label ancestor test
+compares component prefixes (``O(depth)``) and "all descendants with tag t"
+walks the subtree; the XPath-accelerator encoding replaces both with integer
 arithmetic.  Every *element* node of a document gets
 
 * ``pre`` — its position in the pre-order walk (0 is the root),
+* ``parent`` — its parent's pre number (``-1`` for the root),
 * ``end`` — the exclusive end of its subtree's pre-order window,
-* ``level`` — its depth (``len(label)``),
+* ``last`` — the last component of its Dewey label,
 * ``tag_id`` — its tag name interned through a :class:`TagDictionary`,
 
 and, because ``b``'s subtree is exactly the contiguous pre range
@@ -23,21 +24,22 @@ tag ``t``" becomes a binary search over ``t``'s sorted occurrence list
 restricted to the window ``(pre_b, end_b)`` — no tree walk, no label prefix
 comparisons.
 
-A key economy of this module: *everything except the tag ids derives from the
-Dewey label table alone*.  The labels arrive in pre-order (document order), so
-``pre`` is the list position and ``level`` the label length, and one stack
-pass over the depths reconstructs ``parent`` and the subtree windows in
-``O(n)``.  Snapshots therefore persist only the tag dictionary and
-per-document tag-id arrays (see :mod:`repro.storage.snapshot`); the rest is
-recomputed from the label tables that snapshots already store eagerly, so a
-load restores every document's structure without decoding its record.
+A document is integer lists only, with no object per element.  The
+constructor takes each element's depth, ``last`` and tag id in pre-order,
+and one stack pass over the depths reconstructs ``parent`` and the subtree
+windows in ``O(n)``.  A snapshot directory's label table stores exactly the
+depths and lasts, and the structural section the tag ids (see
+:mod:`repro.storage.snapshot`), so a load restores every document's
+structure without decoding its record or building a label.  A label is
+derived when it is needed: :meth:`DocumentStructure.label_of` climbs
+``parent`` and collects ``last``.
 """
 
 from __future__ import annotations
 
 import threading
 from bisect import bisect_left, bisect_right
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.errors import StructureError
 from repro.xmlmodel.dewey import DeweyLabel
@@ -110,107 +112,117 @@ class TagDictionary:
 class DocumentStructure:
     """The structural index of one document's element nodes.
 
-    All arrays are indexed by ``pre`` (the pre-order element position, which
-    equals the position in the snapshot label table):
+    Four integer lists, all indexed by ``pre`` (the pre-order element
+    position, which equals the position in the snapshot label table):
 
-    * ``labels[pre]`` — the element's Dewey label (document order);
-    * ``level[pre]`` — its depth (``len(label)``);
     * ``parent[pre]`` — the parent's pre number, ``-1`` for the root;
     * ``end[pre]`` — exclusive end of the subtree's pre window;
+    * ``last[pre]`` — the last component of the element's Dewey label: its
+      offset among *all* of its parent's children, text nodes counted, as
+      :meth:`~repro.xmlmodel.node.XMLNode.append_child` numbers them (0 for
+      the root);
     * ``tag_ids[pre]`` — the tag id in the owning :class:`TagDictionary`.
 
+    The constructor takes each element's depth, ``last`` and tag id in
+    pre-order — what :meth:`from_tree` walks off a tree and what a snapshot
+    directory's label table stores — and owns every check on their shape.
     Instances are immutable after construction and safe to share between
     threads (the one lazy cache, the per-tag occurrence lists, is built
     idempotently and published with an atomic assignment).
     """
 
-    __slots__ = ("labels", "level", "parent", "end", "tag_ids", "_occurrences")
-
-    labels: List[DeweyLabel]
-    level: List[int]
-    parent: List[int]
-    end: List[int]
-    tag_ids: List[int]
-    _occurrences: Optional[Dict[int, List[int]]]
-
-    def __init__(self) -> None:
-        raise StructureError(
-            "use DocumentStructure.from_tree or DocumentStructure.from_labels"
-        )
+    __slots__ = ("parent", "end", "last", "tag_ids", "_occurrences")
 
     # ------------------------------------------------------------------ #
     # Construction
     # ------------------------------------------------------------------ #
-    @classmethod
-    def from_tree(cls, root: XMLNode, tags: TagDictionary) -> "DocumentStructure":
-        """Index a live tree, interning its tags into ``tags``."""
-        labels: List[DeweyLabel] = []
-        tag_ids: List[int] = []
-        for node in root.iter_elements():
-            labels.append(node.label)
-            tag_ids.append(tags.intern(node.tag or ""))
-        return cls.from_labels(labels, tag_ids)
-
-    @classmethod
-    def from_labels(
-        cls, labels: Sequence[DeweyLabel], tag_ids: Sequence[int]
-    ) -> "DocumentStructure":
-        """Derive the full encoding from a pre-order label table plus tag ids.
-
-        This is the snapshot-restore path: the label table is exactly what a
-        snapshot directory entry stores, so only the tag ids need to travel in the
-        file.  One stack pass over the depths recovers parent links and
-        subtree windows in ``O(n)``.
+    def __init__(
+        self, depths: Sequence[int], lasts: Sequence[int], tag_ids: Sequence[int]
+    ) -> None:
+        """Derive ``parent`` and ``end`` from pre-order depths in one stack pass.
 
         Raises
         ------
         StructureError
-            If the two sequences disagree in length, or if the labels are not
-            a single-rooted pre-order walk (every non-root label must extend
-            the label on top of the depth stack by exactly one component).
+            If the three sequences disagree in length, or if the depths are
+            not one pre-order walk of a single-rooted tree: the table is
+            empty, its first entry is not the root (depth 0), a later entry
+            is a second root, or an entry sits more than one level below the
+            entry before it.
         """
-        count = len(labels)
-        if len(tag_ids) != count:
+        count = len(depths)
+        if len(lasts) != count or len(tag_ids) != count:
             raise StructureError(
-                f"label table has {count} entries, tag table has {len(tag_ids)}"
+                f"element table has {count} depths, {len(lasts)} lasts and "
+                f"{len(tag_ids)} tag ids"
             )
-        structure = cls.__new__(cls)
-        structure.labels = list(labels)
-        structure.tag_ids = list(tag_ids)
-        structure._occurrences = None
-
-        level = [0] * count
+        if not count:
+            raise StructureError("element table is empty: a document has at least its root")
+        if depths[0] != 0:
+            raise StructureError(
+                f"first entry must be the document root, got depth {depths[0]}"
+            )
         parent = [-1] * count
         end = [count] * count
+        # stack[d] is the open element at depth d, so len(stack) is the
+        # depth a child of the top would have.
         stack: List[int] = []
-        for pre, label in enumerate(structure.labels):
-            depth = len(label)
-            level[pre] = depth
-            while stack and level[stack[-1]] >= depth:
+        for pre, depth in enumerate(depths):
+            if depth > len(stack):
+                raise StructureError(
+                    f"element {pre} at depth {depth} jumps past its parent at depth "
+                    f"{len(stack) - 1}"
+                )
+            while len(stack) > depth:
                 end[stack.pop()] = pre
             if stack:
                 parent[pre] = stack[-1]
-                top = structure.labels[stack[-1]]
-                if depth != len(top) + 1 or label.components[:-1] != top.components:
-                    raise StructureError(
-                        f"label table is not a pre-order walk: {label} does not "
-                        f"extend its parent {top}"
-                    )
-            elif pre != 0:
-                raise StructureError(
-                    f"label table is not single-rooted: {label} has no ancestor on the stack"
-                )
-            elif depth != 0:
-                raise StructureError(f"first label must be the document root, got {label}")
+            elif pre:
+                raise StructureError(f"element {pre} is a second root")
             stack.append(pre)
-        structure.level = level
-        structure.parent = parent
-        structure.end = end
-        return structure
+        self.parent = parent
+        self.end = end
+        self.last = list(lasts)
+        self.tag_ids = list(tag_ids)
+        self._occurrences: Optional[Dict[int, List[int]]] = None
+
+    @classmethod
+    def from_tree(cls, root: XMLNode, tags: TagDictionary) -> "DocumentStructure":
+        """Index a live tree, interning its tags into ``tags``.
+
+        One pre-order walk of the children lists: an element's ``last`` is
+        its position in its parent's ``children``, text nodes counted.
+        """
+        depths: List[int] = []
+        lasts: List[int] = []
+        tag_ids: List[int] = []
+        stack = [(root, 0, 0)]
+        while stack:
+            node, depth, last = stack.pop()
+            depths.append(depth)
+            lasts.append(last)
+            tag_ids.append(tags.intern(node.tag or ""))
+            children = node.children
+            for offset in range(len(children) - 1, -1, -1):
+                if children[offset].is_element:
+                    stack.append((children[offset], depth + 1, offset))
+        return cls(depths, lasts, tag_ids)
 
     # ------------------------------------------------------------------ #
     # Lookup
     # ------------------------------------------------------------------ #
+    def label_of(self, pre: int) -> DeweyLabel:
+        """The Dewey label of element ``pre``: climb ``parent``, collecting ``last``.
+
+        ``root.node_at(label_of(pre))`` is therefore element ``pre`` of the
+        tree the table describes.  Only a served page asks for labels.
+        """
+        components: List[int] = []
+        while pre > 0:
+            components.append(self.last[pre])
+            pre = self.parent[pre]
+        return DeweyLabel(reversed(components))
+
     def tag_occurrences(self, tag_id: int) -> Sequence[int]:
         """Sorted pre numbers of every element with tag ``tag_id``."""
         occurrences = self._occurrences
@@ -278,14 +290,7 @@ class DocumentStructure:
     # Protocol
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
-        return len(self.labels)
-
-    def signature(self) -> Tuple[Tuple[int, int, int, int], ...]:
-        """The full per-element encoding, for equality checks in tests."""
-        return tuple(
-            (self.end[pre], self.level[pre], self.parent[pre], self.tag_ids[pre])
-            for pre in range(len(self.labels))
-        )
+        return len(self.parent)
 
     def __repr__(self) -> str:
-        return f"DocumentStructure(elements={len(self.labels)})"
+        return f"DocumentStructure(elements={len(self.parent)})"

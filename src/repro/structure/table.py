@@ -4,8 +4,9 @@ A :class:`StructuralTable` hangs off every
 :class:`~repro.storage.corpus.Corpus` and holds one
 :class:`~repro.structure.encoding.DocumentStructure` per stored document.
 The corpus builds each document's structure next to its index entry, from
-the tree it is indexing; a snapshot load restores the table from the label
-tables and the stored tag arrays without decoding a record.  Every keyword
+the tree it is indexing; a snapshot load restores the table from the
+directory's label tables (depths and last components) and the stored tag
+arrays without decoding a record or building a label.  Every keyword
 query reads the table of every matched document (XSeek climbs ``parent``
 and ranking sizes a result as ``end - pre``), so a structure is never
 computed on demand.

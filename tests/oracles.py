@@ -9,7 +9,10 @@ and :func:`~repro.search.elca.compute_elca` run.  They work on Dewey labels,
 through their own ``(doc_id, label)`` postings: :func:`labelled_postings`
 turns the index's runs of pre numbers into such postings, and
 :func:`labelled_matches` does the same for the ``(doc_id, pre)`` matches of
-the fast algorithms, both through the structural table's labels.
+the fast algorithms, both through the structural table's
+:meth:`~repro.structure.encoding.DocumentStructure.label_of`, and
+:func:`pre_order_labels` lists one document's labels in pre order, so a
+test can turn a label back into its pre number with ``index``.
 :func:`tag_repeats_scan` re-reads whole trees for the repeating-tag signal
 that :class:`~repro.storage.statistics.CorpusStatistics` keeps
 incrementally.  :func:`infer_return_subtree_walk` is XSeek's return-node
@@ -21,6 +24,7 @@ structural table's ``parent`` and ``end`` arrays instead.
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.storage.statistics import CorpusStatistics
+from repro.structure.encoding import DocumentStructure
 from repro.structure.table import StructuralTable
 from repro.xmlmodel.dewey import DeweyLabel
 from repro.xmlmodel.node import XMLNode
@@ -29,13 +33,20 @@ from repro.xmlmodel.node import XMLNode
 LabelledPosting = Tuple[str, DeweyLabel]
 
 
+def pre_order_labels(structure: DocumentStructure) -> List[DeweyLabel]:
+    """Every element's Dewey label, indexed by pre number."""
+    return [structure.label_of(pre) for pre in range(len(structure))]
+
+
 def labelled_postings(
     keyword_runs: Sequence[Mapping[str, Sequence[int]]], table: StructuralTable
 ) -> List[List[LabelledPosting]]:
     """Each keyword's runs as ``(doc_id, label)`` postings in document order."""
     return [
         sorted(
-            (doc_id, table.get(doc_id).labels[pre]) for doc_id, run in runs.items() for pre in run
+            (doc_id, table.get(doc_id).label_of(pre))
+            for doc_id, run in runs.items()
+            for pre in run
         )
         for runs in keyword_runs
     ]
@@ -45,7 +56,7 @@ def labelled_matches(
     matches: Iterable[Tuple[str, int]], table: StructuralTable
 ) -> List[LabelledPosting]:
     """``(doc_id, pre)`` matches as ``(doc_id, label)`` postings, in their order."""
-    return [(doc_id, table.get(doc_id).labels[pre]) for doc_id, pre in matches]
+    return [(doc_id, table.get(doc_id).label_of(pre)) for doc_id, pre in matches]
 
 
 def compute_slca_scan(

@@ -137,14 +137,17 @@ class TestXmlRoundTripProperties:
             for offset, child in enumerate(node.children):
                 assert child.label == node.label.child(offset)
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(xml_trees())
     def test_element_count_matches_walk(self, tree):
-        # Ranking's size normaliser is end[pre] - pre: it must be the
-        # element count of the subtree at pre.
+        # A served page climbs each result's label off the table, so
+        # label_of(pre) must name the pre-th element; ranking's size
+        # normaliser is end[pre] - pre: the element count of the subtree.
         structure = DocumentStructure.from_tree(tree, TagDictionary())
         for pre, element in enumerate(tree.iter_elements()):
-            assert structure.labels[pre] == element.label
+            label = structure.label_of(pre)
+            assert label == element.label
+            assert tree.node_at(label) is element
             assert structure.end[pre] - pre == sum(
                 1 for node in element.walk() if node.is_element
             )
@@ -169,7 +172,7 @@ class TestXseekTableProperties:
                 for max_climb in (0, 1, 2, 3, 10):
                     climbed = infer_return_subtree(structure, tags, pre, statistics, max_climb)
                     walked = infer_return_subtree_walk(tree, element.label, statistics, max_climb)
-                    assert structure.labels[climbed] == walked.label
+                    assert structure.label_of(climbed) == walked.label
 
 
 # --------------------------------------------------------------------------- #
@@ -292,5 +295,5 @@ class TestSearchAlgorithmsOnRandomCorpora:
         for runs in corpus.index.keyword_node_lists(keywords):
             for doc_id, run in runs.items():
                 assert list(run) == sorted(set(run))
-                labels = [corpus.structure.get(doc_id).labels[pre] for pre in run]
+                labels = [corpus.structure.get(doc_id).label_of(pre) for pre in run]
                 assert labels == sorted(labels)

@@ -4,6 +4,7 @@ import gc
 
 import pytest
 
+from oracles import pre_order_labels
 from repro.errors import SearchError
 from repro.search.engine import SearchEngine
 from repro.search.query import KeywordQuery
@@ -50,16 +51,16 @@ def document_table(tree):
 def entity(tree, node, statistics):
     """XSeek's entity test for ``node``, evaluated on the tree's table."""
     structure, tags = document_table(tree)
-    return is_entity_node(structure, tags, structure.labels.index(node.label), statistics)
+    pre = pre_order_labels(structure).index(node.label)
+    return is_entity_node(structure, tags, pre, statistics)
 
 
 def return_node(tree, match, statistics, max_climb=10):
     """The tree node at the pre number the table climb returns for ``match``."""
     structure, tags = document_table(tree)
-    pre = infer_return_subtree(
-        structure, tags, structure.labels.index(match.label), statistics, max_climb=max_climb
-    )
-    return tree.node_at(structure.labels[pre])
+    match_pre = pre_order_labels(structure).index(match.label)
+    pre = infer_return_subtree(structure, tags, match_pre, statistics, max_climb=max_climb)
+    return tree.node_at(structure.label_of(pre))
 
 
 class TestXseekInference:
@@ -211,7 +212,7 @@ class TestSearchEngine:
         engine = SearchEngine(product_corpus())
         result = engine.search("tomtom gps")[0]
         stored = engine.corpus.store.get(result.doc_id)
-        assert result.subtree is stored.node_at(result.return_label)
+        assert result.subtree is stored.root.node_at(result.return_label)
         copy = result.subtree.copy()
         copy.find_child("name").children[0].text = "mutated"
         assert "mutated" not in stored.root.text_content()
@@ -300,7 +301,7 @@ class TestSearchEngineCache:
         second = engine.search("tomtom gps")[0]
         assert engine.cache_hits == 1
         assert second.subtree is first.subtree
-        assert second.subtree is engine.corpus.store.get("p1").node_at(second.return_label)
+        assert second.subtree is engine.corpus.store.get("p1").root.node_at(second.return_label)
 
     def test_cache_invalidated_by_corpus_mutation(self):
         corpus = product_corpus()

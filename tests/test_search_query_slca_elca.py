@@ -2,7 +2,7 @@
 
 import pytest
 
-from oracles import compute_slca_scan, labelled_matches, labelled_postings
+from oracles import compute_slca_scan, labelled_matches, labelled_postings, pre_order_labels
 from repro.errors import QueryError
 from repro.search.elca import compute_elca
 from repro.search.query import KeywordQuery
@@ -31,7 +31,8 @@ def run_on_documents(algorithm, lists):
     """Run ``algorithm`` on hand-built postings and label its matches.
 
     Every document named is a copy of :data:`HAND_BUILT_XML`; each posting's
-    label becomes its element's pre number, through ``labels.index``.
+    label becomes its element's pre number, through its index in
+    :func:`~oracles.pre_order_labels`.
     """
     table = StructuralTable()
     for doc_id in sorted({doc for postings in lists for doc, _ in postings}):
@@ -40,7 +41,7 @@ def run_on_documents(algorithm, lists):
     for postings in lists:
         runs = {}
         for doc, label in postings:
-            pre = table.get(doc).labels.index(DeweyLabel.parse(label))
+            pre = pre_order_labels(table.get(doc)).index(DeweyLabel.parse(label))
             runs[doc] = tuple(sorted(runs.get(doc, ()) + (pre,)))
         keyword_runs.append(runs)
     matches = labelled_matches(algorithm(keyword_runs, table), table)

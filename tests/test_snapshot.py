@@ -1,5 +1,6 @@
 """Tests for the binary corpus snapshot subsystem (save / load / failure modes)."""
 
+import gc
 import io
 import struct
 from pathlib import Path
@@ -19,6 +20,7 @@ from repro.storage.corpus import Corpus
 from repro.storage.document_store import DocumentStore
 from repro.storage.snapshot import FORMAT_VERSION, read_snapshot_header
 from repro.xmlmodel.builder import TreeBuilder
+from repro.xmlmodel.dewey import DeweyLabel
 from repro.xmlmodel.parser import parse_xml
 
 
@@ -190,6 +192,19 @@ class TestRoundTrip:
         resaved = tmp_path / "resaved.snap"
         Corpus.load(DATA_DIR / "small_corpus_format3.snap").save(resaved)
         assert resaved.read_bytes() == committed
+
+
+    def test_load_builds_no_label_objects(self):
+        """A load keeps each label table as integer lists, so no label is built."""
+
+        def live_labels():
+            gc.collect()
+            return sum(1 for obj in gc.get_objects() if type(obj) is DeweyLabel)
+
+        before = live_labels()
+        loaded = Corpus.load(DATA_DIR / "small_corpus_format3.snap")
+        assert live_labels() == before
+        assert loaded.structure.element_count() > 0
 
 
 class TestFailureModes:

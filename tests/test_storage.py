@@ -104,11 +104,6 @@ class TestDocumentStore:
         store.clear()
         assert len(store) == 0
 
-    def test_node_at(self):
-        store = sample_store()
-        node = store.node_at("d1", DeweyLabel((0,)))
-        assert node.tag == "name"
-
     def test_total_elements(self):
         # The structural table owns element counts: one per document.
         table = Corpus(sample_store()).structure
@@ -143,7 +138,7 @@ class TestInvertedIndex:
         assert runs_of(index, "gps") == {"d1": (1,), "d2": (1,)}
         assert runs_of(index, "product") == {"d1": (0,), "d2": (0,)}
         table = Corpus(store).structure
-        assert table.get("d1").labels[1] == DeweyLabel((0,))
+        assert table.get("d1").label_of(1) == DeweyLabel((0,))
 
     def test_tag_terms_indexed(self):
         store = sample_store()

@@ -24,7 +24,7 @@ from base64 import urlsafe_b64decode, urlsafe_b64encode
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import compute_slca_scan, labelled_matches, labelled_postings
+from oracles import compute_slca_scan, labelled_matches, labelled_postings, pre_order_labels
 from repro.cli import main as cli_main
 from repro.errors import (
     InvalidCursorError,
@@ -52,9 +52,10 @@ from repro.storage.snapshot import (
     _Writer,
     save_corpus,
 )
+from repro.storage.statistics import CorpusStatistics
+from repro.storage.tokenizer import fingerprint as tokenizer_fingerprint
 from repro.structure import DocumentStructure, TagDictionary
 from repro.xmlmodel.builder import TreeBuilder
-from repro.xmlmodel.dewey import DeweyLabel
 from repro.xmlmodel.parser import parse_xml
 from repro.xmlmodel.serializer import serialize
 
@@ -150,7 +151,7 @@ def match_tags(corpus, results):
     tags = []
     for result in results:
         structure = corpus.structure.get(result.doc_id)
-        pre = structure.labels.index(result.match_label)
+        pre = pre_order_labels(structure).index(result.match_label)
         tags.append(corpus.structure.tags.tag(structure.tag_ids[pre]))
     return tags
 
@@ -167,10 +168,9 @@ class TestEncodingDifferential:
     @settings(max_examples=30, deadline=None)
     def test_interval_predicates_match_dewey_oracle(self, tree):
         structure = DocumentStructure.from_tree(tree, TagDictionary())
-        labels = structure.labels
+        labels = pre_order_labels(structure)
         count = len(labels)
         for a in range(count):
-            assert structure.level[a] == len(labels[a])
             assert labels.index(labels[a]) == a
             if structure.parent[a] == -1:
                 assert labels[a].is_root
@@ -186,7 +186,7 @@ class TestEncodingDifferential:
     def test_window_scans_match_prefix_walk(self, tree):
         tags = TagDictionary()
         structure = DocumentStructure.from_tree(tree, tags)
-        labels = structure.labels
+        labels = pre_order_labels(structure)
         count = len(labels)
         for pre in range(count):
             for tag in tags:
@@ -204,33 +204,38 @@ class TestEncodingDifferential:
                     for b in range(count)
                     if structure.tag_ids[b] == tag_id and labels[b].is_ancestor_of(labels[pre])
                 ]
-                nearest = max(ancestors, key=lambda b: structure.level[b], default=None)
+                nearest = max(ancestors, key=lambda b: len(labels[b]), default=None)
                 assert structure.nearest_ancestor_with_tag(pre, tag_id) == nearest
 
     @given(tree=xml_trees())
     @settings(max_examples=30, deadline=None)
-    def test_from_labels_reproduces_from_tree(self, tree):
-        # The snapshot-restore path: labels + tag ids alone rebuild the
-        # identical encoding.
+    def test_constructor_reproduces_from_tree(self, tree):
+        # The snapshot-restore path: the label table's depths and last
+        # components plus the tag ids alone rebuild the identical encoding.
         built = DocumentStructure.from_tree(tree, TagDictionary())
-        derived = DocumentStructure.from_labels(built.labels, built.tag_ids)
-        assert derived.signature() == built.signature()
-        assert derived.end == built.end
+        labels = [element.label for element in tree.iter_elements()]
+        derived = DocumentStructure(
+            [len(label) for label in labels],
+            [label.components[-1] if label.components else 0 for label in labels],
+            built.tag_ids,
+        )
+        for field in ("parent", "end", "last", "tag_ids"):
+            assert getattr(derived, field) == getattr(built, field)
 
-    def test_from_labels_rejects_malformed_tables(self):
-        root = DeweyLabel.root()
-        with pytest.raises(StructureError, match="label table has"):
-            DocumentStructure.from_labels([root], [0, 1])
-        with pytest.raises(StructureError, match="first label must be the document root"):
-            DocumentStructure.from_labels([DeweyLabel((0,))], [0])
-        with pytest.raises(StructureError, match="not a pre-order walk"):
-            DocumentStructure.from_labels([root, DeweyLabel((0, 0))], [0, 0])
-        with pytest.raises(StructureError, match="not single-rooted"):
-            DocumentStructure.from_labels([root, root], [0, 0])
+    def test_constructor_rejects_malformed_tables(self):
+        with pytest.raises(StructureError, match="1 depths, 1 lasts and 2 tag ids"):
+            DocumentStructure([0], [0], [0, 1])
+        with pytest.raises(StructureError, match="first entry must be the document root"):
+            DocumentStructure([1], [0], [0])
+        with pytest.raises(StructureError, match="jumps past its parent"):
+            DocumentStructure([0, 2], [0, 0], [0, 0])
+        with pytest.raises(StructureError, match="second root"):
+            DocumentStructure([0, 0], [0, 0], [0, 0])
 
-    def test_direct_construction_is_blocked(self):
-        with pytest.raises(StructureError, match="from_tree or"):
-            DocumentStructure()
+    def test_empty_table_is_rejected(self):
+        # A document has at least its root element.
+        with pytest.raises(StructureError, match="element table is empty"):
+            DocumentStructure([], [], [])
 
     def test_tag_dictionary(self):
         tags = TagDictionary()
@@ -668,9 +673,9 @@ def portable_signature(corpus, doc_id):
     tags = corpus.structure.tags
     return [
         (
-            str(structure.labels[pre]),
+            str(structure.label_of(pre)),
             structure.end[pre],
-            structure.level[pre],
+            structure.last[pre],
             structure.parent[pre],
             tags.tag(structure.tag_ids[pre]),
         )
@@ -886,6 +891,104 @@ class TestSnapshotHeadChecks:
             SnapshotFormatError,
             match=f"posts element {elements} of document 'doc-a', which has {elements} elements",
         ):
+            Corpus.load(damaged)
+
+
+def rewrite_label_table(head, doc_id, edit):
+    """Re-encode ``doc_id``'s directory label table after ``edit`` changes its depths.
+
+    The table is the tail of the document's directory entry: per element a
+    varint depth and, below the root, the last Dewey component.
+    """
+    reader = _Reader(head)
+    reader.varint()  # tokenizer fingerprint
+    for _ in range(reader.varint()):
+        entry = _Reader(head)
+        entry.offset = reader.offset
+        if _read_directory_entry(reader)[0].doc_id == doc_id:
+            break
+    else:
+        raise AssertionError(f"no directory entry for {doc_id!r}")
+    entry.string()  # document id
+    for _ in range(2 * entry.varint()):
+        entry.string()  # metadata keys and values
+    for _ in range(5):
+        entry.varint()  # flags, record offset, stored and raw length, checksum
+    count = entry.varint()
+    start = entry.offset
+    depths, lasts = [], []
+    for _ in range(count):
+        depths.append(entry.varint())
+        lasts.append(entry.varint() if depths[-1] else 0)
+    assert entry.offset == reader.offset
+    edit(depths)
+    writer = _Writer()
+    for depth, last in zip(depths, lasts):
+        writer.varint(depth)
+        if depth:
+            writer.varint(last)
+    return head[:start] + writer.getvalue() + head[entry.offset :]
+
+
+class TestSnapshotLabelTableChecks:
+    """Byte surgery on the directory's label tables, checksums intact.
+
+    Each damaged table must be refused at load, naming its document: the
+    table is what a load rebuilds every document's structure from.
+    """
+
+    def _forge(self, tmp_path, edit):
+        path = tmp_path / "s.snap"
+        save_corpus(struct_corpus(), path)
+        version, name_bytes, head, records = carve_v2(path.read_bytes())
+        damaged = tmp_path / "damaged.snap"
+        damaged.write_bytes(
+            forge_v2(version, name_bytes, rewrite_label_table(head, "doc-b", edit), records)
+        )
+        return damaged
+
+    def test_first_entry_below_the_root_is_rejected(self, tmp_path):
+        def first_at_depth_one(depths):
+            depths[0] = 1
+
+        with pytest.raises(SnapshotFormatError, match="document 'doc-b'"):
+            Corpus.load(self._forge(tmp_path, first_at_depth_one))
+
+    def test_second_root_is_rejected(self, tmp_path):
+        def second_root(depths):
+            depths[-1] = 0
+
+        with pytest.raises(SnapshotFormatError, match="document 'doc-b'"):
+            Corpus.load(self._forge(tmp_path, second_root))
+
+    def test_depth_jump_is_rejected(self, tmp_path):
+        def jump_by_two(depths):
+            assert depths[:2] == [0, 1]
+            depths[1] = 2
+
+        with pytest.raises(SnapshotFormatError, match="document 'doc-b'"):
+            Corpus.load(self._forge(tmp_path, jump_by_two))
+
+    def test_document_without_elements_is_rejected(self, tmp_path):
+        # A directory entry that gives its document no elements: with no
+        # root, every read of the document would fail, so the load refuses.
+        writer = _Writer()
+        writer.varint(tokenizer_fingerprint())
+        writer.varint(1)  # one document
+        writer.string("empty")
+        writer.varint(0)  # no metadata
+        for _ in range(4):
+            writer.varint(0)  # flags, record offset, stored and raw length
+        writer.varint(zlib.crc32(b""))
+        writer.varint(0)  # element count; no label table follows
+        writer.varint(0)  # index: no terms,
+        for _ in range(3):
+            writer.u32_array([])  # and empty run tables
+        _write_statistics(writer, CorpusStatistics())
+        _write_structure(writer, ["empty"], {"empty": []}, [])
+        damaged = tmp_path / "empty.snap"
+        damaged.write_bytes(forge_v2(0, b"forged", writer.getvalue(), b""))
+        with pytest.raises(SnapshotFormatError, match="document 'empty'"):
             Corpus.load(damaged)
 
 
