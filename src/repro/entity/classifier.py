@@ -5,7 +5,8 @@ value) triplets, so the extractor needs to know, for every leaf value, which
 ancestor is its attribute name and which higher ancestor is the owning entity.
 Nodes hold no parent pointer, so :func:`owned_leaves` finds both on one
 top-down walk of the result tree, which also keeps them inside the result
-when the tree is a node of a larger stored document.
+when the tree is a node of a larger stored document.  Categories are keyed
+by the node itself (an identity hash): a node stores no label.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import EntityInferenceError
 from repro.storage.statistics import CorpusStatistics, repeating_groups
-from repro.xmlmodel.dewey import DeweyLabel
 from repro.xmlmodel.node import XMLNode
 
 __all__ = ["NodeCategory", "NodeClassifier", "classify_result_tree", "owned_leaves"]
@@ -46,7 +46,7 @@ class NodeClassifier:
 
     statistics: Optional[CorpusStatistics] = None
 
-    def classify(self, root: XMLNode) -> Dict[DeweyLabel, NodeCategory]:
+    def classify(self, root: XMLNode) -> Dict[XMLNode, NodeCategory]:
         """Return a category for every element node in the subtree of ``root``.
 
         Raises
@@ -58,10 +58,10 @@ class NodeClassifier:
             raise EntityInferenceError("can only classify element-rooted trees")
 
         local_repeating = repeating_groups(root)
-        categories: Dict[DeweyLabel, NodeCategory] = {}
-        for node in root.iter_elements():
-            categories[node.label] = self._classify_node(node, root, local_repeating)
-        return categories
+        return {
+            node: self._classify_node(node, root, local_repeating)
+            for node in root.iter_elements()
+        }
 
     # ------------------------------------------------------------------ #
     # Per-node rules
@@ -105,7 +105,7 @@ class NodeClassifier:
 
 
 def owned_leaves(
-    root: XMLNode, categories: Dict[DeweyLabel, NodeCategory]
+    root: XMLNode, categories: Dict[XMLNode, NodeCategory]
 ) -> Iterator[Tuple[XMLNode, Optional[XMLNode], Optional[XMLNode]]]:
     """Yield ``(leaf, parent, owner)`` for every leaf element of ``root``.
 
@@ -120,7 +120,7 @@ def owned_leaves(
         if node.is_leaf_element:
             yield node, parent, owner
             continue
-        if categories.get(node.label) is NodeCategory.ENTITY:
+        if categories.get(node) is NodeCategory.ENTITY:
             owner = node
         for child in reversed(node.children):
             if child.is_element:
@@ -130,6 +130,6 @@ def owned_leaves(
 def classify_result_tree(
     root: XMLNode,
     statistics: Optional[CorpusStatistics] = None,
-) -> Dict[DeweyLabel, NodeCategory]:
+) -> Dict[XMLNode, NodeCategory]:
     """Classify every element of a result tree in one call."""
     return NodeClassifier(statistics=statistics).classify(root)

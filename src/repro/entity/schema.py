@@ -74,8 +74,7 @@ def infer_schema(
     for root in trees:
         categories = classifier.classify(root)
         for node in root.iter_elements():
-            category = categories[node.label]
-            if category is NodeCategory.ENTITY:
+            if categories[node] is NodeCategory.ENTITY:
                 schema = schemas.setdefault(node.tag, EntitySchema(entity_tag=node.tag))
                 schema.instance_count += 1
         for leaf, _, owner in owned_leaves(root, categories):

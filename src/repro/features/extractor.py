@@ -80,7 +80,7 @@ class FeatureExtractor:
         # occurrence counts are reported against (e.g. the number of reviews).
         entity_instances: Dict[str, int] = {}
         for node in root.iter_elements():
-            if categories[node.label] is NodeCategory.ENTITY:
+            if categories[node] is NodeCategory.ENTITY:
                 entity_instances[node.tag] = entity_instances.get(node.tag, 0) + 1
 
         # Aggregate occurrences per feature, remembering the owning entity tag

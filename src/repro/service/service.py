@@ -73,6 +73,7 @@ from repro.service.protocol import (
     SearchResponse,
 )
 from repro.storage.corpus import Corpus
+from repro.xmlmodel.dewey import DeweyLabel
 from repro.xmlmodel.node import XMLNode
 from repro.xmlmodel.parser import parse_xml
 from repro.xmlmodel.serializer import serialize
@@ -398,8 +399,8 @@ class SearchService:
                 SearchResult(
                     result_id=f"R{position}",
                     doc_id=doc_id,
-                    match_label=document.root.label,
-                    return_label=document.root.label,
+                    match_label=DeweyLabel.root(),
+                    return_label=DeweyLabel.root(),
                     subtree=subtree,
                     title=SearchEngine._result_title(subtree, doc_id),
                 )

@@ -93,7 +93,6 @@ from repro.storage.statistics import CorpusStatistics
 from repro.storage.tokenizer import fingerprint as _tokenizer_fingerprint
 from repro.structure.encoding import DocumentStructure, TagDictionary
 from repro.structure.table import StructuralTable
-from repro.xmlmodel.dewey import DeweyLabel
 from repro.xmlmodel.node import NodeKind, XMLNode
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -276,51 +275,43 @@ def _encode_tree(writer: _Writer, root: XMLNode) -> None:
             writer.buffer += data
 
 
-def _decode_tree(reader: _Reader) -> Tuple[XMLNode, List[XMLNode]]:
-    """Decode one document tree; returns the root and its pre-order elements.
+def _decode_tree(reader: _Reader) -> Tuple[XMLNode, int]:
+    """Decode one document tree; returns the root and its element count.
 
-    This is the single hottest loop of a load — a 1000-document IMDB corpus
+    This is the hot loop of every record read — a 1000-document IMDB corpus
     decodes ~170k nodes — so it reads the payload bytes directly with inlined
     varint/string decoding (one attribute access per byte instead of one
-    method call per field) and materialises nodes and labels through
-    ``__new__`` with every slot assigned in place.  The constructor's
-    validation is a per-node cost the decoder does not need: the writer only
-    ever emits trees that satisfy the :class:`XMLNode` invariants, and any
-    byte-level damage is caught by the per-record checksum before decoding
-    starts.  Bounds overruns surface as :class:`IndexError`/short slices and
-    are converted to typed errors here.
+    method call per field) and materialises nodes through ``__new__`` with
+    every slot assigned in place; a node stores no label, so none is built.
+    The constructor's validation is a per-node cost the decoder does not
+    need: the writer only ever emits trees that satisfy the :class:`XMLNode`
+    invariants, and any byte-level damage is caught by the per-record
+    checksum before decoding starts.  Bounds overruns surface as
+    :class:`IndexError`/short slices and are converted to typed errors here.
     """
     data = reader.data
     limit = len(data)
     offset = reader.offset
     node_new = XMLNode.__new__
-    label_new = DeweyLabel.__new__
     element_kind = NodeKind.ELEMENT
     text_kind = NodeKind.TEXT
-    elements: List[XMLNode] = []
-    append_element = elements.append
+    element_count = 0
     root: Optional[XMLNode] = None
-    # Each frame is [node, remaining_child_records, next_child_offset,
-    # label_components, children_list].
+    siblings: Optional[List[XMLNode]] = None
+    # Each frame is [remaining_child_records, children_list].
     stack: List[List] = []
     try:
         while True:
-            if root is None:
-                parent = None
-                components: Tuple[int, ...] = ()
-            elif stack:
+            if root is not None:
+                if not stack:
+                    break
                 frame = stack[-1]
-                remaining = frame[1]
+                remaining = frame[0]
                 if remaining == 0:
                     stack.pop()
                     continue
-                frame[1] = remaining - 1
-                child_offset = frame[2]
-                frame[2] = child_offset + 1
-                parent = frame[0]
-                components = frame[3] + (child_offset,)
-            else:
-                break
+                frame[0] = remaining - 1
+                siblings = frame[1]
             header = data[offset]
             offset += 1
             if header & 0x80:
@@ -334,7 +325,7 @@ def _decode_tree(reader: _Reader) -> Tuple[XMLNode, List[XMLNode]]:
                         break
                     shift += 7
             if header & _TEXT_BIT:
-                if parent is None:
+                if siblings is None:
                     raise SnapshotFormatError(
                         "malformed snapshot: document root must be an element node"
                     )
@@ -343,8 +334,6 @@ def _decode_tree(reader: _Reader) -> Tuple[XMLNode, List[XMLNode]]:
                     # Internal control flow only: caught by the except below
                     # and converted to a typed SnapshotFormatError.
                     raise IndexError  # repro: ignore[error-discipline]
-                label = label_new(DeweyLabel)
-                label._components = components
                 node = node_new(XMLNode)
                 node.tag = None
                 node.text = data[offset:end].decode("utf-8")
@@ -352,8 +341,7 @@ def _decode_tree(reader: _Reader) -> Tuple[XMLNode, List[XMLNode]]:
                 node.attributes = {}
                 node.kind = text_kind
                 node.children = []
-                node.label = label
-                frame[4].append(node)
+                siblings.append(node)
             else:
                 # Inlined string read: tag.
                 length = data[offset]
@@ -384,23 +372,20 @@ def _decode_tree(reader: _Reader) -> Tuple[XMLNode, List[XMLNode]]:
                         attributes[key] = reader.string()
                     offset = reader.offset
                 children: List[XMLNode] = []
-                label = label_new(DeweyLabel)
-                label._components = components
                 node = node_new(XMLNode)
                 node.tag = tag
                 node.text = None
                 node.attributes = attributes
                 node.kind = element_kind
                 node.children = children
-                node.label = label
-                append_element(node)
-                if parent is None:
+                element_count += 1
+                if siblings is None:
                     root = node
                 else:
-                    frame[4].append(node)
+                    siblings.append(node)
                 child_count = header >> 2
                 if child_count:
-                    stack.append([node, child_count, 0, components, children])
+                    stack.append([child_count, children])
     except IndexError:
         raise SnapshotFormatError(
             "truncated snapshot: document tree runs past payload end"
@@ -409,7 +394,7 @@ def _decode_tree(reader: _Reader) -> Tuple[XMLNode, List[XMLNode]]:
         raise SnapshotFormatError(f"malformed snapshot: invalid UTF-8 string ({exc})") from None
     reader.offset = offset
     assert root is not None  # the first record always creates the root
-    return root, elements
+    return root, element_count
 
 
 def _decode_record(data, record: DocumentRecord, base: int = 0) -> XMLNode:
@@ -444,8 +429,8 @@ def _decode_record(data, record: DocumentRecord, base: int = 0) -> XMLNode:
             f"{len(raw)} bytes, directory promises {record.raw_length}"
         )
     reader = _Reader(raw)
-    root, elements = _decode_tree(reader)
-    if not reader.at_end() or len(elements) != record.element_count:
+    root, element_count = _decode_tree(reader)
+    if not reader.at_end() or element_count != record.element_count:
         raise SnapshotFormatError(
             f"malformed snapshot: document {record.doc_id!r} record does not decode cleanly"
         )
@@ -733,6 +718,12 @@ def save_corpus(corpus: "Corpus", path: Union[str, Path], *, compress: bool = Fa
         uncompressed when deflation does not shrink it.  Per-record
         compression preserves random access, trading decode CPU for file
         size.
+
+    Raises
+    ------
+    SnapshotError
+        If the file cannot be written, or, before any byte is written, if
+        ``corpus.store`` was edited without :meth:`Corpus.refresh`.
     """
     name_bytes = corpus.name.encode("utf-8")
     payload, records = _build_payload(corpus, compress=compress)
@@ -774,6 +765,23 @@ def save_corpus(corpus: "Corpus", path: Union[str, Path], *, compress: bool = Fa
     return target
 
 
+def _check_current(corpus: "Corpus", doc_ids: List[str]) -> None:
+    """Refuse a corpus whose store was edited without :meth:`Corpus.refresh`.
+
+    The head describes each stored document from the structural table and
+    the index, so all three must hold the same documents.
+    """
+    stored = set(doc_ids)
+    tables = {"structural table": set(corpus.structure), "index": set(corpus.index._doc_terms)}
+    for name, held in tables.items():
+        differing = sorted(stored ^ held)
+        if differing:
+            raise SnapshotError(
+                f"cannot save a stale corpus: its store and its {name} disagree on "
+                f"document {differing[0]!r}; refresh() rebuilds the tables from the store"
+            )
+
+
 def _build_payload(corpus: "Corpus", *, compress: bool) -> Tuple[bytes, bytes]:
     """The eager head plus the offset-addressed record section.
 
@@ -781,10 +789,11 @@ def _build_payload(corpus: "Corpus", *, compress: bool) -> Tuple[bytes, bytes]:
     corpus streams record-by-record instead of materialising everything at
     once.
     """
+    doc_ids = corpus.store.document_ids()
+    _check_current(corpus, doc_ids)
     writer = _Writer()
     writer.varint(_tokenizer_fingerprint())
 
-    doc_ids = corpus.store.document_ids()
     doc_refs = {doc_id: position for position, doc_id in enumerate(doc_ids)}
     section_tags: Dict[int, int] = {}
     doc_tag_ids: Dict[str, List[int]] = {}

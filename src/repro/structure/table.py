@@ -14,7 +14,7 @@ computed on demand.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Iterator, Optional
 
 from repro.errors import DocumentNotFoundError
 from repro.structure.encoding import DocumentStructure, TagDictionary
@@ -76,6 +76,9 @@ class StructuralTable:
 
     def __len__(self) -> int:
         return len(self._documents)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._documents)
 
     def __repr__(self) -> str:
         return f"StructuralTable(documents={len(self)}, tags={len(self.tags)})"

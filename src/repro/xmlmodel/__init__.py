@@ -7,8 +7,9 @@ built on a small, self-contained XML data model:
 * :class:`~repro.xmlmodel.dewey.DeweyLabel` — hierarchical node labels that make
   ancestor tests and lowest-common-ancestor computation cheap, which the SLCA /
   ELCA search algorithms rely on.
-* :class:`~repro.xmlmodel.node.XMLNode` — an ordered, labelled tree node with
-  element / text distinction, navigation helpers and subtree utilities.
+* :class:`~repro.xmlmodel.node.XMLNode` — an ordered tree node with element /
+  text distinction, navigation helpers and subtree utilities; it stores no
+  label, so a label addresses a node by child offsets from a root.
 * :func:`~repro.xmlmodel.parser.parse_xml` — a dependency-free XML parser for
   the subset of XML used by the datasets (elements, attributes, text, comments,
   CDATA, declarations, entity references).

@@ -81,12 +81,11 @@ class TreeBuilder:
         return self.current.append_child(node)
 
     def finish(self) -> XMLNode:
-        """Close the builder and return the completed, labelled root."""
+        """Close the builder and return the completed root."""
         self._check_open()
         if len(self._stack) != 1:
             raise ReproError(f"{len(self._stack) - 1} element(s) left open at finish()")
         self._finished = True
-        self._root.relabel()
         return self._root
 
     def _check_open(self) -> None:
@@ -111,7 +110,6 @@ def element(tag: str, *children: _ChildSpec, attributes: Optional[Dict[str, str]
             node.append_child(child)
         else:
             node.add_text(str(child))
-    node.relabel()
     return node
 
 

@@ -1,15 +1,13 @@
 """The :class:`XMLNode` tree type.
 
-An :class:`XMLNode` is an ordered, labelled tree node.  Element nodes carry a
-tag name and optional attributes; text nodes carry character data.  Every node
-knows its children and its :class:`~repro.xmlmodel.dewey.DeweyLabel`, which is
-assigned when the node is attached to a tree and re-assigned by
-:meth:`XMLNode.relabel` after structural edits.
-
-Nodes hold no parent pointer, so trees are acyclic: reference counting frees
-a dropped tree at once, without waiting for a garbage collection.  The way up
-is the label: :meth:`XMLNode.path_to` returns the nodes from a root down to a
-labelled descendant, whose reversal is that node's ancestor-or-self chain.
+An :class:`XMLNode` is an ordered tree node: its tag, text, attributes, kind
+and children.  Element nodes carry a tag name and optional attributes; text
+nodes carry character data.  A node stores neither its parent nor its
+position.  The corpus's structural table owns every element's position and
+derives its Dewey label on demand; :meth:`XMLNode.path_to` reads such a
+label relative to the node it is called on, following the child offsets
+down.  A tree built as one is acyclic, so reference counting frees a
+dropped tree at once, without waiting for a garbage collection.
 
 The model intentionally stays close to what the XSACT paper needs:
 
@@ -22,10 +20,9 @@ The model intentionally stays close to what the XSACT paper needs:
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional
 
 from repro.errors import ReproError
-from repro.xmlmodel.dewey import DeweyLabel
 
 __all__ = ["NodeKind", "XMLNode"]
 
@@ -54,13 +51,12 @@ class XMLNode:
 
     Notes
     -----
-    Children are stored in document order.  Dewey labels are maintained lazily:
-    construction via :class:`~repro.xmlmodel.builder.TreeBuilder` or the parser
-    produces correctly-labelled trees, and :meth:`relabel` can be called after
-    manual surgery.
+    Children are stored in document order.  A node's position is its offset
+    in its parent's children list, so attaching, inserting or removing a
+    child needs no bookkeeping elsewhere.
     """
 
-    __slots__ = ("tag", "text", "attributes", "kind", "children", "label")
+    __slots__ = ("tag", "text", "attributes", "kind", "children")
 
     def __init__(
         self,
@@ -80,7 +76,6 @@ class XMLNode:
         self.attributes: Dict[str, str] = dict(attributes or {})
         self.kind = kind
         self.children: List[XMLNode] = []
-        self.label: DeweyLabel = DeweyLabel.root()
 
     # ------------------------------------------------------------------ #
     # Construction helpers
@@ -98,13 +93,11 @@ class XMLNode:
     def append_child(self, child: "XMLNode") -> "XMLNode":
         """Attach ``child`` as the last child and return it.
 
-        The child's Dewey label (and its descendants') are updated.  Only a
-        root may be attached: every attached node has a non-root label.
+        Nothing checks that ``child`` is detached: as in
+        :mod:`xml.etree.ElementTree`, a node put under two parents is walked
+        once under each.
         """
-        if not child.label.is_root:
-            raise ReproError("node is already attached to a parent")
         self.children.append(child)
-        child._assign_labels(self.label.child(len(self.children) - 1))
         return child
 
     def add_element(self, tag: str, attributes: Optional[Dict[str, str]] = None) -> "XMLNode":
@@ -120,15 +113,6 @@ class XMLNode:
         leaf = self.add_element(tag)
         leaf.add_text(value)
         return leaf
-
-    def _assign_labels(self, label: DeweyLabel) -> None:
-        self.label = label
-        for offset, child in enumerate(self.children):
-            child._assign_labels(label.child(offset))
-
-    def relabel(self) -> None:
-        """Recompute the Dewey labels of this subtree from this node's label."""
-        self._assign_labels(self.label)
 
     # ------------------------------------------------------------------ #
     # Predicates and accessors
@@ -147,11 +131,6 @@ class XMLNode:
     def is_leaf_element(self) -> bool:
         """Whether this element's children are text nodes only (or none)."""
         return self.is_element and all(child.is_text for child in self.children)
-
-    @property
-    def depth(self) -> int:
-        """Number of edges from the tree root to this node."""
-        return self.label.depth
 
     def element_children(self) -> List["XMLNode"]:
         """Return the element children in document order."""
@@ -208,20 +187,23 @@ class XMLNode:
         """Return every descendant element (excluding self) with the tag."""
         return [node for node in self.iter_elements() if node is not self and node.tag == tag]
 
-    def path_to(self, label: DeweyLabel) -> List["XMLNode"]:
-        """Return the nodes from this node down to the one labelled ``label``.
+    def path_to(self, label: Iterable[int]) -> List["XMLNode"]:
+        """Return the nodes from this node down to the one at ``label``.
 
-        The list starts with this node and ends with the target, so it is the
-        target's ancestor-or-self chain within this subtree, read top-down.
-        This node's label must be a prefix of ``label``.
+        ``label`` is a Dewey label read relative to this node: each
+        component picks a child of the node reached so far, so from a
+        document root it is the label the structural table derives.  The
+        list starts with this node and ends with the target: the target's
+        ancestor-or-self chain within this subtree, read top-down.
+
+        Raises
+        ------
+        ReproError
+            If an offset runs past the children of the node it indexes.
         """
-        own = self.label.components
-        target = label.components
-        if target[: len(own)] != own:
-            raise ReproError(f"label {label} is not under {self.label}")
         node = self
         path = [node]
-        for offset in target[len(own):]:
+        for offset in label:
             try:
                 node = node.children[offset]
             except IndexError as exc:
@@ -229,40 +211,31 @@ class XMLNode:
             path.append(node)
         return path
 
-    def node_at(self, label: DeweyLabel) -> "XMLNode":
-        """Return the descendant node whose label is ``label``.
-
-        The label must be relative to *this* node's label (i.e. this node's
-        label must be a prefix of ``label``).
-        """
+    def node_at(self, label: Iterable[int]) -> "XMLNode":
+        """Return the descendant at ``label``, read relative to this node."""
         return self.path_to(label)[-1]
 
     # ------------------------------------------------------------------ #
     # Subtree operations
     # ------------------------------------------------------------------ #
     def copy(self) -> "XMLNode":
-        """Return a deep copy of this subtree as a new, re-labelled root.
+        """Return a deep copy of this subtree as a new root.
 
         This is the way to get an editable tree out of a shared one, such as
         a search result's subtree, which is the stored document's own node.
-
-        Labels are assigned in a single pass (each node's label is derived
-        from its already-copied parent), avoiding the repeated subtree
-        relabelling that per-child :meth:`append_child` calls would cost.
         """
-        clone = self._shallow_clone(DeweyLabel.root())
+        clone = self._shallow_clone()
         stack = [(self, clone)]
         while stack:
             source, target = stack.pop()
-            label = target.label
-            for offset, child in enumerate(source.children):
-                child_clone = child._shallow_clone(label.child(offset))
+            for child in source.children:
+                child_clone = child._shallow_clone()
                 target.children.append(child_clone)
                 if child.children:
                     stack.append((child, child_clone))
         return clone
 
-    def _shallow_clone(self, label: DeweyLabel) -> "XMLNode":
+    def _shallow_clone(self) -> "XMLNode":
         # A childless copy of a node that is already valid, so it skips
         # __init__'s kind checks and second attribute-dict copy, which would
         # double the cost of copying a large subtree.
@@ -272,28 +245,11 @@ class XMLNode:
         clone.attributes = dict(self.attributes)
         clone.kind = self.kind
         clone.children = []
-        clone.label = label
         return clone
 
     def size(self) -> int:
         """Number of nodes (elements and text) in this subtree."""
         return sum(1 for _ in self.walk())
-
-    def prune(self, keep: Callable[["XMLNode"], bool]) -> Optional["XMLNode"]:
-        """Return a copy of the subtree keeping only nodes on paths to kept nodes.
-
-        A node is retained if ``keep(node)`` is true for it or for any of its
-        descendants; ancestors of kept nodes are retained to preserve structure.
-        Returns ``None`` when nothing is kept.
-        """
-        kept_children = [child.prune(keep) for child in self.children]
-        kept_children = [child for child in kept_children if child is not None]
-        if not kept_children and not keep(self):
-            return None
-        clone = XMLNode(tag=self.tag, text=self.text, attributes=dict(self.attributes), kind=self.kind)
-        for child in kept_children:
-            clone.append_child(child)
-        return clone
 
     # ------------------------------------------------------------------ #
     # Dunder protocol
@@ -301,8 +257,8 @@ class XMLNode:
     def __repr__(self) -> str:
         if self.is_text:
             snippet = (self.text or "")[:20]
-            return f"XMLNode(text={snippet!r}, label='{self.label}')"
-        return f"XMLNode(<{self.tag}>, label='{self.label}', children={len(self.children)})"
+            return f"XMLNode(text={snippet!r})"
+        return f"XMLNode(<{self.tag}>, children={len(self.children)})"
 
     def __len__(self) -> int:
         return len(self.children)

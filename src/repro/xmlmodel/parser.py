@@ -72,7 +72,6 @@ class _Parser:
                 f"unexpected content after document element at offset {self.pos}",
                 position=self.pos,
             )
-        root.relabel()
         return root
 
     # ------------------------------------------------------------------ #

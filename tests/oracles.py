@@ -19,6 +19,9 @@ incrementally.  :func:`infer_return_subtree_walk` is XSeek's return-node
 rule on the tree (root-to-match path, element children), the oracle of
 :func:`~repro.search.xseek.infer_return_subtree`, which climbs the
 structural table's ``parent`` and ``end`` arrays instead.
+:func:`node_labels` gives every node of a tree its Dewey label from the
+children offsets, the tree's own account of what
+:meth:`~repro.structure.encoding.DocumentStructure.label_of` derives.
 """
 
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
@@ -31,6 +34,23 @@ from repro.xmlmodel.node import XMLNode
 
 #: A keyword occurrence or a match node: its document id and Dewey label.
 LabelledPosting = Tuple[str, DeweyLabel]
+
+
+def node_labels(root: XMLNode) -> Dict[XMLNode, DeweyLabel]:
+    """Every node of ``root``'s tree, text nodes included, to its Dewey label.
+
+    A node's label is its parent's plus its offset among the parent's
+    children, so the walk reads nothing but the children lists.
+    """
+    labels = {root: DeweyLabel.root()}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        label = labels[node]
+        for offset, child in enumerate(node.children):
+            labels[child] = label.child(offset)
+            stack.append(child)
+    return labels
 
 
 def pre_order_labels(structure: DocumentStructure) -> List[DeweyLabel]:

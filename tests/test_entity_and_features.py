@@ -23,25 +23,25 @@ class TestNodeClassifier:
         categories = classify_result_tree(product_example_tree)
         reviews = product_example_tree.find_child("reviews")
         for review in reviews.children:
-            assert categories[review.label] is NodeCategory.ENTITY
+            assert categories[review] is NodeCategory.ENTITY
 
     def test_root_is_entity(self, product_example_tree):
         categories = classify_result_tree(product_example_tree)
-        assert categories[product_example_tree.label] is NodeCategory.ENTITY
+        assert categories[product_example_tree] is NodeCategory.ENTITY
 
     def test_leaf_elements_are_attributes(self, product_example_tree):
         categories = classify_result_tree(product_example_tree)
         name = product_example_tree.find_child("name")
-        assert categories[name.label] is NodeCategory.ATTRIBUTE
+        assert categories[name] is NodeCategory.ATTRIBUTE
 
     def test_grouping_nodes_are_connections(self, product_example_tree):
         categories = classify_result_tree(product_example_tree)
         reviews = product_example_tree.find_child("reviews")
         pros = reviews.children[0].find_child("pros")
         reviewer = reviews.children[0].find_child("reviewer")
-        assert categories[reviews.label] is NodeCategory.CONNECTION
-        assert categories[pros.label] is NodeCategory.CONNECTION
-        assert categories[reviewer.label] is NodeCategory.CONNECTION
+        assert categories[reviews] is NodeCategory.CONNECTION
+        assert categories[pros] is NodeCategory.CONNECTION
+        assert categories[reviewer] is NodeCategory.CONNECTION
 
     def test_corpus_statistics_can_promote_entities(self):
         # "item" never repeats inside this single tree, but the corpus says it does.
@@ -50,20 +50,20 @@ class TestNodeClassifier:
         stats.add_document(parse_xml("<catalog><item/><item/></catalog>"))
         categories = NodeClassifier(statistics=stats).classify(tree)
         item = tree.find_child("item")
-        assert categories[item.label] is NodeCategory.ENTITY
+        assert categories[item] is NodeCategory.ENTITY
 
     def test_owning_entity_walks_to_nearest_entity(self, product_example_tree):
         categories = NodeClassifier().classify(product_example_tree)
         compact = product_example_tree.find_descendants("compact")[0]
         owned = {
-            leaf.label: (parent, owner)
+            leaf: (parent, owner)
             for leaf, parent, owner in owned_leaves(product_example_tree, categories)
         }
-        parent, owner = owned[compact.label]
+        parent, owner = owned[compact]
         assert owner.tag == "review"
         assert parent.tag == "pros"
         # Every leaf, in document order.
-        assert list(owned) == [leaf.label for leaf in product_example_tree.iter_leaves()]
+        assert list(owned) == list(product_example_tree.iter_leaves())
 
     def test_classify_rejects_text_node(self):
         with pytest.raises(EntityInferenceError):

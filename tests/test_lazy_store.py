@@ -40,7 +40,7 @@ def saved_path(corpus, tmp_path, name="c.snap", **save_kwargs):
 
 def tree_signature(document):
     return [
-        (n.tag, n.text, n.attributes, n.kind, n.label.components)
+        (n.tag, n.text, n.attributes, n.kind, len(n.children))
         for n in document.root.walk()
     ]
 

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.config import DFSConfig
 from repro.core.dfs import DFS, DFSSet
 from repro.core.dod import differentiable, pairwise_dod, total_dod
+from repro.core.exhaustive import exhaustive_dfs
 from repro.core.greedy import greedy_dfs
 from repro.core.multi_swap import multi_swap_dfs
 from repro.core.problem import DFSProblem
@@ -55,6 +56,20 @@ micro_problems = st.builds(
     num_results=st.integers(min_value=2, max_value=4),
     size_limit=st.integers(min_value=1, max_value=4),
     seed=st.integers(min_value=0, max_value=1000),
+)
+
+#: Micro problems ``exhaustive`` solves in milliseconds: 2–3 results at
+#: ``size_limit`` 1–2, and 2 results at ``size_limit`` 3 (3 results at 3
+#: take about 0.6 s each).
+_exhaustive_seeds = st.integers(min_value=0, max_value=10**6)
+exhaustive_micro_problems = st.one_of(
+    st.builds(
+        micro_instance,
+        num_results=st.integers(min_value=2, max_value=3),
+        size_limit=st.integers(min_value=1, max_value=2),
+        seed=_exhaustive_seeds,
+    ),
+    st.builds(micro_instance, num_results=st.just(2), size_limit=st.just(3), seed=_exhaustive_seeds),
 )
 
 
@@ -149,6 +164,14 @@ class TestAlgorithmProperties:
         start = total_dod(top_significance_dfs(problem), config)
         assert total_dod(single_swap_dfs(problem), config) >= start
         assert total_dod(multi_swap_dfs(problem), config) >= start
+
+    @settings(max_examples=500, deadline=None)
+    @given(exhaustive_micro_problems)
+    def test_heuristics_never_beat_exhaustive(self, problem):
+        config = problem.config
+        optimum = total_dod(exhaustive_dfs(problem), config)
+        for construct in (top_significance_dfs, greedy_dfs, single_swap_dfs, multi_swap_dfs):
+            assert total_dod(construct(problem), config) <= optimum
 
     @settings(max_examples=30, deadline=None)
     @given(problems(), st.integers(0, 99))

@@ -9,6 +9,7 @@ from oracles import (
     is_entity_node_walk,
     labelled_matches,
     labelled_postings,
+    node_labels,
 )
 from repro.search.elca import compute_elca
 from repro.search.slca import compute_slca
@@ -133,9 +134,10 @@ class TestXmlRoundTripProperties:
     @settings(max_examples=50, deadline=None)
     @given(xml_trees())
     def test_labels_are_consistent_with_structure(self, tree):
-        for node in tree.walk():
-            for offset, child in enumerate(node.children):
-                assert child.label == node.label.child(offset)
+        labels = node_labels(tree)
+        assert len(labels) == tree.size()
+        for node, label in labels.items():
+            assert tree.node_at(label) is node
 
     @settings(max_examples=200, deadline=None)
     @given(xml_trees())
@@ -144,9 +146,10 @@ class TestXmlRoundTripProperties:
         # label_of(pre) must name the pre-th element; ranking's size
         # normaliser is end[pre] - pre: the element count of the subtree.
         structure = DocumentStructure.from_tree(tree, TagDictionary())
+        labels = node_labels(tree)
         for pre, element in enumerate(tree.iter_elements()):
             label = structure.label_of(pre)
-            assert label == element.label
+            assert label == labels[element]
             assert tree.node_at(label) is element
             assert structure.end[pre] - pre == sum(
                 1 for node in element.walk() if node.is_element
@@ -164,6 +167,7 @@ class TestXseekTableProperties:
         built.add_document(tree)
         tags = TagDictionary()
         structure = DocumentStructure.from_tree(tree, tags)
+        labels = node_labels(tree)
         for statistics in (None, built):
             for pre, element in enumerate(tree.iter_elements()):
                 assert is_entity_node(structure, tags, pre, statistics) == is_entity_node_walk(
@@ -171,8 +175,8 @@ class TestXseekTableProperties:
                 )
                 for max_climb in (0, 1, 2, 3, 10):
                     climbed = infer_return_subtree(structure, tags, pre, statistics, max_climb)
-                    walked = infer_return_subtree_walk(tree, element.label, statistics, max_climb)
-                    assert structure.label_of(climbed) == walked.label
+                    walked = infer_return_subtree_walk(tree, labels[element], statistics, max_climb)
+                    assert structure.label_of(climbed) == labels[walked]
 
 
 # --------------------------------------------------------------------------- #

@@ -4,7 +4,7 @@ import gc
 
 import pytest
 
-from oracles import pre_order_labels
+from oracles import node_labels, pre_order_labels
 from repro.errors import SearchError
 from repro.search.engine import SearchEngine
 from repro.search.query import KeywordQuery
@@ -51,14 +51,14 @@ def document_table(tree):
 def entity(tree, node, statistics):
     """XSeek's entity test for ``node``, evaluated on the tree's table."""
     structure, tags = document_table(tree)
-    pre = pre_order_labels(structure).index(node.label)
+    pre = pre_order_labels(structure).index(node_labels(tree)[node])
     return is_entity_node(structure, tags, pre, statistics)
 
 
 def return_node(tree, match, statistics, max_climb=10):
     """The tree node at the pre number the table climb returns for ``match``."""
     structure, tags = document_table(tree)
-    match_pre = pre_order_labels(structure).index(match.label)
+    match_pre = pre_order_labels(structure).index(node_labels(tree)[match])
     pre = infer_return_subtree(structure, tags, match_pre, statistics, max_climb=max_climb)
     return tree.node_at(structure.label_of(pre))
 

@@ -48,6 +48,12 @@ def small_corpus() -> Corpus:
     return Corpus(store, name="tiny")
 
 
+def live_labels() -> int:
+    """The number of :class:`DeweyLabel` objects alive after a collection."""
+    gc.collect()
+    return sum(1 for obj in gc.get_objects() if type(obj) is DeweyLabel)
+
+
 def ranked_signature(corpus: Corpus, query: str, semantics: str = "slca"):
     engine = SearchEngine(corpus, semantics=semantics, cache_size=0)
     return [
@@ -66,7 +72,8 @@ def assert_equivalent(original: Corpus, loaded: Corpus, queries) -> None:
     assert loaded.name == original.name
     assert loaded.version == original.version
     assert loaded.store.document_ids() == original.store.document_ids()
-    # Documents: tags, text, attributes, metadata and Dewey labels all match.
+    # Documents: tags, text, attributes, metadata and the shape (each node's
+    # child count, in pre-order) all match.
     for doc_id in original.store.document_ids():
         a = original.store.get(doc_id)
         b = loaded.store.get(doc_id)
@@ -76,7 +83,7 @@ def assert_equivalent(original: Corpus, loaded: Corpus, queries) -> None:
         assert len(nodes_a) == len(nodes_b)
         for na, nb in zip(nodes_a, nodes_b):
             assert (na.tag, na.text, na.attributes, na.kind) == (nb.tag, nb.text, nb.attributes, nb.kind)
-            assert na.label.components == nb.label.components
+            assert len(na.children) == len(nb.children)
     # Index: every term's runs and document frequency.
     assert loaded.index.vocabulary() == original.index.vocabulary()
     assert loaded.index.documents_indexed == original.index.documents_indexed
@@ -193,18 +200,22 @@ class TestRoundTrip:
         Corpus.load(DATA_DIR / "small_corpus_format3.snap").save(resaved)
         assert resaved.read_bytes() == committed
 
-
     def test_load_builds_no_label_objects(self):
         """A load keeps each label table as integer lists, so no label is built."""
-
-        def live_labels():
-            gc.collect()
-            return sum(1 for obj in gc.get_objects() if type(obj) is DeweyLabel)
-
         before = live_labels()
         loaded = Corpus.load(DATA_DIR / "small_corpus_format3.snap")
         assert live_labels() == before
         assert loaded.structure.element_count() > 0
+
+    def test_decode_and_parse_build_no_label_objects(self):
+        """A tree stores no label, so decoding a record or parsing builds none."""
+        before = live_labels()
+        loaded = Corpus.load(DATA_DIR / "small_corpus_format3.snap")
+        documents = [loaded.store.get(doc_id) for doc_id in loaded.store.document_ids()]
+        parsed = parse_xml(PRODUCT_XML)
+        assert live_labels() == before
+        assert [len(document.root.children) for document in documents] == [3, 3]
+        assert len(parsed.children) == 3
 
 
 class TestFailureModes:
@@ -311,6 +322,25 @@ class TestFailureModes:
             corpus.save(missing_dir / "x.snap")
         assert not missing_dir.exists()
         assert list(tmp_path.iterdir()) == []
+
+    def test_save_refuses_a_store_removal_without_refresh(self, tmp_path):
+        corpus = small_corpus()
+        corpus.store.remove("p1")
+        with pytest.raises(SnapshotError, match=r"document 'p1'.*refresh\(\)"):
+            corpus.save(tmp_path / "x.snap")
+        assert list(tmp_path.iterdir()) == []
+        corpus.refresh()
+        assert Corpus.load(corpus.save(tmp_path / "x.snap")).store.document_ids() == ["p2"]
+
+    def test_save_refuses_a_store_addition_without_refresh(self, tmp_path):
+        corpus = small_corpus()
+        corpus.store.add("p3", parse_xml("<product><name>Extra</name></product>"))
+        with pytest.raises(SnapshotError, match=r"document 'p3'.*refresh\(\)"):
+            corpus.save(tmp_path / "x.snap")
+        assert list(tmp_path.iterdir()) == []
+        corpus.refresh()
+        loaded = Corpus.load(corpus.save(tmp_path / "x.snap"))
+        assert loaded.store.document_ids() == ["p1", "p2", "p3"]
 
     def test_cli_save_to_unwritable_target_is_a_clean_error(self, tmp_path):
         out = io.StringIO()

@@ -24,7 +24,13 @@ from base64 import urlsafe_b64decode, urlsafe_b64encode
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import compute_slca_scan, labelled_matches, labelled_postings, pre_order_labels
+from oracles import (
+    compute_slca_scan,
+    labelled_matches,
+    labelled_postings,
+    node_labels,
+    pre_order_labels,
+)
 from repro.cli import main as cli_main
 from repro.errors import (
     InvalidCursorError,
@@ -213,7 +219,8 @@ class TestEncodingDifferential:
         # The snapshot-restore path: the label table's depths and last
         # components plus the tag ids alone rebuild the identical encoding.
         built = DocumentStructure.from_tree(tree, TagDictionary())
-        labels = [element.label for element in tree.iter_elements()]
+        node_label = node_labels(tree)
+        labels = [node_label[element] for element in tree.iter_elements()]
         derived = DocumentStructure(
             [len(label) for label in labels],
             [label.components[-1] if label.components else 0 for label in labels],
@@ -410,7 +417,10 @@ def constrained_cases(draw):
     plus the absent one.
     """
     documents = draw(corpus_documents(min_size=1))
-    paths = [tree.path_to(node.label) for _, tree in documents for node in tree.iter_elements()]
+    paths = []
+    for _, tree in documents:
+        labels = node_labels(tree)
+        paths.extend(tree.path_to(labels[node]) for node in tree.iter_elements())
     present = sorted({path[-1].tag for path in paths})
     keywords = draw(st.lists(st.sampled_from(present), min_size=1, max_size=2, unique=True))
     path = _tag_path(draw(st.sampled_from(paths)))
@@ -463,6 +473,7 @@ def _axis_step(path, axis, axis_tag):
 def constraint_oracle(documents, keyword_postings, query):
     """slca_struct's matches from scan-oracle SLCAs and root-to-node path walks."""
     trees = dict(documents)
+    labels = {doc_id: node_labels(tree) for doc_id, tree in documents}
     expected = set()
     for doc_id, label in compute_slca_scan(keyword_postings):
         path = trees[doc_id].path_to(label)
@@ -471,7 +482,7 @@ def constraint_oracle(documents, keyword_postings, query):
             if path is None:
                 continue
         for selected in _axis_step(path, query.axis, query.axis_tag):
-            expected.add((doc_id, selected.label))
+            expected.add((doc_id, labels[doc_id][selected]))
     return sorted(expected)
 
 

@@ -33,19 +33,15 @@ class TestConstruction:
         assert leaf.is_leaf_element
         assert leaf.direct_text() == "value"
 
-    def test_append_attached_child_rejected(self):
-        root = XMLNode.element("root")
-        child = root.add_element("child")
-        other = XMLNode.element("other")
-        with pytest.raises(ReproError):
-            other.append_child(child)
-
     def test_labels_assigned_on_attach(self):
         root = build_sample_tree()
         reviews = root.find_child("reviews")
-        assert reviews.label == DeweyLabel((1,))
-        first_review = reviews.children[0]
-        assert first_review.label == DeweyLabel((1, 0))
+        assert root.node_at(DeweyLabel((1,))) is reviews
+        assert root.node_at(DeweyLabel((1, 0))) is reviews.children[0]
+        extra = XMLNode.element("extra")
+        leaf = extra.add_leaf("x", "1")
+        assert root.append_child(extra) is extra
+        assert root.node_at(DeweyLabel((2, 0))) is leaf
 
 
 class TestPredicates:
@@ -53,11 +49,6 @@ class TestPredicates:
         root = build_sample_tree()
         assert root.find_child("name").is_leaf_element
         assert not root.find_child("reviews").is_leaf_element
-
-    def test_depth_matches_label(self):
-        root = build_sample_tree()
-        rating = root.find_child("reviews").children[0].find_child("rating")
-        assert rating.depth == 3
 
     def test_text_content_concatenates_descendants(self):
         root = build_sample_tree()
@@ -90,12 +81,13 @@ class TestNavigation:
     def test_path_to(self):
         root = build_sample_tree()
         rating = root.find_descendants("rating")[0]
-        path = root.path_to(rating.label)
+        path = root.path_to(DeweyLabel((1, 0, 0)))
         assert [node.tag for node in path] == ["product", "reviews", "review", "rating"]
         assert path[-1] is rating
+        # A label is read relative to the node it is given to.
         reviews = root.find_child("reviews")
-        assert [node.tag for node in reviews.path_to(rating.label)] == ["reviews", "review", "rating"]
-        assert root.path_to(root.label) == [root]
+        assert reviews.path_to(DeweyLabel((0, 0))) == path[1:]
+        assert root.path_to(DeweyLabel.root()) == [root]
 
     def test_node_at_label(self):
         root = build_sample_tree()
@@ -103,13 +95,7 @@ class TestNavigation:
         target = root.node_at(DeweyLabel((1, 0, 0)))
         assert target.tag == "rating"
         # Relative lookup from a non-root node.
-        assert reviews.node_at(DeweyLabel((1, 1))) .tag == "review"
-
-    def test_node_at_label_outside_subtree_raises(self):
-        root = build_sample_tree()
-        reviews = root.find_child("reviews")
-        with pytest.raises(ReproError):
-            reviews.node_at(DeweyLabel((0,)))
+        assert reviews.node_at(DeweyLabel((1,))) is reviews.children[1]
 
     def test_node_at_missing_offset_raises(self):
         root = build_sample_tree()
@@ -122,7 +108,7 @@ class TestSubtreeOperations:
         root = build_sample_tree()
         reviews = root.find_child("reviews")
         clone = reviews.copy()
-        assert clone.label == DeweyLabel.root()
+        assert clone.node_at(DeweyLabel((1, 0))) is not reviews.node_at(DeweyLabel((1, 0)))
         assert [node.tag for node in clone.iter_elements()] == [
             node.tag for node in reviews.iter_elements()
         ]
@@ -134,24 +120,13 @@ class TestSubtreeOperations:
         assert sum(1 for _ in root.iter_elements()) == 7
         assert root.size() == 10  # 7 elements + 3 text nodes
 
-    def test_prune_keeps_paths_to_matches(self):
-        root = build_sample_tree()
-        pruned = root.prune(lambda node: node.is_text and node.text == "5")
-        assert pruned is not None
-        assert pruned.tag == "product"
-        assert len(pruned.find_descendants("review")) == 1
-
-    def test_prune_returns_none_when_nothing_matches(self):
-        root = build_sample_tree()
-        assert root.prune(lambda node: False) is None
-
     def test_relabel_after_surgery(self):
+        # A label names a position, so it follows children-list edits at once.
         root = build_sample_tree()
         extra = XMLNode.element("extra")
         root.children.insert(0, extra)
-        root.relabel()
-        assert extra.label == DeweyLabel((0,))
-        assert root.find_child("name").label == DeweyLabel((1,))
+        assert root.node_at(DeweyLabel((0,))) is extra
+        assert root.node_at(DeweyLabel((1,))) is root.find_child("name")
 
     def test_len_and_iter(self):
         root = build_sample_tree()

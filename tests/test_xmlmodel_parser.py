@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import XMLParseError
+from repro.xmlmodel.dewey import DeweyLabel
 from repro.xmlmodel.parser import parse_xml, parse_xml_file
 from repro.xmlmodel.serializer import serialize
 
@@ -37,8 +38,8 @@ class TestBasicParsing:
     def test_dewey_labels_assigned(self):
         root = parse_xml("<a><b/><c><d/></c></a>")
         c = root.find_child("c")
-        assert str(c.label) == "1"
-        assert str(c.find_child("d").label) == "1.0"
+        assert root.node_at(DeweyLabel.parse("1")) is c
+        assert root.node_at(DeweyLabel.parse("1.0")) is c.find_child("d")
 
 
 class TestProlog:

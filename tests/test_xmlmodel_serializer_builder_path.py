@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ReproError
 from repro.xmlmodel.builder import TreeBuilder, element, text_element
+from repro.xmlmodel.dewey import DeweyLabel
 from repro.xmlmodel.node import XMLNode
 from repro.xmlmodel.parser import parse_xml
 from repro.xmlmodel.path import PathExpression, find_all, find_first
@@ -53,8 +54,8 @@ class TestTreeBuilder:
             builder.leaf("c", "x")
         builder.leaf("d", "y")
         root = builder.finish()
-        assert str(root.find_child("b").label) == "0"
-        assert str(root.find_child("d").label) == "1"
+        assert root.node_at(DeweyLabel((0,))) is root.find_child("b")
+        assert root.node_at(DeweyLabel((1,))) is root.find_child("d")
 
     def test_start_end_pairing(self):
         builder = TreeBuilder("a")
